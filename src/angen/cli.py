@@ -10,10 +10,12 @@ directory and prints one PASS/FAIL summary line per check to stdout.
 Exit codes: 0 all checks passed, 1 a verification residual exceeded its
 tolerance, 2 invalid configuration or flags.
 
-The environment variable TOOL_THREADS caps worker parallelism (the
-spectrum scan is the only parallel consumer; results are assembled in grid
-order either way, so output bytes do not depend on the thread count).
-Reruns with the same config and seed produce byte-identical CSV files.
+The environment variable TOOL_THREADS is validated (a non-integer or
+non-positive value draws a warning on stderr) but selects nothing: every
+computation runs in one thread, because the work is bound by the
+interpreter lock and worker threads only made the spectrum scan slower.
+It stays accepted so that job scripts which set it keep working.  Reruns
+with the same config and seed produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .kernel import (
 )
 from .reconstruction import decay_bound_fit, reconstruct_Ut_cz, reconstruct_Ut_delta
 from .resolvent import (
+    MIN_ABS_MU,
     build_Rmu,
     check_central_identity,
     compute_Qmu,
@@ -92,11 +95,9 @@ DEFAULT_TOLERANCES = {
 }
 
 _QUAD_KEYS = {
-    "truncation_T": float,
     "rel_tolerance": float,
     "nodes_per_unit": int,
     "line_offset_s": float,
-    "rule": str,
 }
 
 _SCAN_DEFAULTS = {
@@ -173,10 +174,27 @@ def _as_real(v, where: str) -> float:
 
 
 def _merge_section(raw: dict, name: str, defaults: dict) -> dict:
+    """The section over its defaults; each value must have its default's type.
+
+    An int passes where a float is expected; lists must be nonempty lists of
+    numbers.
+    """
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"section {name!r} must be an object")
     _reject_unknown(section, defaults, f"section {name!r}")
+    for key, value in section.items():
+        default, where = defaults[key], f"{name}.{key}"
+        if isinstance(default, list):
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"{where}: expected a nonempty list of numbers, got {value!r}")
+            for v in value:
+                _as_real(v, where)
+        elif isinstance(default, int):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        else:
+            _as_real(value, where)
     out = dict(defaults)
     out.update(section)
     return out
@@ -218,6 +236,11 @@ def _build_mu_list(raw: dict) -> list[complex]:
                 f"mu={mu} lies on the branch cut (-inf, 0]; parameters must "
                 "avoid the negative real axis where the principal power "
                 "mu**(i*t-1) is undefined"
+            )
+        if abs(mu) < MIN_ABS_MU:
+            raise ConfigError(
+                f"|mu| = {abs(mu):.2e} is below {MIN_ABS_MU:.0e}; the block "
+                "resolvent contains 1/mu"
             )
     return mus
 
@@ -262,12 +285,14 @@ class Experiment:
         self.mu_list = _build_mu_list(raw)
         self.quadrature = _build_quadrature(raw)
         self.tolerances = _build_tolerances(raw)
-        self.samples = int(raw.get("samples", 8))
-        if not isinstance(raw.get("samples", 8), int) or self.samples < 1:
-            raise ConfigError("'samples' must be a positive integer")
+        self.samples = raw.get("samples", 8)
+        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 1:
+            raise ConfigError(f"'samples' must be a positive integer, got {self.samples!r}")
         self.kernel = _merge_section(raw, "kernel", _KERNEL_DEFAULTS)
         self.scan = _merge_section(raw, "scan", _SCAN_DEFAULTS)
         self.mollify = _merge_section(raw, "mollify", _MOLLIFY_DEFAULTS)
+        if min(self.mollify["n_sequence"]) <= 0 or self.mollify["commutation_n"] <= 0:
+            raise ConfigError("mollify widths 'n_sequence' and 'commutation_n' must be positive")
         self.reconstruct = _merge_section(raw, "reconstruct", _RECONSTRUCT_DEFAULTS)
         self.bound_fit = _merge_section(raw, "bound_fit", _BOUND_FIT_DEFAULTS)
         out = raw.get("output_dir", "out")
@@ -328,19 +353,18 @@ def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _worker_count() -> int:
+def _check_tool_threads() -> None:
+    """Warn about an invalid TOOL_THREADS; the value selects nothing."""
     raw = os.environ.get("TOOL_THREADS")
     if raw is None:
-        return 1
+        return
     try:
         n = int(raw)
     except ValueError:
         print(f"warning: ignoring non-integer TOOL_THREADS={raw!r}", file=sys.stderr)
-        return 1
+        return
     if n < 1:
         print(f"warning: ignoring non-positive TOOL_THREADS={n}", file=sys.stderr)
-        return 1
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +539,7 @@ def scan_grid(cfg: dict) -> list[complex]:
 def _run_spectrum_scan(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
     g = exp.model
     grid = scan_grid(exp.scan)
-    points = spectrum_scan(g, grid, exp.quadrature, workers=_worker_count())
+    points = spectrum_scan(g, grid, exp.quadrature)
     rows = [
         (pt.mu.real, pt.mu.imag, pt.resolvent_norm, pt.oracle_distance, pt.lower_bound_ok)
         for pt in points
@@ -700,6 +724,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
+    _check_tool_threads()
 
     try:
         exp = load_experiment(args.config)

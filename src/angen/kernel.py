@@ -118,39 +118,26 @@ def _require_point(t: complex) -> None:
         )
 
 
-def _t_over_two_sinh(t: complex) -> complex:
-    """Stable t / (exp(pi*t) - exp(-pi*t)), scalar complex argument."""
-    t = complex(t)
-    if abs(t) < SERIES_SWITCH_RADIUS:
-        x2 = (math.pi * t) * (math.pi * t)
-        acc = _X_OVER_SINH[-1]
-        for c in reversed(_X_OVER_SINH[:-1]):
-            acc = c + x2 * acc
-        return acc / (2.0 * math.pi)
-    x = math.pi * t
-    if abs(x.real) > _BIG_REAL:
-        s = 1.0 if x.real > 0 else -1.0
-        e = cmath.exp(-s * x)
-        return t * s * e / (1.0 - e * e)
-    return t / (2.0 * cmath.sinh(x))
-
-
-def _inv_double_sinh(z: complex) -> complex:
-    """Stable 1 / (exp(pi*z) - exp(-pi*z)) for z away from i*Z."""
-    z = complex(z)
-    x = math.pi * z
-    if abs(x.real) > _BIG_REAL:
-        s = 1.0 if x.real > 0 else -1.0
-        e = cmath.exp(-s * x)
-        return s * e / (1.0 - e * e)
-    return 1.0 / (2.0 * cmath.sinh(x))
+def _over_double_sinh(num, z):
+    """Stable num / (exp(pi*z) - exp(-pi*z)), elementwise, for z away from i*Z."""
+    num = np.asarray(num, dtype=complex)
+    x = math.pi * np.asarray(z, dtype=complex)
+    out = np.empty(x.shape, dtype=complex)
+    big = np.abs(x.real) > _BIG_REAL
+    if np.any(big):
+        s = np.where(x.real[big] > 0, 1.0, -1.0)
+        e = np.exp(-s * x[big])
+        out[big] = num[big] * s * e / (1.0 - e * e)
+    rest = ~big
+    out[rest] = num[rest] / (2.0 * np.sinh(x[rest]))
+    return out
 
 
 def eval_kernel(p: KernelParam, t: complex) -> complex:
     """Closed-form kernel value F(mu, t) on the principal branch."""
     t = complex(t)
     _require_point(t)
-    return _t_over_two_sinh(t) * cmath.exp((1j * t - 1.0) * cmath.log(p.mu))
+    return complex(eval_kernel_array(p, t))
 
 
 def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
@@ -160,27 +147,16 @@ def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
     the poles (real-line nodes always are).
     """
     ts = np.asarray(ts, dtype=complex)
-    x = math.pi * ts
     out = np.empty(ts.shape, dtype=complex)
-
     small = np.abs(ts) < SERIES_SWITCH_RADIUS
     if np.any(small):
-        x2 = x[small] ** 2
+        x2 = (math.pi * ts[small]) ** 2
         acc = np.full(x2.shape, _X_OVER_SINH[-1], dtype=complex)
         for c in reversed(_X_OVER_SINH[:-1]):
             acc = c + x2 * acc
         out[small] = acc / (2.0 * math.pi)
-
-    big = (~small) & (np.abs(x.real) > _BIG_REAL)
-    if np.any(big):
-        s = np.where(x.real[big] > 0, 1.0, -1.0)
-        e = np.exp(-s * x[big])
-        out[big] = ts[big] * s * e / (1.0 - e * e)
-
-    rest = ~(small | big)
-    if np.any(rest):
-        out[rest] = ts[rest] / (2.0 * np.sinh(x[rest]))
-
+    rest = ~small
+    out[rest] = _over_double_sinh(ts[rest], ts[rest])
     return out * np.exp((1j * ts - 1.0) * cmath.log(p.mu))
 
 
@@ -221,12 +197,8 @@ def check_functional_eq1(p: KernelParam, t: complex) -> float:
     t = complex(t)
     for w in (t, t - 1j, t - 2j):
         _require_point(w)
-    v = (
-        eval_kernel(p, t - 2j)
-        + 2.0 * p.mu * eval_kernel(p, t - 1j)
-        + p.mu**2 * eval_kernel(p, t)
-    )
-    return abs(v)
+    f2, f1, f0 = eval_kernel_array(p, np.array([t - 2j, t - 1j, t]))
+    return abs(f2 + 2.0 * p.mu * f1 + p.mu**2 * f0)
 
 
 def check_functional_eq2(p: KernelParam, z: complex) -> float:
@@ -236,9 +208,9 @@ def check_functional_eq2(p: KernelParam, z: complex) -> float:
         raise ZeroArgument(f"z={z} sits on the pole of 1/sinh at the origin")
     _require_point(z)
     _require_point(z - 1j)
-    lhs = p.mu * eval_kernel(p, z) + eval_kernel(p, z - 1j)
-    rhs = 1j * cmath.exp(1j * z * cmath.log(p.mu)) * _inv_double_sinh(z)
-    return abs(lhs - rhs)
+    f0, f1 = eval_kernel_array(p, np.array([z, z - 1j]))
+    rhs = _over_double_sinh(1j * cmath.exp(1j * z * cmath.log(p.mu)), z)
+    return abs(p.mu * f0 + f1 - complex(rhs))
 
 
 def contour_residue_check(
@@ -255,17 +227,17 @@ def contour_residue_check(
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
+    # the circle passes closest to the poles i and 2i
+    if min(radius, 1.0 - radius) <= POLE_GUARD:
+        raise PoleProximity(f"radius {radius} brings the loop within {POLE_GUARD} of a pole")
 
     loglam = math.log(lam)
 
     def loop(n: int) -> complex:
-        thetas = np.arange(n) * (2.0 * math.pi / n)
-        acc = 0.0 + 0.0j
-        for th in thetas:
-            t = 1j + radius * cmath.exp(1j * th)
-            dt = 1j * radius * cmath.exp(1j * th) * (2.0 * math.pi / n)
-            acc += eval_kernel(p, t) * cmath.exp(1j * t * loglam) * dt
-        return acc
+        w = radius * np.exp(1j * np.arange(n) * (2.0 * math.pi / n))
+        ts = 1j + w
+        dts = 1j * w * (2.0 * math.pi / n)
+        return complex(np.sum(eval_kernel_array(p, ts) * np.exp(1j * ts * loglam) * dts))
 
     full = loop(num_nodes)
     half = loop(num_nodes // 2)

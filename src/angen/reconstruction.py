@@ -47,17 +47,17 @@ which decays like mu**(-1) (spectrally it is nu/(nu+mu) summed over
 modes), fits the log-log slope, and cross-validates y(mu) against the
 shifted-line representation
 
-    mu**(-r) * integral i * mu**(i*t) * U_{t+ir} x
-               / (exp(pi*(t+ir)) - exp(-pi*(t+ir))) dt,
+    integral i * mu**(i*z) * U_z x / (exp(pi*z) - exp(-pi*z)) dt,   z = t + i*r,
 
-obtained by moving the integration line of Q_mu (mu + U_i) down by r.
+obtained by moving the integration line of Q_mu (mu + U_i) to Im z = r;
+the factor mu**(i*z) = mu**(i*t) * mu**(-r) carries the mu**(-r) envelope.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,25 +71,15 @@ from .group_models import (
     generator_spectrum,
     make_graph_vector,
 )
-from .kernel import KernelParam, _inv_double_sinh, eval_kernel_array
-from .vecint import GAUSS_NODES, GAUSS_WEIGHTS, QuadratureSpec, integrate_vector
+from .kernel import KernelParam, _over_double_sinh
+from .resolvent import _qmu_vector, _quadrature_plan, ampliation
+from .vecint import QuadratureSpec, gauss_panels, integrate_vector
 
 MU_MIN_DEFAULT = 1e-6
 MU_MAX_DEFAULT = 1e6
 PANELS_DEFAULT = 40
 # analytic tail corrections use this many power-series terms per endpoint
 CORRECTION_TERMS = 3
-
-
-def _log_gauss_nodes(mu_min: float, mu_max: float, panels: int):
-    """16-point Gauss nodes in u = log(mu) over [log mu_min, log mu_max]."""
-    lo, hi = math.log(mu_min), math.log(mu_max)
-    edges = np.linspace(lo, hi, panels + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    us = (centers[:, None] + half * GAUSS_NODES[None, :]).ravel()
-    ws = np.tile(half * GAUSS_WEIGHTS, panels)
-    return us, ws
 
 
 def _check_window(g: GroupModel, mu_min: float, mu_max: float) -> None:
@@ -120,7 +110,7 @@ def _radial_integral(
     above mu_max are restored from the power series of r, which only needs
     powers of the exact generator applied to x.
     """
-    us, ws = _log_gauss_nodes(mu_min, mu_max, panels)
+    us, ws = gauss_panels(math.log(mu_min), math.log(mu_max), panels)
     total = np.zeros(g.dim, dtype=complex)
     # substitution mu = e^u turns mu^(a-1) dmu into e^(a u) du
     for u, w in zip(us, ws):
@@ -204,7 +194,7 @@ def reconstruct_Ut_delta(
     _check_window(g, mu_min, mu_max)
     pair = make_graph_vector(g, x).stacked()
     n = g.dim
-    D = ampliation_matrix(g)
+    D = ampliation(g).as_matrix()
     eye2 = np.eye(2 * n, dtype=complex)
     target = apply_Uz(g, t, x)
 
@@ -228,16 +218,6 @@ def reconstruct_Ut_delta(
     return ReconstructionReport(tuple(steps), approx)
 
 
-def ampliation_matrix(g: GroupModel) -> np.ndarray:
-    """diag(U_i, U_i) as a dense 2n x 2n matrix."""
-    Ui = analytic_generator(g)
-    n = g.dim
-    D = np.zeros((2 * n, 2 * n), dtype=complex)
-    D[:n, :n] = Ui
-    D[n:, n:] = Ui
-    return D
-
-
 def projection_reduction_residual(g: GroupModel, mu: float) -> float:
     """||Pr1 (D + mu)^(-1) D restricted to pairs (x, U_i x) - (U_i+mu)^(-1) U_i||.
 
@@ -246,7 +226,7 @@ def projection_reduction_residual(g: GroupModel, mu: float) -> float:
     """
     n = g.dim
     Ui = analytic_generator(g)
-    D = ampliation_matrix(g)
+    D = ampliation(g).as_matrix()
     lift = np.vstack([np.eye(n, dtype=complex), Ui])
     block = np.linalg.solve(D + mu * np.eye(2 * n), D @ lift)[:n, :]
     direct = np.linalg.solve(Ui + mu * np.eye(n), Ui)
@@ -330,77 +310,23 @@ class DecayFitReport:
     rows: tuple[tuple[float, float, float], ...]  # (|mu|, y_direct, y_shifted)
 
 
-def _qmu_vector(g: GroupModel, p: KernelParam, q: QuadratureSpec, w: np.ndarray) -> np.ndarray:
-    """Q_mu w by a single vector quadrature."""
-    from .resolvent import TRUNCATION_CAP, _quadrature_plan
-
-    T, npu = _quadrature_plan(g, p, q)
-    qq = QuadratureSpec(
-        truncation_T=q.truncation_T,
-        rel_tolerance=q.rel_tolerance,
-        nodes_per_unit=npu,
-        line_offset_s=0.0,
-        rule=q.rule,
-    )
-    # no scale hint: y(mu) = ||Q_mu w|| is much smaller than ||w|| at large
-    # mu (the two halves of w nearly cancel under Q_mu), and the tail gate
-    # must track the result, not the input
-    return integrate_vector(
-        lambda ts: apply_Uz_batch(g, ts, w),
-        lambda ts: eval_kernel_array(p, ts),
-        qq,
-        tail_rate=p.decay_rate,
-        truncation=T,
-        max_truncation=TRUNCATION_CAP,
-        vectorized=True,
-    )
-
-
 def _shifted_line_vector(
     g: GroupModel, p: KernelParam, q: QuadratureSpec, x: np.ndarray, r: float
 ) -> np.ndarray:
-    """mu^(-r) * integral i mu^(i t) U_{t+ir} x / (e^{pi(t+ir)} - e^{-pi(t+ir)}) dt."""
-    from .resolvent import TRUNCATION_CAP
-
-    mu = p.mu
-    log_mu = cmath.log(mu)
-    hmax = g.max_exponent
-    T = (math.log(1.0 / q.rel_tolerance) + math.log1p(hmax)) / p.decay_rate
-    T = min(TRUNCATION_CAP, max(1.0, T))
-    npu = max(
-        q.nodes_per_unit,
-        int(math.ceil(0.8 * (hmax + abs(log_mu.real)))) + 4,
-        # 1/sinh(pi z) has poles at z = 0 and z = i, at distances r and
-        # 1 - r from the shifted line; the nearer one sets the density
-        int(math.ceil(7.0 / min(r, 1.0 - r))),
-    )
-    qq = QuadratureSpec(
-        truncation_T=q.truncation_T,
-        rel_tolerance=q.rel_tolerance,
-        nodes_per_unit=npu,
-        line_offset_s=0.0,
-        rule=q.rule,
-    )
-    x_shift = apply_Uz(g, 1j * r, x)
-
-    def f(ts):
-        return apply_Uz_batch(g, ts, x_shift)
-
-    def density(ts):
-        ts = np.asarray(ts)
-        inv = np.array([_inv_double_sinh(tt + 1j * r) for tt in ts])
-        return 1j * np.exp(1j * ts * log_mu) * inv
-
-    val = integrate_vector(
-        f,
-        density,
-        qq,
+    """integral i mu^(i z) U_z x / (e^{pi z} - e^{-pi z}) dt along z = t + ir."""
+    T, npu = _quadrature_plan(g, p, q)
+    # 1/sinh(pi z) has poles at z = 0 and z = i, at distances r and 1 - r
+    # from the shifted line; the nearer one sets the density
+    npu = max(npu, int(math.ceil(7.0 / min(r, 1.0 - r))))
+    log_mu = cmath.log(p.mu)
+    return integrate_vector(
+        lambda zs: apply_Uz_batch(g, zs, x),
+        lambda zs: _over_double_sinh(1j * np.exp(1j * zs * log_mu), zs),
+        replace(q, nodes_per_unit=npu, line_offset_s=r),
         tail_rate=p.decay_rate,
         truncation=T,
-        max_truncation=TRUNCATION_CAP,
         vectorized=True,
     )
-    return cmath.exp(-r * cmath.log(mu)) * val
 
 
 def decay_bound_fit(
@@ -433,6 +359,9 @@ def decay_bound_fit(
         mu = m * cmath.exp(1j * arg_mu)
         p = KernelParam(mu)
         w = mu * x + Ui_x
+        # no scale hint: y(mu) = ||Q_mu w|| is much smaller than ||w|| at
+        # large mu (the two halves of w nearly cancel under Q_mu), and the
+        # tail gate must track the result, not the input
         y_direct = float(np.linalg.norm(_qmu_vector(g, p, q, w)))
         y_shift = float(np.linalg.norm(_shifted_line_vector(g, p, q, x, r)))
         rows.append((m, y_direct, y_shift))

@@ -29,8 +29,7 @@ distance 1/dist(-mu, {nu_k}).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,8 +48,6 @@ from .vecint import QuadratureSpec, integrate_vector
 
 # the block resolvent contains 1/mu; degenerate parameters are rejected
 MIN_ABS_MU = 1e-6
-# cap on the half-width of the kernel quadrature window
-TRUNCATION_CAP = 200.0
 
 
 def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
@@ -60,10 +57,10 @@ def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     like log(1/tol)/decay_rate; the extra log(1+max|h|) absorbs the
     polynomial factor.  The node density must resolve oscillation at
     frequency max|h| + |log|mu|| (group phases times mu**(i t)).
+    integrate_vector clamps T to [1, TRUNCATION_CAP].
     """
     hmax = g.max_exponent
     T = (math.log(1.0 / q.rel_tolerance) + math.log1p(hmax)) / p.decay_rate
-    T = min(TRUNCATION_CAP, max(1.0, T))
     npu = max(
         q.nodes_per_unit,
         int(math.ceil(0.8 * (hmax + abs(math.log(abs(p.mu)))))) + 4,
@@ -71,42 +68,34 @@ def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     return T, npu
 
 
+def _qmu_vector(
+    g: GroupModel,
+    p: KernelParam,
+    q: QuadratureSpec,
+    w: np.ndarray,
+    scale_hint: float | None = None,
+) -> np.ndarray:
+    """Q_mu w by a single vector quadrature; scale_hint as in integrate_vector."""
+    T, npu = _quadrature_plan(g, p, q)
+    return integrate_vector(
+        lambda ts: apply_Uz_batch(g, ts, w),
+        lambda ts: eval_kernel_array(p, ts),
+        replace(q, nodes_per_unit=npu, line_offset_s=0.0),
+        tail_rate=p.decay_rate,
+        truncation=T,
+        scale_hint=scale_hint,
+        vectorized=True,
+    )
+
+
 def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
     """The matrix of Q_mu by column-wise line quadrature."""
     require_quadrature_clearance(p)
-    T, npu = _quadrature_plan(g, p, q)
-    qq = QuadratureSpec(
-        truncation_T=q.truncation_T,
-        rel_tolerance=q.rel_tolerance,
-        nodes_per_unit=npu,
-        line_offset_s=0.0,
-        rule=q.rule,
-    )
-
-    def density(ts):
-        return eval_kernel_array(p, ts)
-
     eye = np.eye(g.dim, dtype=complex)
-    cols = []
-    for k in range(g.dim):
-        e = eye[:, k]
-
-        def f(ts, e=e):
-            return apply_Uz_batch(g, ts, e)
-
-        cols.append(
-            integrate_vector(
-                f,
-                density,
-                qq,
-                tail_rate=p.decay_rate,
-                truncation=T,
-                max_truncation=TRUNCATION_CAP,
-                scale_hint=1.0,
-                vectorized=True,
-            )
-        )
-    return np.stack(cols, axis=1)
+    # the tail gate of each column is relative to the unit input norm
+    return np.stack(
+        [_qmu_vector(g, p, q, eye[:, k], scale_hint=1.0) for k in range(g.dim)], axis=1
+    )
 
 
 def qmu_spectral_oracle(g: GroupModel, p: KernelParam) -> np.ndarray:
@@ -249,9 +238,7 @@ def graph_restricted_norm(g: GroupModel, R: BlockOperator, P: np.ndarray | None 
     return float(np.linalg.norm(P.conj().T @ M @ P, 2))
 
 
-def spectrum_scan(
-    g: GroupModel, mu_grid, q: QuadratureSpec, workers: int = 1
-) -> list[ScanPoint]:
+def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
     """Resolvent norms on the graph along a mu grid, with the exact distance oracle.
 
     Each grid entry mu parametrizes the resolvent at the point -mu, so the
@@ -275,7 +262,4 @@ def spectrum_scan(
         ok = bool(nrm >= (1.0 / dist) * (1.0 - 1e-6))
         return ScanPoint(p.mu, nrm, dist, ok)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, params))
     return [one(p) for p in params]

@@ -21,6 +21,7 @@ hypothesis on sampled t, then measures ||A S x - S A x|| on sample vectors.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,13 +51,6 @@ def mollify(g: GroupModel, x, n: float, q: QuadratureSpec) -> np.ndarray:
         raise ValueError(f"n must be positive and finite, got {n}")
     x = as_state(g, x)
     T, tail_rate, npu = _mollify_plan(g, n, q)
-    qq = QuadratureSpec(
-        truncation_T=q.truncation_T,
-        rel_tolerance=q.rel_tolerance,
-        nodes_per_unit=npu,
-        line_offset_s=q.line_offset_s,
-        rule=q.rule,
-    )
     amp = math.sqrt(n / math.pi)
 
     def f(ts):
@@ -68,7 +62,7 @@ def mollify(g: GroupModel, x, n: float, q: QuadratureSpec) -> np.ndarray:
     return integrate_vector(
         f,
         density,
-        qq,
+        replace(q, nodes_per_unit=npu),
         tail_rate=tail_rate,
         truncation=T,
         scale_hint=float(np.linalg.norm(x)),

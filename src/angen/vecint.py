@@ -5,10 +5,9 @@ Computes integrals of the form
     integral f(t + i*s) * density(t + i*s) dt,   t over the real line,
 
 for a norm-bounded vector integrand f and a scalar density with an
-exponential tail bound supplied by the caller.  The default rule is
-composite 16-point Gauss-Legendre; tanh-sinh is available as an
-alternative.  Truncation starts from the caller's tail decay rate
-(T = log(1/tol) / tail_rate unless an explicit start is given) and the
+exponential tail bound supplied by the caller.  The rule is composite
+16-point Gauss-Legendre.  Truncation starts from the caller's tail decay
+rate (T = log(1/tol) / tail_rate unless an explicit start is given) and the
 window is widened until the analytic tail estimate drops below the
 requested relative tolerance, or the truncation cap is reached.
 """
@@ -24,9 +23,6 @@ from .errors import NonFiniteSample, QuadratureNonConvergence
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-RULE_GAUSS = "gauss-legendre"
-RULE_TANH_SINH = "tanh-sinh"
-
 # hard ceiling on the half-width of the integration window
 TRUNCATION_CAP = 200.0
 
@@ -37,69 +33,52 @@ _TINY = 1e-300
 class QuadratureSpec:
     """Parameters of a line quadrature.
 
-    truncation_T is the default half-width used when the caller supplies no
-    tail rate; rel_tolerance drives both the truncation choice and the tail
+    rel_tolerance drives both the starting truncation and the tail
     acceptance gate; nodes_per_unit fixes the panel density (each panel
     carries 16 Gauss nodes and spans 16/nodes_per_unit units of t);
     line_offset_s shifts the integration line to R + i*s.
     """
 
-    truncation_T: float = 30.0
     rel_tolerance: float = 1e-10
     nodes_per_unit: int = 8
     line_offset_s: float = 0.0
-    rule: str = RULE_GAUSS
 
     def __post_init__(self) -> None:
-        if not self.truncation_T >= 1.0:
-            raise ValueError(f"truncation_T must be >= 1, got {self.truncation_T}")
         if not (1e-14 <= self.rel_tolerance <= 1e-2):
             raise ValueError(
                 f"rel_tolerance must lie in [1e-14, 1e-2], got {self.rel_tolerance}"
             )
         if int(self.nodes_per_unit) < 1:
             raise ValueError("nodes_per_unit must be a positive integer")
-        if self.rule not in (RULE_GAUSS, RULE_TANH_SINH):
-            raise ValueError(f"unknown rule {self.rule!r}")
         if not math.isfinite(self.line_offset_s):
             raise ValueError("line_offset_s must be finite")
 
 
-def gauss_panel_nodes(lo: float, hi: float, nodes_per_unit: int):
+def gauss_panels(lo: float, hi: float, panels: int):
     """Composite 16-point Gauss-Legendre nodes and weights on [lo, hi].
 
-    Panels have width at most 16/nodes_per_unit so the average node density
-    is at least nodes_per_unit.  Nodes are returned in ascending order.
+    The interval is cut into the given number of equal panels.  Nodes are
+    returned in ascending order.
     """
-    width = 16.0 / float(nodes_per_unit)
-    n_panels = max(1, int(math.ceil((hi - lo) / width)))
-    edges = np.linspace(lo, hi, n_panels + 1)
+    edges = np.linspace(lo, hi, panels + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     ts = (centers[:, None] + half * GAUSS_NODES[None, :]).ravel()
-    ws = np.tile(half * GAUSS_WEIGHTS, n_panels)
+    ws = np.tile(half * GAUSS_WEIGHTS, panels)
     return ts, ws
 
 
-def _tanh_sinh_nodes(T: float, nodes_per_unit: int):
-    # double-exponential map (-1,1) -> (-T,T); the trapezoid rule in u
-    # converges superalgebraically for integrands analytic near the line.
-    # Node spacing at the window center is T*(pi/2)*du, so matching the
-    # requested per-unit density needs du about 2/(pi*T*nodes_per_unit).
-    eps = np.finfo(float).eps
-    u_max = math.asinh(math.log(2.0 / eps) / math.pi)
-    n_half = max(24, int(math.ceil(0.5 * u_max * math.pi * T * nodes_per_unit)))
-    us = np.linspace(-u_max, u_max, 2 * n_half + 1)
-    du = us[1] - us[0]
-    inner = 0.5 * math.pi * np.sinh(us)
-    ts = T * np.tanh(inner)
-    ws = du * T * (0.5 * math.pi * np.cosh(us)) / np.cosh(inner) ** 2
-    return ts, ws
+def gauss_panel_nodes(lo: float, hi: float, nodes_per_unit: int):
+    """Gauss panels on [lo, hi] with average node density at least nodes_per_unit.
+
+    Panels have width at most 16/nodes_per_unit.
+    """
+    width = 16.0 / float(nodes_per_unit)
+    return gauss_panels(lo, hi, max(1, int(math.ceil((hi - lo) / width))))
 
 
 def _nodes(q: QuadratureSpec, T: float):
-    if q.rule == RULE_TANH_SINH:
-        return _tanh_sinh_nodes(T, q.nodes_per_unit)
+    """One truncation window [-T, T] of integrate_vector."""
     return gauss_panel_nodes(-T, T, q.nodes_per_unit)
 
 

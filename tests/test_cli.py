@@ -99,9 +99,10 @@ def test_unknown_top_level_key_exits_two(tmp_path, capsys):
 
 
 def test_unknown_nested_key_exits_two(tmp_path, capsys):
-    cfg = write_config(tmp_path, quadrature={"nodes": 4})
-    assert run(["qmu", "--config", cfg]) == 2
-    assert "nodes" in capsys.readouterr().err
+    for key, value in (("nodes", 4), ("rule", "tanh-sinh"), ("truncation_T", 30.0)):
+        cfg = write_config(tmp_path, quadrature={key: value})
+        assert run(["qmu", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_mu_on_branch_cut_exits_two(tmp_path, capsys):
@@ -114,6 +115,25 @@ def test_malformed_complex_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, mu_list=[[1.0]])
     assert run(["qmu", "--config", cfg]) == 2
     assert "[re, im]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("resolvent-verify", {"samples": "abc"}),
+        ("spectrum-scan", {"scan": {"points": "x"}}),
+        ("reconstruct", {"reconstruct": {"t_list": 5}}),
+        ("mollify", {"mollify": {"n_sequence": [-1.0]}}),
+        ("resolvent-verify", {"mu_list": [[1e-7, 0.0]]}),
+    ],
+    ids=["samples", "scan-points", "t-list", "n-sequence", "tiny-mu"],
+)
+def test_invalid_value_exits_two_with_one_line(tmp_path, capsys, command, override):
+    cfg = write_config(tmp_path, **override)
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
 
 
 def test_bad_quadrature_value_exits_two(tmp_path):

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from angen import (
     FitUnstable,
     TruncationDominates,
-    ampliation_matrix,
+    ampliation,
     analytic_generator,
     apply_Uz,
     decay_bound_fit,
@@ -45,7 +45,7 @@ def test_projection_reduces_to_direct_resolvent(diag4, herm4, mu):
 
 
 def test_ampliation_matrix_layout(diag4):
-    D = ampliation_matrix(diag4)
+    D = ampliation(diag4).as_matrix()
     Ui = analytic_generator(diag4)
     assert np.allclose(D[:4, :4], Ui)
     assert np.allclose(D[4:, 4:], Ui)

@@ -190,16 +190,6 @@ def test_spectrum_scan_small_grid(diag4, quad):
         assert pt.resolvent_norm * pt.oracle_distance == pytest.approx(1.0, rel=1e-6)
 
 
-def test_spectrum_scan_threaded_matches_serial(diag4, quad):
-    grid = [0.5 + 0.9j, 1.5 - 0.4j, -0.8 + 1.2j]
-    serial = spectrum_scan(diag4, grid, quad, workers=1)
-    threaded = spectrum_scan(diag4, grid, quad, workers=3)
-    for a, b in zip(serial, threaded):
-        assert a.mu == b.mu
-        assert a.resolvent_norm == b.resolvent_norm
-        assert a.oracle_distance == b.oracle_distance
-
-
 def test_spectrum_scan_rejects_branch_cut(diag4, quad):
     with pytest.raises(BranchViolation):
         spectrum_scan(diag4, [1.0, -2.0], quad)
