@@ -8,7 +8,9 @@ more CSV reports (header row, 17 significant digits) into the output
 directory and prints one PASS/FAIL summary line per check to stdout.
 
 Exit codes: 0 all checks passed, 1 a verification residual exceeded its
-tolerance, 2 invalid configuration or flags.
+tolerance, 2 invalid configuration or flags.  The keys, types and ranges of
+a config are those of the table _SCHEMA below; an invalid value exits 2 with
+one "config error:" line on stderr and never produces a traceback.
 
 The environment variable TOOL_THREADS is validated (a non-integer or
 non-positive value draws a warning on stderr) but selects nothing: every
@@ -47,7 +49,12 @@ from .kernel import (
     eval_kernel,
     eval_kernel_by_integral,
 )
-from .reconstruction import decay_bound_fit, reconstruct_Ut_cz, reconstruct_Ut_delta
+from .reconstruction import (
+    _check_window,
+    decay_bound_fit,
+    reconstruct_Ut_cz,
+    reconstruct_Ut_delta,
+)
 from .resolvent import (
     MIN_ABS_MU,
     build_Rmu,
@@ -94,58 +101,52 @@ DEFAULT_TOLERANCES = {
     "bound_shift_match": 1e-6,
 }
 
-_QUAD_KEYS = {
-    "rel_tolerance": float,
-    "nodes_per_unit": int,
-    "line_offset_s": float,
-}
-
-_SCAN_DEFAULTS = {
-    "re_min": -5.0,
-    "re_max": 5.0,
-    "im_min": -5.0,
-    "im_max": 5.0,
-    "points": 41,
-    "guard_angle": DELTA_MIN,
-}
-
-_KERNEL_DEFAULTS = {
-    "num_samples": 40,
-    "t_max": 4.0,
-    "lambdas": [1.0, 2.718281828459045],
-    "radius": 0.5,
-}
-
-_MOLLIFY_DEFAULTS = {"n_sequence": [1.0, 10.0, 100.0, 1000.0], "commutation_n": 10.0}
-
-_RECONSTRUCT_DEFAULTS = {
-    "t_list": [0.5, 1.0, 2.0],
-    "imag_offsets": [0.1, 0.03, 0.01],
-    "mu_min": 1e-6,
-    "mu_max": 1e6,
-    "panels": 40,
-}
-
-_BOUND_FIT_DEFAULTS = {
-    "r_list": [0.25, 0.5, 0.75],
-    "mag_min": 10.0,
-    "mag_max": 1e4,
-    "num_magnitudes": 13,
-    "arg_mu": 0.0,
-}
-
-_TOP_KEYS = {
-    "model",
-    "mu_list",
-    "quadrature",
-    "tolerances",
-    "output_dir",
-    "samples",
-    "kernel",
-    "scan",
-    "mollify",
-    "reconstruct",
-    "bound_fit",
+# Every config key with its default and closed range [lo, hi].  The type
+# comes from the default: an int default takes an int (not a bool), a float
+# default any finite number, a list default a nonempty list of finite
+# numbers, each in the range.  The upper ends of counts cap grid sizes.
+_SCHEMA = {
+    "samples": (8, 1, 1000),
+    "quadrature": {
+        "rel_tolerance": (1e-10, 1e-14, 1e-2),
+        "nodes_per_unit": (8, 1, 1000),
+    },
+    "tolerances": {key: (tol, 0.0, 1.0) for key, tol in DEFAULT_TOLERANCES.items()},
+    "kernel": {
+        "num_samples": (40, 1, 10_000),
+        # sample times are drawn with |t| >= 0.05
+        "t_max": (4.0, 0.1, 50.0),
+        "lambdas": ([1.0, 2.718281828459045], 1e-3, 1e3),
+        "radius": (0.5, 0.01, 0.99),
+    },
+    "scan": {
+        "re_min": (-5.0, -1e6, 1e6),
+        "re_max": (5.0, -1e6, 1e6),
+        "im_min": (-5.0, -1e6, 1e6),
+        "im_max": (5.0, -1e6, 1e6),
+        "points": (41, 1, 201),
+        "guard_angle": (DELTA_MIN, DELTA_MIN, math.pi),
+    },
+    "mollify": {
+        "n_sequence": ([1.0, 10.0, 100.0, 1000.0], 1e-3, 1e6),
+        "commutation_n": (10.0, 1e-3, 1e6),
+    },
+    "reconstruct": {
+        # sin(pi alpha) grows like e^(pi |t|) and overflows past |t| ~ 225
+        "t_list": ([0.5, 1.0, 2.0], -100.0, 100.0),
+        "imag_offsets": ([0.1, 0.03, 0.01], 1e-3, 0.99),
+        "mu_min": (1e-6, 1e-12, 1e12),
+        "mu_max": (1e6, 1e-12, 1e12),
+        "panels": (40, 1, 10_000),
+    },
+    "bound_fit": {
+        "r_list": ([0.25, 0.5, 0.75], 0.01, 0.99),
+        "mag_min": (10.0, 1e-3, 1e8),
+        "mag_max": (1e4, 1e-3, 1e8),
+        # the slope fit needs three magnitudes in the top decade
+        "num_magnitudes": (13, 3, 1000),
+        "arg_mu": (0.0, DELTA_MIN - math.pi, math.pi - DELTA_MIN),
+    },
 }
 
 
@@ -157,47 +158,49 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
         )
 
 
-def _as_complex(v, where: str) -> complex:
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
-    ):
-        raise ConfigError(f"{where}: complex values are written as [re, im], got {v!r}")
-    return complex(float(v[0]), float(v[1]))
-
-
 def _as_real(v, where: str) -> float:
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    # the magnitude test also rejects NaN, +-inf and ints beyond float range
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise ConfigError(f"{where}: expected a finite number, got {v!r}")
 
 
-def _merge_section(raw: dict, name: str, defaults: dict) -> dict:
-    """The section over its defaults; each value must have its default's type.
+def _as_complex(v, where: str) -> complex:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ConfigError(f"{where}: complex values are written as [re, im], got {v!r}")
+    return complex(_as_real(v[0], where), _as_real(v[1], where))
 
-    An int passes where a float is expected; lists must be nonempty lists of
-    numbers.
-    """
+
+def _checked(value, spec: tuple, where: str):
+    """The value, typed as the default of spec = (default, lo, hi), in [lo, hi]."""
+    default, lo, hi = spec
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where}: expected a nonempty list of numbers, got {value!r}")
+        return [_checked(v, (default[0], lo, hi), where) for v in value]
+    if isinstance(default, int):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    else:
+        value = _as_real(value, where)
+    if not lo <= value <= hi:
+        raise ConfigError(f"{where}: {value!r} lies outside [{lo}, {hi}]")
+    return value
+
+
+def _section(raw: dict, name: str):
+    """The checked value of a top-level key, or of each key of a section."""
+    table = _SCHEMA[name]
+    if isinstance(table, tuple):
+        return _checked(raw.get(name, table[0]), table, name)
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    _reject_unknown(section, defaults, f"section {name!r}")
-    for key, value in section.items():
-        default, where = defaults[key], f"{name}.{key}"
-        if isinstance(default, list):
-            if not isinstance(value, list) or not value:
-                raise ConfigError(f"{where}: expected a nonempty list of numbers, got {value!r}")
-            for v in value:
-                _as_real(v, where)
-        elif isinstance(default, int):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{where}: expected an integer, got {value!r}")
-        else:
-            _as_real(value, where)
-    out = dict(defaults)
-    out.update(section)
-    return out
+    _reject_unknown(section, table, f"section {name!r}")
+    return {
+        key: _checked(section.get(key, spec[0]), spec, f"{name}.{key}")
+        for key, spec in table.items()
+    }
 
 
 def _build_model(raw: dict) -> GroupModel:
@@ -207,21 +210,24 @@ def _build_model(raw: dict) -> GroupModel:
     if not isinstance(m, dict):
         raise ConfigError("'model' must be an object")
     kind = m.get("kind")
-    if kind == "diagonal":
-        _reject_unknown(m, {"kind", "exponents"}, "'model'")
-        exps = m.get("exponents")
-        if not isinstance(exps, list) or not exps:
-            raise ConfigError("'model.exponents' must be a nonempty list of reals")
-        return GroupModel.diagonal([_as_real(v, "model.exponents") for v in exps])
-    if kind == "hermitian":
-        _reject_unknown(m, {"kind", "generator"}, "'model'")
-        gen = m.get("generator")
-        if not isinstance(gen, list) or not gen:
-            raise ConfigError("'model.generator' must be a nested [re, im] matrix")
-        H = np.array(
-            [[_as_complex(v, "model.generator") for v in row] for row in gen]
-        )
-        return GroupModel.hermitian(H)
+    try:
+        if kind == "diagonal":
+            _reject_unknown(m, {"kind", "exponents"}, "'model'")
+            exps = m.get("exponents")
+            if not isinstance(exps, list) or not exps:
+                raise ConfigError("'model.exponents' must be a nonempty list of reals")
+            return GroupModel.diagonal([_as_real(v, "model.exponents") for v in exps])
+        if kind == "hermitian":
+            _reject_unknown(m, {"kind", "generator"}, "'model'")
+            gen = m.get("generator")
+            if not isinstance(gen, list) or not gen or not all(isinstance(r, list) for r in gen):
+                raise ConfigError("'model.generator' must be a nested [re, im] matrix")
+            H = np.array(
+                [[_as_complex(v, "model.generator") for v in row] for row in gen]
+            )
+            return GroupModel.hermitian(H)
+    except ValueError as exc:
+        raise ConfigError(f"invalid model: {exc}") from exc
     raise ConfigError(f"'model.kind' must be 'diagonal' or 'hermitian', got {kind!r}")
 
 
@@ -245,56 +251,23 @@ def _build_mu_list(raw: dict) -> list[complex]:
     return mus
 
 
-def _build_quadrature(raw: dict) -> QuadratureSpec:
-    section = raw.get("quadrature", {})
-    if not isinstance(section, dict):
-        raise ConfigError("'quadrature' must be an object")
-    _reject_unknown(section, _QUAD_KEYS, "'quadrature'")
-    kwargs = {}
-    for key, cast in _QUAD_KEYS.items():
-        if key in section:
-            try:
-                kwargs[key] = cast(section[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"'quadrature.{key}': {exc}") from exc
-    try:
-        return QuadratureSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid quadrature spec: {exc}") from exc
-
-
-def _build_tolerances(raw: dict) -> dict:
-    section = raw.get("tolerances", {})
-    if not isinstance(section, dict):
-        raise ConfigError("'tolerances' must be an object")
-    _reject_unknown(section, DEFAULT_TOLERANCES, "'tolerances'")
-    out = dict(DEFAULT_TOLERANCES)
-    for k, v in section.items():
-        out[k] = _as_real(v, f"tolerances.{k}")
-    return out
-
-
 class Experiment:
     """Validated experiment configuration."""
 
     def __init__(self, raw: dict, config_dir: Path):
         if not isinstance(raw, dict):
             raise ConfigError("top-level config must be a JSON object")
-        _reject_unknown(raw, _TOP_KEYS, "the top level")
+        _reject_unknown(raw, {"model", "mu_list", "output_dir", *_SCHEMA}, "the top level")
         self.model = _build_model(raw)
         self.mu_list = _build_mu_list(raw)
-        self.quadrature = _build_quadrature(raw)
-        self.tolerances = _build_tolerances(raw)
-        self.samples = raw.get("samples", 8)
-        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 1:
-            raise ConfigError(f"'samples' must be a positive integer, got {self.samples!r}")
-        self.kernel = _merge_section(raw, "kernel", _KERNEL_DEFAULTS)
-        self.scan = _merge_section(raw, "scan", _SCAN_DEFAULTS)
-        self.mollify = _merge_section(raw, "mollify", _MOLLIFY_DEFAULTS)
-        if min(self.mollify["n_sequence"]) <= 0 or self.mollify["commutation_n"] <= 0:
-            raise ConfigError("mollify widths 'n_sequence' and 'commutation_n' must be positive")
-        self.reconstruct = _merge_section(raw, "reconstruct", _RECONSTRUCT_DEFAULTS)
-        self.bound_fit = _merge_section(raw, "bound_fit", _BOUND_FIT_DEFAULTS)
+        self.quadrature = QuadratureSpec(**_section(raw, "quadrature"))
+        self.tolerances = _section(raw, "tolerances")
+        self.samples = _section(raw, "samples")
+        self.kernel = _section(raw, "kernel")
+        self.scan = _section(raw, "scan")
+        self.mollify = _section(raw, "mollify")
+        self.reconstruct = _section(raw, "reconstruct")
+        self.bound_fit = _section(raw, "bound_fit")
         out = raw.get("output_dir", "out")
         if not isinstance(out, str) or not out:
             raise ConfigError("'output_dir' must be a nonempty string")
@@ -307,7 +280,7 @@ def load_experiment(path: str) -> Experiment:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and ints past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return Experiment(raw, p.parent)
 
@@ -373,15 +346,13 @@ def _check_tool_threads() -> None:
 
 def _run_kernel_check(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
     cfg = exp.kernel
-    num = int(cfg["num_samples"])
-    t_max = float(cfg["t_max"])
-    radius = float(cfg["radius"])
+    t_max, radius = cfg["t_max"], cfg["radius"]
     rows = []
     residue_rows = []
     worst = {"kernel_eq1": 0.0, "kernel_eq2": 0.0, "kernel_integral": 0.0, "residue_loop": 0.0}
     for mu in exp.mu_list:
         p = KernelParam(mu)
-        for _ in range(num):
+        for _ in range(cfg["num_samples"]):
             t = 0.0
             while abs(t) < 0.05:
                 t = rng.uniform(-t_max, t_max)
@@ -395,9 +366,9 @@ def _run_kernel_check(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> 
             worst["kernel_eq2"] = max(worst["kernel_eq2"], e2)
             worst["kernel_integral"] = max(worst["kernel_integral"], dv)
         for lam in cfg["lambdas"]:
-            res = contour_residue_check(p, float(lam), radius)
-            rel = res / abs((1.0 / float(lam)) / p.mu**2)
-            residue_rows.append((mu.real, mu.imag, float(lam), radius, res, rel))
+            res = contour_residue_check(p, lam, radius)
+            rel = res / abs((1.0 / lam) / p.mu**2)
+            residue_rows.append((mu.real, mu.imag, lam, radius, res, rel))
             worst["residue_loop"] = max(worst["residue_loop"], rel)
     _write_csv(
         outdir / "kernel_check.csv",
@@ -539,6 +510,8 @@ def scan_grid(cfg: dict) -> list[complex]:
 def _run_spectrum_scan(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
     g = exp.model
     grid = scan_grid(exp.scan)
+    if not grid:
+        raise ConfigError("the scan rectangle lies inside the guard sector")
     points = spectrum_scan(g, grid, exp.quadrature)
     rows = [
         (pt.mu.real, pt.mu.imag, pt.resolvent_norm, pt.oracle_distance, pt.lower_bound_ok)
@@ -563,7 +536,6 @@ def _run_mollify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
     worst_factor = 0.0
     errs = []
     for n in exp.mollify["n_sequence"]:
-        n = float(n)
         xn = mollify(g, x, n, exp.quadrature)
         oracle = mollify_oracle(g, x, n)
         factor_err = float(np.linalg.norm(xn - oracle))
@@ -587,7 +559,7 @@ def _run_mollify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
         S = np.diag(diag)
     else:
         S = (g.basis * diag[None, :]) @ g.basis.conj().T
-    A = mollify_operator(g, float(exp.mollify["commutation_n"]), exp.quadrature)
+    A = mollify_operator(g, exp.mollify["commutation_n"], exp.quadrature)
     resid = commutation_check(g, A, S, [x] + [_random_state(rng, g.dim) for _ in range(3)])
     sheet.add("commutation", resid, exp.tolerances["commutation"])
 
@@ -595,6 +567,11 @@ def _run_mollify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
 def _run_reconstruct(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
     g = exp.model
     cfg = exp.reconstruct
+    window = {key: cfg[key] for key in ("mu_min", "mu_max", "panels")}
+    try:
+        _check_window(g, cfg["mu_min"], cfg["mu_max"])
+    except ValueError as exc:
+        raise ConfigError(f"reconstruct: {exc}") from exc
     x = _random_state(rng, g.dim)
     rows = []
     cz_rows = []
@@ -602,35 +579,16 @@ def _run_reconstruct(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> N
     monotone = True
     orientation_ok = True
     for t in cfg["t_list"]:
-        t = float(t)
-        zs = [t + 1j * float(d) for d in cfg["imag_offsets"]]
-        rep = reconstruct_Ut_delta(
-            g,
-            t,
-            x,
-            zs,
-            exp.quadrature,
-            mu_min=float(cfg["mu_min"]),
-            mu_max=float(cfg["mu_max"]),
-            panels=int(cfg["panels"]),
-        )
+        zs = [t + 1j * d for d in cfg["imag_offsets"]]
+        rep = reconstruct_Ut_delta(g, t, x, zs, exp.quadrature, **window)
         errs = [s.error for s in rep.steps]
         monotone = monotone and all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
         worst_err = max(worst_err, errs[-1])
         for s in rep.steps:
             rows.append((t, s.z.imag, s.error))
 
-        alphas = [float(d) + 1j * t for d in cfg["imag_offsets"]]
-        orep = reconstruct_Ut_cz(
-            g,
-            t,
-            x,
-            alphas,
-            exp.quadrature,
-            mu_min=float(cfg["mu_min"]),
-            mu_max=float(cfg["mu_max"]),
-            panels=int(cfg["panels"]),
-        )
+        alphas = [d + 1j * t for d in cfg["imag_offsets"]]
+        orep = reconstruct_Ut_cz(g, t, x, alphas, exp.quadrature, **window)
         for s in orep.steps:
             cz_rows.append((t, s.alpha.real, s.error_forward, s.error_reverse))
         if t != 0.0:
@@ -653,17 +611,14 @@ def _run_bound_fit(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> Non
     cfg = exp.bound_fit
     x = _random_state(rng, g.dim)
     mags = np.logspace(
-        math.log10(float(cfg["mag_min"])),
-        math.log10(float(cfg["mag_max"])),
-        int(cfg["num_magnitudes"]),
+        math.log10(cfg["mag_min"]), math.log10(cfg["mag_max"]), cfg["num_magnitudes"]
     )
     value_rows = []
     fit_rows = []
     worst_margin = -math.inf
     worst_shift = 0.0
     for r in cfg["r_list"]:
-        r = float(r)
-        rep = decay_bound_fit(g, x, r, mags, exp.quadrature, arg_mu=float(cfg["arg_mu"]))
+        rep = decay_bound_fit(g, x, r, mags, exp.quadrature, arg_mu=cfg["arg_mu"])
         for m, yd, ys in rep.rows:
             value_rows.append((r, m, yd, ys, abs(yd - ys) / max(yd, 1e-30)))
         fit_rows.append((r, rep.slope, rep.c_r_estimate, rep.fit_residual))
@@ -743,7 +698,7 @@ def main(argv=None) -> int:
     sheet = CheckSheet()
     try:
         _HANDLERS[args.command](exp, rng, outdir, sheet)
-    except BranchViolation as exc:
+    except (BranchViolation, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AngenError as exc:

@@ -62,7 +62,7 @@ def mollify(g: GroupModel, x, n: float, q: QuadratureSpec) -> np.ndarray:
     return integrate_vector(
         f,
         density,
-        replace(q, nodes_per_unit=npu),
+        replace(q, nodes_per_unit=npu, line_offset_s=0.0),
         tail_rate=tail_rate,
         truncation=T,
         scale_hint=float(np.linalg.norm(x)),

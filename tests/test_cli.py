@@ -1,10 +1,18 @@
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from angen.cli import main
+from angen import ConfigError
+from angen.cli import _SCHEMA, Experiment, main
+
+NAN, INF = math.nan, math.inf
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BASE = {
     "model": {"kind": "diagonal", "exponents": [0.0, 0.7]},
@@ -22,7 +30,8 @@ BASE = {
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = json.loads(json.dumps(BASE))
     for key, value in overrides.items():
-        if isinstance(value, dict) and key in cfg and isinstance(cfg[key], dict):
+        # the model's keys depend on its kind, so a model override replaces it
+        if isinstance(value, dict) and key != "model" and isinstance(cfg.get(key), dict):
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -99,7 +108,12 @@ def test_unknown_top_level_key_exits_two(tmp_path, capsys):
 
 
 def test_unknown_nested_key_exits_two(tmp_path, capsys):
-    for key, value in (("nodes", 4), ("rule", "tanh-sinh"), ("truncation_T", 30.0)):
+    for key, value in (
+        ("nodes", 4),
+        ("rule", "tanh-sinh"),
+        ("truncation_T", 30.0),
+        ("line_offset_s", 2.0),
+    ):
         cfg = write_config(tmp_path, quadrature={key: value})
         assert run(["qmu", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
@@ -125,8 +139,62 @@ def test_malformed_complex_exits_two(tmp_path, capsys):
         ("reconstruct", {"reconstruct": {"t_list": 5}}),
         ("mollify", {"mollify": {"n_sequence": [-1.0]}}),
         ("resolvent-verify", {"mu_list": [[1e-7, 0.0]]}),
+        ("spectrum-scan", {"scan": {"points": 0}}),
+        ("kernel-check", {"kernel": {"radius": 1.5}}),
+        ("kernel-check", {"kernel": {"lambdas": [-1.0]}}),
+        ("kernel-check", {"kernel": {"num_samples": 0}}),
+        ("kernel-check", {"kernel": {"t_max": 0.01}}),
+        ("reconstruct", {"reconstruct": {"mu_min": -1.0}}),
+        ("reconstruct", {"reconstruct": {"panels": 0}}),
+        ("reconstruct", {"reconstruct": {"imag_offsets": [1.5]}}),
+        ("bound-fit", {"bound_fit": {"r_list": [1.5]}}),
+        ("bound-fit", {"bound_fit": {"mag_min": -1.0}}),
+        ("bound-fit", {"bound_fit": {"num_magnitudes": 0}}),
+        ("qmu", {"tolerances": {"qmu_oracle": -1.0}}),
+        ("qmu", {"tolerances": {"qmu_oracle": NAN}}),
+        ("qmu", {"quadrature": {"nodes_per_unit": 8.7}}),
+        ("qmu", {"quadrature": {"nodes_per_unit": True}}),
+        ("qmu", {"quadrature": {"rel_tolerance": "1e-10"}}),
+        ("qmu", {"model": {"kind": "diagonal", "exponents": [NAN]}}),
+        ("qmu", {"model": {"kind": "hermitian", "generator": [[[1.0, 0.0], [0.0, 0.0]]]}}),
+        ("mollify", {"mollify": {"n_sequence": [INF]}}),
+        ("spectrum-scan", {"scan": {"re_min": NAN}}),
+        # depend on the model or the grid, so no static range can catch them
+        (
+            "spectrum-scan",
+            {"scan": {"re_min": 1.0, "re_max": 2.0, "im_min": -0.01, "im_max": 0.01}},
+        ),
+        ("reconstruct", {"reconstruct": {"mu_min": 0.5}}),
     ],
-    ids=["samples", "scan-points", "t-list", "n-sequence", "tiny-mu"],
+    ids=[
+        "samples",
+        "scan-points",
+        "t-list",
+        "n-sequence",
+        "tiny-mu",
+        "scan-points-zero",
+        "kernel-radius",
+        "kernel-lambdas",
+        "kernel-num-samples",
+        "kernel-t-max",
+        "reconstruct-mu-min",
+        "reconstruct-panels",
+        "reconstruct-imag-offsets",
+        "bound-fit-r-list",
+        "bound-fit-mag-min",
+        "bound-fit-num-magnitudes",
+        "tolerance-negative",
+        "tolerance-nan",
+        "nodes-per-unit-fraction",
+        "nodes-per-unit-bool",
+        "rel-tolerance-string",
+        "exponents-nan",
+        "generator-not-square",
+        "n-sequence-inf",
+        "scan-re-min-nan",
+        "scan-inside-guard-sector",
+        "reconstruct-window-misses-spectrum",
+    ],
 )
 def test_invalid_value_exits_two_with_one_line(tmp_path, capsys, command, override):
     cfg = write_config(tmp_path, **override)
@@ -185,3 +253,87 @@ def test_console_invocation_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS qmu_oracle" in proc.stdout
+
+
+# loader fuzz: mutate one leaf of a shipped config (or one key of the table)
+SHIPPED = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
+OTHER_TYPES = [None, True, "1e-10", {"k": 1}, [0.5], 0.5, 3]
+# mutations after which the config can never be valid
+ALWAYS_INVALID = ("nan", "inf", "-inf", "outside", "empty", "unknown-key")
+
+
+def _leaves(node, path=()):
+    if path:
+        yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _leaves(child, path + (key,))
+
+
+def _table_paths():
+    for name, entry in _SCHEMA.items():
+        if isinstance(entry, tuple):
+            yield (name,)
+        else:
+            yield from ((name, key) for key in entry)
+
+
+def _spec(path):
+    """The table entry (default, lo, hi) of a path, or None."""
+    entry = _SCHEMA.get(path[0])
+    if len(path) == 2 and isinstance(entry, dict):
+        entry = entry.get(path[1])
+    return entry if isinstance(entry, tuple) else None
+
+
+def _outside(spec, upper: bool):
+    default, lo, hi = spec
+    scalar = default[0] if isinstance(default, list) else default
+    if isinstance(scalar, int):
+        v = hi + 1 if upper else lo - 1
+    else:
+        v = math.nextafter(hi, INF) if upper else math.nextafter(lo, -INF)
+    return [v] if isinstance(default, list) else v
+
+
+@st.composite
+def mutated_configs(draw):
+    raw = json.loads(json.dumps(draw(st.sampled_from(SHIPPED))))
+    paths = sorted(set(_leaves(raw)) | set(_table_paths()), key=repr)
+    path = draw(st.sampled_from(paths))
+    kinds = ["type", "nan", "inf", "-inf", "empty", "unknown-key", "drop-section"]
+    if _spec(path) is not None:
+        kinds.append("outside")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop-section":
+        raw.pop(path[0], None)
+        return raw, kind
+    parent = raw
+    for key in path[:-1]:
+        parent = parent.setdefault(key, {}) if isinstance(parent, dict) else parent[key]
+    if kind == "unknown-key":
+        (parent if isinstance(parent, dict) else raw)["no_such_key"] = 1.0
+        return raw, kind
+    value = {"nan": NAN, "inf": INF, "-inf": -INF, "empty": []}.get(kind)
+    if kind == "type":
+        value = draw(st.sampled_from(OTHER_TYPES))
+    elif kind == "outside":
+        value = _outside(_spec(path), draw(st.booleans()))
+    parent[path[-1]] = value
+    return raw, kind
+
+
+@settings(derandomize=True, max_examples=300)
+@given(mutated_configs())
+def test_loader_fuzz_raises_only_config_error(case):
+    raw, kind = case
+    try:
+        Experiment(raw, CONFIG_DIR)
+    except ConfigError:
+        return
+    assert kind not in ALWAYS_INVALID, f"{kind} mutation was accepted: {raw}"
