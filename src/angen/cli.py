@@ -12,12 +12,9 @@ tolerance, 2 invalid configuration or flags.  The keys, types and ranges of
 a config are those of the table _SCHEMA below; an invalid value exits 2 with
 one "config error:" line on stderr and never produces a traceback.
 
-The environment variable TOOL_THREADS is validated (a non-integer or
-non-positive value draws a warning on stderr) but selects nothing: every
-computation runs in one thread, because the work is bound by the
-interpreter lock and worker threads only made the spectrum scan slower.
-It stays accepted so that job scripts which set it keep working.  Reruns
-with the same config and seed produce byte-identical CSV files.
+Every computation runs in one thread: the work is bound by the interpreter
+lock, and worker threads only made the spectrum scan slower.  Reruns with
+the same config and seed produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -324,20 +321,6 @@ class CheckSheet:
 def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
-
-
-def _check_tool_threads() -> None:
-    """Warn about an invalid TOOL_THREADS; the value selects nothing."""
-    raw = os.environ.get("TOOL_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer TOOL_THREADS={raw!r}", file=sys.stderr)
-        return
-    if n < 1:
-        print(f"warning: ignoring non-positive TOOL_THREADS={n}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +662,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    _check_tool_threads()
 
     try:
         exp = load_experiment(args.config)

@@ -35,9 +35,7 @@ OVERFLOW_GUARD = 40.0
 GRAPH_TOL = 1e-8
 
 _HERMITICITY_TOL = 1e-12
-
-# StateVector: plain 1-d complex ndarray whose length matches the model
-StateVector = np.ndarray
+_STRIP_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -200,9 +198,7 @@ class StripReport:
     cauchy_riemann_residual: float
 
 
-def strip_continuation_check(
-    g: GroupModel, x, z: complex, num_boundary_samples: int = 10
-) -> StripReport:
+def strip_continuation_check(g: GroupModel, x, z: complex) -> StripReport:
     """Consistency of the continuation t -> U_{t+is} x across the strip.
 
     Checks the interpolation property U_t (U_{is} x) = U_{t+is} x at sampled
@@ -215,7 +211,7 @@ def strip_continuation_check(
     nx = max(float(np.linalg.norm(x)), 1e-30)
     s = z.imag
     half_span = abs(z.real) + 1.0
-    ts = np.linspace(-half_span, half_span, max(2, int(num_boundary_samples)))
+    ts = np.linspace(-half_span, half_span, _STRIP_SAMPLES)
 
     shifted = apply_Uz(g, 1j * s, x)
     group_law = 0.0

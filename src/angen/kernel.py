@@ -51,6 +51,8 @@ _X_OVER_SINH = (1.0, -1.0 / 6.0, 7.0 / 360.0, -31.0 / 15120.0, 127.0 / 604800.0)
 
 # asymptotic switch for the stable 1/(e^x - e^-x) evaluation
 _BIG_REAL = 30.0
+# trapezoid nodes on the residue loop; half as many give the convergence check
+_RESIDUE_LOOP_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -85,18 +87,6 @@ def require_quadrature_clearance(p: KernelParam) -> None:
             f"decay rate {p.decay_rate:.5f} below the minimum {DELTA_MIN:.5f}; "
             f"|arg mu| = {abs(p.arg_mu):.5f} is too close to pi"
         )
-
-
-@dataclass(frozen=True)
-class KernelPointValue:
-    """A kernel sample (t, F(mu, t)) away from the poles +/- i*n."""
-
-    t: complex
-    value: complex
-
-    def __post_init__(self) -> None:
-        if pole_distance(self.t) <= POLE_GUARD:
-            raise PoleProximity(f"t={self.t} within {POLE_GUARD} of a pole +/- i*n")
 
 
 def pole_distance(t: complex) -> float:
@@ -213,9 +203,7 @@ def check_functional_eq2(p: KernelParam, z: complex) -> float:
     return abs(p.mu * f0 + f1 - complex(rhs))
 
 
-def contour_residue_check(
-    p: KernelParam, lam: float, radius: float, num_nodes: int = 256
-) -> float:
+def contour_residue_check(p: KernelParam, lam: float, radius: float) -> float:
     """Residual of the loop integral of F(mu, t) * lam**(i*t) around t = i.
 
     A circle of the given radius (0 < radius < 1, so only the pole at i is
@@ -239,8 +227,8 @@ def contour_residue_check(
         dts = 1j * w * (2.0 * math.pi / n)
         return complex(np.sum(eval_kernel_array(p, ts) * np.exp(1j * ts * loglam) * dts))
 
-    full = loop(num_nodes)
-    half = loop(num_nodes // 2)
+    full = loop(_RESIDUE_LOOP_NODES)
+    half = loop(_RESIDUE_LOOP_NODES // 2)
     if abs(full - half) > 1e-9 * (1.0 + abs(full)):
         raise QuadratureNonConvergence(
             f"loop integral not converged: |delta|={abs(full - half):.3e}"

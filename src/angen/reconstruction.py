@@ -61,7 +61,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FitUnstable, TruncationDominates
+from .errors import FitUnstable, OverflowRisk, TruncationDominates
 from .group_models import (
     GroupModel,
     analytic_generator,
@@ -71,7 +71,7 @@ from .group_models import (
     generator_spectrum,
     make_graph_vector,
 )
-from .kernel import KernelParam, _over_double_sinh
+from .kernel import KernelParam, _over_double_sinh, require_quadrature_clearance
 from .resolvent import _qmu_vector, _quadrature_plan, ampliation
 from .vecint import QuadratureSpec, gauss_panels, integrate_vector
 
@@ -80,6 +80,8 @@ MU_MAX_DEFAULT = 1e6
 PANELS_DEFAULT = 40
 # analytic tail corrections use this many power-series terms per endpoint
 CORRECTION_TERMS = 3
+# sin(pi alpha) grows like e^(pi |Im alpha|) / 2 and overflows past this
+_LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 
 
 def _check_window(g: GroupModel, mu_min: float, mu_max: float) -> None:
@@ -110,6 +112,8 @@ def _radial_integral(
     above mu_max are restored from the power series of r, which only needs
     powers of the exact generator applied to x.
     """
+    if math.pi * abs(alpha.imag) > _LOG_MAX_DOUBLE:
+        raise OverflowRisk(f"sin(pi alpha) overflows at |Im alpha| = {abs(alpha.imag):.3f}")
     us, ws = gauss_panels(math.log(mu_min), math.log(mu_max), panels)
     total = np.zeros(g.dim, dtype=complex)
     # substitution mu = e^u turns mu^(a-1) dmu into e^(a u) du
@@ -320,12 +324,11 @@ def _shifted_line_vector(
     npu = max(npu, int(math.ceil(7.0 / min(r, 1.0 - r))))
     log_mu = cmath.log(p.mu)
     return integrate_vector(
-        lambda zs: apply_Uz_batch(g, zs, x),
-        lambda zs: _over_double_sinh(1j * np.exp(1j * zs * log_mu), zs),
-        replace(q, nodes_per_unit=npu, line_offset_s=r),
+        lambda ts: apply_Uz_batch(g, ts + 1j * r, x),
+        lambda ts: _over_double_sinh(1j * np.exp(1j * (ts + 1j * r) * log_mu), ts + 1j * r),
+        replace(q, nodes_per_unit=npu),
         tail_rate=p.decay_rate,
         truncation=T,
-        vectorized=True,
     )
 
 
@@ -352,6 +355,9 @@ def decay_bound_fit(
     mags = sorted(float(m) for m in mu_magnitudes)
     if any(m <= 0 for m in mags):
         raise ValueError("mu magnitudes must be positive")
+
+    # every mu on the ray shares its decay rate
+    require_quadrature_clearance(KernelParam(cmath.exp(1j * arg_mu)))
 
     Ui_x = analytic_generator(g) @ x
     rows = []

@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .group_models import (
-    GraphVector,
     GroupModel,
     analytic_generator,
     apply_Uz,
@@ -80,11 +79,10 @@ def _qmu_vector(
     return integrate_vector(
         lambda ts: apply_Uz_batch(g, ts, w),
         lambda ts: eval_kernel_array(p, ts),
-        replace(q, nodes_per_unit=npu, line_offset_s=0.0),
+        replace(q, nodes_per_unit=npu),
         tail_rate=p.decay_rate,
         truncation=T,
         scale_hint=scale_hint,
-        vectorized=True,
     )
 
 
@@ -131,10 +129,7 @@ class BlockOperator:
     a22: np.ndarray
 
     def apply(self, pair) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(pair, GraphVector):
-            x, y = pair.first, pair.second
-        else:
-            x, y = pair
+        x, y = pair
         return (self.a11 @ x + self.a12 @ y, self.a21 @ x + self.a22 @ y)
 
     def as_matrix(self) -> np.ndarray:

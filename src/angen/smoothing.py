@@ -62,11 +62,10 @@ def mollify(g: GroupModel, x, n: float, q: QuadratureSpec) -> np.ndarray:
     return integrate_vector(
         f,
         density,
-        replace(q, nodes_per_unit=npu, line_offset_s=0.0),
+        replace(q, nodes_per_unit=npu),
         tail_rate=tail_rate,
         truncation=T,
         scale_hint=float(np.linalg.norm(x)),
-        vectorized=True,
     )
 
 

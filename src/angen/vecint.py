@@ -1,15 +1,16 @@
-"""Vector-valued quadrature along horizontal lines R + i*s.
+"""Vector-valued quadrature over the real line.
 
 Computes integrals of the form
 
-    integral f(t + i*s) * density(t + i*s) dt,   t over the real line,
+    integral f(t) * density(t) dt,   t over the real line,
 
 for a norm-bounded vector integrand f and a scalar density with an
-exponential tail bound supplied by the caller.  The rule is composite
-16-point Gauss-Legendre.  Truncation starts from the caller's tail decay
-rate (T = log(1/tol) / tail_rate unless an explicit start is given) and the
-window is widened until the analytic tail estimate drops below the
-requested relative tolerance, or the truncation cap is reached.
+exponential tail bound supplied by the caller; both take the whole array
+of nodes.  A line R + i*s is integrated by closures that evaluate at
+t + i*s.  The rule is composite 16-point Gauss-Legendre.  Truncation
+starts from the caller's window and is widened until the analytic tail
+estimate drops below the requested relative tolerance, or the truncation
+cap is reached.
 """
 
 from __future__ import annotations
@@ -35,13 +36,11 @@ class QuadratureSpec:
 
     rel_tolerance drives both the starting truncation and the tail
     acceptance gate; nodes_per_unit fixes the panel density (each panel
-    carries 16 Gauss nodes and spans 16/nodes_per_unit units of t);
-    line_offset_s shifts the integration line to R + i*s.
+    carries 16 Gauss nodes and spans 16/nodes_per_unit units of t).
     """
 
     rel_tolerance: float = 1e-10
     nodes_per_unit: int = 8
-    line_offset_s: float = 0.0
 
     def __post_init__(self) -> None:
         if not (1e-14 <= self.rel_tolerance <= 1e-2):
@@ -50,8 +49,6 @@ class QuadratureSpec:
             )
         if int(self.nodes_per_unit) < 1:
             raise ValueError("nodes_per_unit must be a positive integer")
-        if not math.isfinite(self.line_offset_s):
-            raise ValueError("line_offset_s must be finite")
 
 
 def gauss_panels(lo: float, hi: float, panels: int):
@@ -82,16 +79,12 @@ def _nodes(q: QuadratureSpec, T: float):
     return gauss_panel_nodes(-T, T, q.nodes_per_unit)
 
 
-def _sample(f, density, zs, vectorized: bool):
-    if vectorized:
-        vals = np.asarray(f(zs), dtype=complex)
-        dens = np.asarray(density(zs), dtype=complex).ravel()
-    else:
-        vals = np.array([np.asarray(f(z), dtype=complex).ravel() for z in zs])
-        dens = np.array([complex(density(z)) for z in zs])
+def _sample(f, density, ts):
+    vals = np.asarray(f(ts), dtype=complex)
+    dens = np.asarray(density(ts), dtype=complex).ravel()
     if vals.ndim == 1:
         vals = vals[:, None]
-    if vals.shape[0] != len(zs) or dens.shape[0] != len(zs):
+    if vals.shape[0] != len(ts) or dens.shape[0] != len(ts):
         raise ValueError("integrand returned an unexpected shape")
     return vals, dens
 
@@ -101,32 +94,28 @@ def integrate_vector(
     density,
     q: QuadratureSpec,
     tail_rate: float,
-    truncation: float | None = None,
-    max_truncation: float = TRUNCATION_CAP,
+    truncation: float,
     scale_hint: float | None = None,
-    vectorized: bool = False,
 ) -> np.ndarray:
-    """Quadrature of integral f(t+is) * density(t+is) dt over the real line.
+    """Quadrature of integral f(t) * density(t) dt over the real line.
 
+    f maps the array of nodes to an array with one row per node (a 1-d
+    result is read as one column); density maps it to one value per node.
     tail_rate is the caller's exponential decay bound for |f * density|
-    beyond the truncation window.  The returned vector carries a tail
+    beyond the truncation window, which starts at [-truncation, truncation]
+    (clamped to [1, TRUNCATION_CAP]).  The returned vector carries a tail
     estimate below q.rel_tolerance relative to max(result norm, scale_hint);
-    if that cannot be reached before max_truncation the computation raises
+    if that cannot be reached before TRUNCATION_CAP the computation raises
     QuadratureNonConvergence.  Summation runs in ascending node order so
     repeated calls are bit-identical.
     """
     if not (tail_rate > 0.0 and math.isfinite(tail_rate)):
         raise ValueError(f"tail_rate must be positive and finite, got {tail_rate}")
-    if truncation is None:
-        T = max(1.0, math.log(1.0 / q.rel_tolerance) / tail_rate)
-    else:
-        T = max(1.0, float(truncation))
-    T = min(T, max_truncation)
+    T = min(max(1.0, float(truncation)), TRUNCATION_CAP)
 
     while True:
         ts, ws = _nodes(q, T)
-        zs = ts + 1j * q.line_offset_s if q.line_offset_s != 0.0 else ts
-        vals, dens = _sample(f, density, zs, vectorized)
+        vals, dens = _sample(f, density, ts)
         if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dens))):
             raise NonFiniteSample("integrand produced non-finite samples")
         contrib = vals * (dens * ws)[:, None]
@@ -146,12 +135,12 @@ def integrate_vector(
         scale = max(scale, _TINY)
         if tail_est <= q.rel_tolerance * scale:
             return result
-        if T >= max_truncation - 1e-12:
+        if T >= TRUNCATION_CAP - 1e-12:
             raise QuadratureNonConvergence(
                 f"tail estimate {tail_est:.3e} exceeds "
                 f"{q.rel_tolerance:.1e} * {scale:.3e} at truncation {T:.1f}"
             )
-        T = min(max_truncation, max(T + 2.0, 1.3 * T))
+        T = min(TRUNCATION_CAP, max(T + 2.0, 1.3 * T))
 
 
 def pairing_consistency_check(
@@ -160,7 +149,6 @@ def pairing_consistency_check(
     q: QuadratureSpec,
     probes,
     tail_rate: float,
-    truncation: float | None = None,
 ) -> float:
     """Duality check for the vector integral.
 
@@ -173,21 +161,18 @@ def pairing_consistency_check(
     """
     from scipy.integrate import quad
 
-    y = integrate_vector(f, density, q, tail_rate, truncation=truncation)
-    if truncation is None:
-        T = max(1.0, math.log(1.0 / q.rel_tolerance) / tail_rate)
-    else:
-        T = max(1.0, float(truncation))
+    T = max(1.0, math.log(1.0 / q.rel_tolerance) / tail_rate)
+    y = integrate_vector(f, density, q, tail_rate, T)
     T = min(1.5 * T + 2.0, TRUNCATION_CAP)
-    s = q.line_offset_s
 
     worst = 0.0
     for phi in probes:
         phi = np.asarray(phi, dtype=complex).ravel()
 
         def scalar(t: float) -> complex:
-            w = t + 1j * s
-            return complex(np.vdot(phi, np.asarray(f(w), dtype=complex)) * density(w))
+            ts = np.array([t])
+            row = np.asarray(f(ts), dtype=complex).ravel()
+            return complex(np.vdot(phi, row) * np.asarray(density(ts)).ravel()[0])
 
         re = quad(lambda t: scalar(t).real, -T, T, limit=400, epsabs=1e-13, epsrel=1e-12)[0]
         im = quad(lambda t: scalar(t).imag, -T, T, limit=400, epsabs=1e-13, epsrel=1e-12)[0]

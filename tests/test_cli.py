@@ -228,21 +228,6 @@ def test_out_flag_overrides_config(tmp_path):
     assert not (tmp_path / "from_config").exists()
 
 
-def test_tool_threads_env(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "out"
-    monkeypatch.setenv("TOOL_THREADS", "2")
-    assert run(["spectrum-scan", "--config", cfg, "--out", out]) == 0
-
-    monkeypatch.setenv("TOOL_THREADS", "banana")
-    out2 = tmp_path / "out2"
-    assert run(["spectrum-scan", "--config", cfg, "--out", out2]) == 0
-    assert "TOOL_THREADS" in capsys.readouterr().err
-    # thread count must not change the output bytes
-    name = "spectrum_scan.csv"
-    assert (out / name).read_bytes() == (out2 / name).read_bytes()
-
-
 def test_console_invocation_smoke(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -6,7 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from angen import (
+    BranchViolation,
     FitUnstable,
+    OverflowRisk,
     TruncationDominates,
     ampliation,
     analytic_generator,
@@ -101,6 +103,23 @@ def test_narrow_window_truncation_dominates(diag4, rng, quad):
         reconstruct_Ut_delta(diag4, 2.0, x, [2.0 + 0.1j], quad, mu_min=0.1, mu_max=10.0)
 
 
+@pytest.mark.parametrize(
+    "t, error", [(100.0, TruncationDominates), (1000.0, OverflowRisk)]
+)
+@pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
+def test_far_time_raises_typed_error(diag4, rng, quad, monkeypatch, t, error, route):
+    # at t = 1000, sin(pi alpha) ~ e^(pi t) overflows a double; the guard
+    # must refuse before the radial solves, which are disabled here
+    x = random_unit(rng, 4)
+    if error is OverflowRisk:
+        monkeypatch.setattr(np.linalg, "solve", None)
+    with pytest.raises(error):
+        if route == "graph_pair":
+            reconstruct_Ut_delta(diag4, t, x, [t + 0.1j], quad)
+        else:
+            reconstruct_Ut_cz(diag4, t, x, [0.1 + 1j * t], quad)
+
+
 def test_scalar_route_matches_spectral_power(diag4, rng, quad):
     x = random_unit(rng, 4)
     alpha = 0.15 + 1j * 0.8
@@ -162,3 +181,12 @@ def test_decay_fit_needs_three_top_decade_points(diag4, rng, quad):
     x = random_unit(rng, 4)
     with pytest.raises(FitUnstable):
         decay_bound_fit(diag4, x, 0.5, [1.0, 2.0, 1000.0], quad)
+
+
+@pytest.mark.parametrize("arg_mu", [math.pi, math.pi - 0.01])
+def test_decay_fit_rejects_ray_near_cut(diag4, rng, quad, arg_mu):
+    # the ray's clearance is checked before any quadrature: at arg pi the
+    # decay rate is 0, and at pi - 0.01 the window would run into the cap
+    x = random_unit(rng, 4)
+    with pytest.raises(BranchViolation):
+        decay_bound_fit(diag4, x, 0.5, [10.0, 100.0, 1000.0], quad, arg_mu=arg_mu)

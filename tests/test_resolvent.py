@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from angen import (
     BranchViolation,
+    GroupModel,
     KernelParam,
     QuadratureSpec,
     ampliation,
@@ -59,6 +62,55 @@ def test_scalar_transform_derived_by_brute_force(h, mu):
     nu = math.exp(-h)
     want = nu / (nu + mu) ** 2
     assert abs((re + 1j * im) - want) <= 1e-10 * (1.0 + abs(want))
+
+
+def kernel_l1_norm_by_quadrature(mu: complex) -> float:
+    # ||F(mu, .)||_L1 by adaptive quadrature of |F| on [-200, 200]; at decay
+    # rate pi/16 the omitted tails weigh about 1e-14 of the total
+    T = 200.0
+    opts = dict(limit=400, epsabs=0.0, epsrel=1e-13)
+    left = quad(lambda t: abs(kernel_direct(mu, t)), -T, 0.0, **opts)[0]
+    right = quad(lambda t: abs(kernel_direct(mu, t)), 0.0, T, **opts)[0]
+    return left + right
+
+
+# a hair inside |arg mu| <= pi - pi/16, so rounding never leaves the sector
+ARG_MAX = (math.pi - math.pi / 16.0) * (1.0 - 1e-12)
+
+
+@settings(max_examples=30, derandomize=True)
+@given(
+    h=st.lists(st.floats(min_value=-12.0, max_value=12.0), min_size=1, max_size=16),
+    log_abs_mu=st.floats(min_value=math.log(1e-3), max_value=math.log(1e5)),
+    arg_mu=st.floats(min_value=-ARG_MAX, max_value=ARG_MAX),
+    attained=st.booleans(),
+    seed=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(h=[0.0, 3.0], log_abs_mu=math.log(1e-3), arg_mu=ARG_MAX, attained=True, seed=None)
+@example(h=[0.0, -3.0], log_abs_mu=math.log(1e5), arg_mu=-ARG_MAX, attained=True, seed=11)
+def test_qmu_norm_obeys_kernel_l1_bound(h, log_abs_mu, arg_mu, attained, seed):
+    # the paper's bound on any model: ||Q_mu|| <= ||F(mu, .)||_L1, whose
+    # closed form 1/(2(|mu| + Re mu)) = sup_nu nu/|nu + mu|^2 makes it
+    # sharp; it is attained when the spectrum contains nu = |mu|.  A seed
+    # builds a Hermitian model with a random eigenbasis, None a diagonal one.
+    if attained:
+        h = [-log_abs_mu] + h[1:]
+    if seed is None:
+        g = GroupModel.diagonal(h)
+    else:
+        n = len(h)
+        rng = np.random.default_rng(seed)
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        g = GroupModel.hermitian((V * np.array(h)[None, :]) @ V.conj().T)
+    mu = cmath.rect(math.exp(log_abs_mu), arg_mu)
+    q = QuadratureSpec(rel_tolerance=1e-10)
+
+    phi = kernel_l1_norm_by_quadrature(mu)
+    assert phi == pytest.approx(1.0 / (2.0 * (abs(mu) + mu.real)), rel=1e-10)
+    norm = float(np.linalg.norm(compute_Qmu(g, KernelParam(mu), q), 2))
+    assert norm <= phi * (1.0 + 10.0 * q.rel_tolerance)
+    if attained:
+        assert norm >= phi * (1.0 - 1e-8)
 
 
 @pytest.mark.parametrize("mu", MU_POOL)

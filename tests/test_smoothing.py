@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from angen import (
     HypothesisViolation,
-    QuadratureSpec,
     commutation_check,
     fit_inverse_rate,
     group_matrix,
@@ -25,13 +24,6 @@ def test_quadrature_matches_closed_form(diag4, herm4, rng, n, quad):
         got = mollify(g, x, n, quad)
         want = mollify_oracle(g, x, n)
         assert np.linalg.norm(got - want) <= 1e-9
-
-
-def test_mollify_ignores_line_offset(diag4, rng):
-    # the Gaussian average runs over the real line whatever line the spec names
-    x = random_unit(rng, 4)
-    q = QuadratureSpec(line_offset_s=2.0)
-    assert np.linalg.norm(mollify(diag4, x, 10.0, q) - mollify_oracle(diag4, x, 10.0)) <= 1e-8
 
 
 def test_contraction(diag4, rng, quad):
