@@ -30,7 +30,8 @@ nu**(i*t) = exp(-i*t*h), which is U_{-t} x rather than U_t x; the
 orientation is measured against the oracle and reported, never assumed.
 
 The radial integral is truncated to [mu_min, mu_max] on a logarithmic
-Gauss grid.  Naive truncation is useless near the imaginary axis in
+Gauss grid.  The resolvent is sampled once per node, and every approximant
+of a z (or alpha) sequence is a weighted sum of those samples.  Naive truncation is useless near the imaginary axis in
 alpha: the prefactor sin(pi*alpha) grows like exp(pi*|Im alpha|) while the
 omitted tails shrink only algebraically, so both tails are restored
 analytically from the resolvent power series,
@@ -97,59 +98,61 @@ def _check_window(g: GroupModel, mu_min: float, mu_max: float) -> None:
 
 def _radial_integral(
     g: GroupModel,
-    alpha: complex,
+    alphas: np.ndarray,
     resolvent_apply,
     x: np.ndarray,
     mu_min: float,
     mu_max: float,
     panels: int,
     tol: float,
-):
+) -> np.ndarray:
     """sin(pi a)/pi * integral_0^inf mu^(a-1) r(mu) dmu with analytic tails.
 
-    resolvent_apply(mu) must return r(mu) = (U_i + mu)^(-1) U_i x by
-    whatever route the caller wants tested; the tails below mu_min and
-    above mu_max are restored from the power series of r, which only needs
-    powers of the exact generator applied to x.
+    Returns one row per exponent a of alphas.  resolvent_apply(mu) must
+    return r(mu) = (U_i + mu)^(-1) U_i x by whatever route the caller wants
+    tested; it is sampled once per node, and every row is a weighted sum of
+    the same samples.  The tails below mu_min and above mu_max are restored
+    from the power series of r, which only needs powers of the exact
+    generator applied to x.
     """
-    if math.pi * abs(alpha.imag) > _LOG_MAX_DOUBLE:
-        raise OverflowRisk(f"sin(pi alpha) overflows at |Im alpha| = {abs(alpha.imag):.3f}")
-    us, ws = gauss_panels(math.log(mu_min), math.log(mu_max), panels)
-    total = np.zeros(g.dim, dtype=complex)
-    # substitution mu = e^u turns mu^(a-1) dmu into e^(a u) du
-    for u, w in zip(us, ws):
-        total = total + (w * cmath.exp(alpha * u)) * resolvent_apply(math.exp(u))
-
+    im_max = float(np.max(np.abs(alphas.imag)))
+    if math.pi * im_max > _LOG_MAX_DOUBLE:
+        raise OverflowRisk(f"sin(pi alpha) overflows at |Im alpha| = {im_max:.3f}")
+    K = CORRECTION_TERMS
     Ui = analytic_generator(g)
-    low_vecs = [x]
-    for _ in range(CORRECTION_TERMS):
+    low_vecs, high_vecs = [x], [Ui @ x]
+    for _ in range(K):
         low_vecs.append(np.linalg.solve(Ui, low_vecs[-1]))
-    high_vecs = [x]
-    for _ in range(CORRECTION_TERMS):
         high_vecs.append(Ui @ high_vecs[-1])
 
+    # term k of each series, k = 0..K below mu_min and k + 1 above mu_max;
+    # the last column is the first omitted term and bounds the truncation error
+    a = alphas[:, None]
+    k = np.arange(K + 1)
     log_lo, log_hi = math.log(mu_min), math.log(mu_max)
-    for k in range(CORRECTION_TERMS):
-        total = total + ((-1.0) ** k * cmath.exp((alpha + k) * log_lo) / (alpha + k)) * low_vecs[k]
-    for k in range(1, CORRECTION_TERMS + 1):
-        total = total + ((-1.0) ** (k + 1) * cmath.exp((alpha - k) * log_hi) / (k - alpha)) * high_vecs[k]
-
-    prefactor = cmath.sin(math.pi * alpha) / math.pi
-    # first omitted term at each end bounds the remaining truncation error
-    K = CORRECTION_TERMS
-    est_low = abs(cmath.exp((alpha + K) * log_lo) / (alpha + K)) * float(
-        np.linalg.norm(low_vecs[-1])
-    )
-    est_high = abs(cmath.exp((alpha - K - 1) * log_hi) / (K + 1 - alpha)) * float(
-        np.linalg.norm(Ui @ high_vecs[-1])
+    low = (-1.0) ** k * np.exp((a + k) * log_lo) / (a + k)
+    high = (-1.0) ** k * np.exp((a - k - 1) * log_hi) / (k + 1 - a)
+    prefactor = np.sin(math.pi * alphas) / math.pi
+    est = np.abs(prefactor) * (
+        np.abs(low[:, K]) * np.linalg.norm(low_vecs[K])
+        + np.abs(high[:, K]) * np.linalg.norm(high_vecs[K])
     )
     xnorm = max(float(np.linalg.norm(x)), 1e-30)
-    if abs(prefactor) * (est_low + est_high) > tol * xnorm:
+    if np.max(est) > tol * xnorm:
         raise TruncationDominates(
-            f"radial truncation estimate {abs(prefactor) * (est_low + est_high):.3e} "
+            f"radial truncation estimate {np.max(est):.3e} "
             f"exceeds {tol:.1e} * ||x||; widen [mu_min, mu_max]"
         )
-    return prefactor * total
+
+    us, ws = gauss_panels(log_lo, log_hi, panels)
+    samples = np.array([resolvent_apply(mu) for mu in np.exp(us)])
+    # substitution mu = e^u turns mu^(a-1) dmu into e^(a u) du
+    total = (
+        (ws * np.exp(a * us)) @ samples
+        + low[:, :K] @ np.array(low_vecs[:K])
+        + high[:, :K] @ np.array(high_vecs[:K])
+    )
+    return prefactor[:, None] * total
 
 
 @dataclass(frozen=True)
@@ -185,9 +188,10 @@ def reconstruct_Ut_delta(
 ) -> ReconstructionReport:
     """Graph pair reconstruction of U_t x along a sequence z -> t, Im z > 0.
 
-    Each approximant is computed with alpha = -i z through honest block
-    solves (D + mu)^(-1) D on the stacked pair (x, U_i x) and equals U_z x
-    to quadrature accuracy.  The reported error is against the exact
+    Each approximant is computed with alpha = -i z from honest block
+    solves (D + mu)^(-1) D on the stacked pair (x, U_i x), one per radial
+    node and shared by the whole sequence, and equals U_z x to quadrature
+    accuracy.  The reported error is against the exact
     oracle U_t x, so at z = t + i d it is the limit gap
     ||(e^(-dH) - I) x|| <= (e^(d max|h|) - 1) ||x||, of order d: it
     shrinks as Im z -> 0+ but never vanishes at a finite offset.  The
@@ -195,31 +199,25 @@ def reconstruct_Ut_delta(
     """
     t = float(t)
     x = as_state(g, x)
+    zs = [complex(z) for z in z_sequence]
+    if not zs or not all(0.0 < z.imag < 1.0 for z in zs):
+        raise ValueError(f"need a nonempty z sequence with 0 < Im z < 1, got {zs}")
     _check_window(g, mu_min, mu_max)
     pair = make_graph_vector(g, x).stacked()
     n = g.dim
     D = ampliation(g).as_matrix()
     eye2 = np.eye(2 * n, dtype=complex)
-    target = apply_Uz(g, t, x)
 
     def first_component(mu: float) -> np.ndarray:
         sol = np.linalg.solve(D + mu * eye2, D @ pair)
         return sol[:n]
 
-    steps = []
-    approx = None
-    for z in z_sequence:
-        z = complex(z)
-        if not (0.0 < z.imag < 1.0):
-            raise ValueError(
-                f"Im z must lie in (0, 1) for the radial integral, got z={z}"
-            )
-        alpha = -1j * z
-        approx = _radial_integral(
-            g, alpha, first_component, x, mu_min, mu_max, panels, q.rel_tolerance
-        )
-        steps.append(ReconstructionStep(z, float(np.linalg.norm(approx - target))))
-    return ReconstructionReport(tuple(steps), approx)
+    rows = _radial_integral(
+        g, -1j * np.array(zs), first_component, x, mu_min, mu_max, panels, q.rel_tolerance
+    )
+    errors = np.linalg.norm(rows - apply_Uz(g, t, x), axis=1)
+    steps = tuple(ReconstructionStep(z, float(e)) for z, e in zip(zs, errors))
+    return ReconstructionReport(steps, rows[-1])
 
 
 def projection_reduction_residual(g: GroupModel, mu: float) -> float:
@@ -272,35 +270,27 @@ def reconstruct_Ut_cz(
     """
     t = float(t)
     x = as_state(g, x)
+    alphas = [complex(a) for a in alpha_sequence]
+    if not alphas or not all(0.0 < a.real < 1.0 for a in alphas):
+        raise ValueError(f"need a nonempty alpha sequence with 0 < Re alpha < 1, got {alphas}")
     _check_window(g, mu_min, mu_max)
     Ui = analytic_generator(g)
     eye = np.eye(g.dim, dtype=complex)
     Ui_x = Ui @ x
-    forward = apply_Uz(g, t, x)
-    reverse = apply_Uz(g, -t, x)
 
     def resolvent_apply(lam: float) -> np.ndarray:
         return np.linalg.solve(Ui + lam * eye, Ui_x)
 
-    steps = []
-    approx = None
-    for alpha in alpha_sequence:
-        alpha = complex(alpha)
-        if not (0.0 < alpha.real < 1.0):
-            raise ValueError(f"Re alpha must lie in (0, 1), got alpha={alpha}")
-        approx = _radial_integral(
-            g, alpha, resolvent_apply, x, mu_min, mu_max, panels, q.rel_tolerance
-        )
-        steps.append(
-            OrientationStep(
-                alpha,
-                float(np.linalg.norm(approx - forward)),
-                float(np.linalg.norm(approx - reverse)),
-            )
-        )
-    last = steps[-1]
-    orientation = "reverse" if last.error_reverse <= last.error_forward else "forward"
-    return OrientationReport(tuple(steps), approx, orientation)
+    rows = _radial_integral(
+        g, np.array(alphas), resolvent_apply, x, mu_min, mu_max, panels, q.rel_tolerance
+    )
+    forward = np.linalg.norm(rows - apply_Uz(g, t, x), axis=1)
+    reverse = np.linalg.norm(rows - apply_Uz(g, -t, x), axis=1)
+    steps = tuple(
+        OrientationStep(a, float(f), float(r)) for a, f, r in zip(alphas, forward, reverse)
+    )
+    orientation = "reverse" if reverse[-1] <= forward[-1] else "forward"
+    return OrientationReport(steps, rows[-1], orientation)
 
 
 @dataclass(frozen=True)

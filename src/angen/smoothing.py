@@ -109,6 +109,8 @@ def fit_inverse_rate(report: list[tuple[float, float]]) -> float:
     Uses the last half of the rows, where the quadratic Taylor term
     max h^2/(4n) dominates; returns the fitted constant c.
     """
+    if not report:
+        raise ValueError("the convergence report is empty")
     rows = report[len(report) // 2 :]
     ns = np.array([r[0] for r in rows])
     errs = np.array([r[1] for r in rows])

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angen import ConfigError
-from angen.cli import _SCHEMA, Experiment, main
+from angen.cli import _SCHEMA, SUBCOMMANDS, Experiment, main
 
 NAN, INF = math.nan, math.inf
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -286,6 +289,14 @@ def _outside(spec, upper: bool):
     return [v] if isinstance(default, list) else v
 
 
+def _container(raw, path):
+    """The dict or list that holds the leaf at path, made if missing."""
+    parent = raw
+    for key in path[:-1]:
+        parent = parent.setdefault(key, {}) if isinstance(parent, dict) else parent[key]
+    return parent
+
+
 @st.composite
 def mutated_configs(draw):
     raw = json.loads(json.dumps(draw(st.sampled_from(SHIPPED))))
@@ -298,9 +309,7 @@ def mutated_configs(draw):
     if kind == "drop-section":
         raw.pop(path[0], None)
         return raw, kind
-    parent = raw
-    for key in path[:-1]:
-        parent = parent.setdefault(key, {}) if isinstance(parent, dict) else parent[key]
+    parent = _container(raw, path)
     if kind == "unknown-key":
         (parent if isinstance(parent, dict) else raw)["no_such_key"] = 1.0
         return raw, kind
@@ -322,3 +331,53 @@ def test_loader_fuzz_raises_only_config_error(case):
     except ConfigError:
         return
     assert kind not in ALWAYS_INVALID, f"{kind} mutation was accepted: {raw}"
+
+
+# whole-run fuzz: one mutated leaf of the smallest shipped config, then one
+# subcommand run end to end
+IDENTITY = json.loads((CONFIG_DIR / "identity.json").read_text())
+
+
+def _range_end(spec, upper: bool):
+    default, lo, hi = spec
+    scalar = default[0] if isinstance(default, list) else default
+    # a count at its upper end only makes the run long
+    v = hi if upper and not isinstance(scalar, int) else lo
+    return [v] if isinstance(default, list) else v
+
+
+@st.composite
+def mutated_runs(draw):
+    raw = json.loads(json.dumps(IDENTITY))
+    paths = sorted(set(_leaves(raw)) | set(_table_paths()), key=repr)
+    path = draw(st.sampled_from(paths))
+    kinds = ["type", "nan", "inf", "-inf"]
+    if _spec(path) is not None:
+        kinds += ["outside", "range-end"]
+    kind = draw(st.sampled_from(kinds))
+    value = {"nan": NAN, "inf": INF, "-inf": -INF}.get(kind)
+    if kind == "type":
+        value = draw(st.sampled_from(OTHER_TYPES))
+    elif kind == "outside":
+        value = _outside(_spec(path), draw(st.booleans()))
+    elif kind == "range-end":
+        value = _range_end(_spec(path), draw(st.booleans()))
+    _container(raw, path)[path[-1]] = value
+    return raw, kind, draw(st.sampled_from(SUBCOMMANDS))
+
+
+@settings(derandomize=True, max_examples=15)
+@given(mutated_runs())
+def test_run_fuzz_keeps_exit_code_contract(case):
+    raw, kind, command = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if kind in ALWAYS_INVALID:
+        lines = err.getvalue().splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("config error:")

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from angen import (
     reconstruct_Ut_cz,
     reconstruct_Ut_delta,
 )
+from angen.reconstruction import CORRECTION_TERMS, PANELS_DEFAULT
 
 from conftest import random_unit
 
@@ -83,6 +85,8 @@ def test_graph_route_validates_offsets(diag4, rng, quad):
         reconstruct_Ut_delta(diag4, 0.5, x, [0.5 + 1.5j], quad)
     with pytest.raises(ValueError):
         reconstruct_Ut_delta(diag4, 0.5, x, [0.5 - 0.1j], quad)
+    with pytest.raises(ValueError):
+        reconstruct_Ut_delta(diag4, 0.5, x, [], quad)
 
 
 def test_window_must_straddle_spectrum(diag4, rng, quad):
@@ -148,6 +152,42 @@ def test_scalar_route_validates_alpha(diag4, rng, quad):
         reconstruct_Ut_cz(diag4, 0.5, x, [1.5 + 0.5j], quad)
     with pytest.raises(ValueError):
         reconstruct_Ut_cz(diag4, 0.5, x, [-0.2 + 0.5j], quad)
+    with pytest.raises(ValueError):
+        reconstruct_Ut_cz(diag4, 0.5, x, [], quad)
+
+
+@pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
+def test_sequence_shares_radial_samples(diag4, herm4, rng, quad, monkeypatch, route):
+    # every approximant of a sequence is a weighted sum of one set of
+    # resolvent samples: the sequence matches one call per element, and it
+    # makes one solve per radial node plus the power-series solves
+    t = 0.7
+    offsets = (0.3, 0.1, 0.03)
+    if route == "graph_pair":
+        reconstruct, seq = reconstruct_Ut_delta, [t + 1j * d for d in offsets]
+    else:
+        reconstruct, seq = reconstruct_Ut_cz, [d + 1j * t for d in offsets]
+    solve = np.linalg.solve
+    solves = []
+
+    def counted(a, b):
+        solves.append(1)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for g in (diag4, herm4):
+        x = random_unit(rng, g.dim)
+        singles = [reconstruct(g, t, x, [s], quad) for s in seq]
+        solves.clear()
+        rep = reconstruct(g, t, x, seq, quad)
+        assert len(solves) == 16 * PANELS_DEFAULT + CORRECTION_TERMS
+
+        tol = 1e-13 * np.linalg.norm(x)
+        steps = np.array([astuple(s) for s in rep.steps])
+        want = np.array([astuple(single.steps[0]) for single in singles])
+        assert steps.shape == want.shape
+        assert np.max(np.abs(steps - want)) <= tol
+        assert np.linalg.norm(rep.approximation - singles[-1].approximation) <= tol
 
 
 def test_decay_fit_slope_minus_one(diag4, rng, quad):

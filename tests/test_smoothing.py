@@ -59,6 +59,8 @@ def test_convergence_report_and_rate(diag4, rng, quad):
 def test_report_rejects_unsorted(diag4, rng, quad):
     with pytest.raises(ValueError):
         mollifier_convergence_report(diag4, random_unit(rng, 4), [4.0, 1.0], quad)
+    with pytest.raises(ValueError):
+        fit_inverse_rate([])
 
 
 def test_identity_model_fixed_points(identity3, rng, quad):
