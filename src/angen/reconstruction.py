@@ -16,8 +16,11 @@ Route one (graph pair form) evaluates, for complex z with 0 < Im z < 1,
 where D = diag(U_i, U_i) acts on graph pairs and Pr1 projects onto the
 first component.  Spectrally the integrand reduces to
 (U_i + mu)**(-1) U_i x and A(z) = U_z x, so A(z) -> U_t x as z -> t from
-the upper half plane.  The integrand is evaluated by honest 2n x 2n block
-solves, never through the spectral shortcut.
+the upper half plane.  The 2n x 2n system on the pair is solved as it
+stands, never through the spectral shortcut: D is brought once to real
+tridiagonal form by a unitary similarity (Householder reflections, no
+eigenvalues), and one Thomas sweep then solves the shifted systems at every
+radial node together.
 
 Route two (scalar power form) evaluates, for 0 < Re alpha < 1,
 
@@ -96,10 +99,80 @@ def _check_window(g: GroupModel, mu_min: float, mu_max: float) -> None:
         )
 
 
+def _tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A = Q T Q* for Hermitian A, with Q unitary and T real symmetric tridiagonal.
+
+    Returns (Q, d, e): d is the diagonal of T and e >= 0 its off-diagonal.
+    Householder reflections clear each column below the subdiagonal of the
+    trailing Hermitian block, and a diagonal phase similarity then makes the
+    subdiagonal real and non-negative.  A column that is already clear is
+    left alone, so a diagonal A comes back with Q = I and e = 0 exactly.
+    """
+    T = np.array(A, dtype=complex)
+    m = T.shape[0]
+    Q = np.eye(m, dtype=complex)
+    for k in range(m - 2):
+        x = T[k + 1 :, k]
+        if not np.any(x[1:]):
+            continue
+        norm_x = np.linalg.norm(x)
+        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
+        # v = x + phase ||x|| e1 avoids cancellation in H = I - 2 v v*
+        v = x.copy()
+        v[0] += phase * norm_x
+        v /= np.linalg.norm(v)
+        # H x = -phase ||x|| e1; of the cleared column and row only this
+        # subdiagonal entry is read again
+        T[k + 1, k] = -phase * norm_x
+        # H B H = B - v w* - w v* with p = 2 B v and w = p - (v* p) v,
+        # applied as one rank-2 product
+        B = T[k + 1 :, k + 1 :]
+        p = 2.0 * (B @ v)
+        w = p - np.vdot(v, p) * v
+        B -= np.stack((v, w), axis=1) @ np.stack((w.conj(), v.conj()))
+        Qk = Q[:, k + 1 :]
+        Qk -= np.outer(2.0 * (Qk @ v), v.conj())
+    sub = np.diagonal(T, -1)
+    e = np.abs(sub)
+    phases = np.ones(m, dtype=complex)
+    nonzero = e > 0.0
+    phases[1:][nonzero] = sub[nonzero] / e[nonzero]
+    # S* T S with S = diag(cumprod(phases)) has subdiagonal |sub|
+    Q *= np.cumprod(phases)
+    return Q, np.diagonal(T).real.copy(), e
+
+
+def _shifted_solves(A: np.ndarray, b: np.ndarray, mus: np.ndarray, rows: int) -> np.ndarray:
+    """First rows entries of (A + mu I)^(-1) b for each mu, one row per mu.
+
+    A must be Hermitian positive definite and every mu > 0, so each shifted
+    tridiagonal system is positive definite and the Thomas sweep needs no
+    pivoting.  A is reduced once; the sweep runs over all mu together, with
+    real pivots and ratios, and only the rows kept are mapped back.
+    """
+    Q, d, e = _tridiagonalize(A)
+    m = d.size
+    rhs = Q.conj().T @ b
+    # LDL* elimination of T + mu, each step over all mu at once
+    ratios = np.empty((m, mus.size))
+    y = np.empty((m, mus.size), dtype=complex)
+    pivot = d[0] + mus
+    y[0] = rhs[0] / pivot
+    for k in range(1, m):
+        ratios[k - 1] = e[k - 1] / pivot
+        pivot = d[k] + mus - e[k - 1] * ratios[k - 1]
+        y[k] = (rhs[k] - e[k - 1] * y[k - 1]) / pivot
+    for k in range(m - 2, -1, -1):
+        y[k] -= ratios[k] * y[k + 1]
+    # freed before the mapped-back rows are allocated, which lowers the peak
+    del ratios
+    return (Q[:rows] @ y).T
+
+
 def _radial_integral(
     g: GroupModel,
     alphas: np.ndarray,
-    resolvent_apply,
+    sampler,
     x: np.ndarray,
     mu_min: float,
     mu_max: float,
@@ -108,12 +181,12 @@ def _radial_integral(
 ) -> np.ndarray:
     """sin(pi a)/pi * integral_0^inf mu^(a-1) r(mu) dmu with analytic tails.
 
-    Returns one row per exponent a of alphas.  resolvent_apply(mu) must
-    return r(mu) = (U_i + mu)^(-1) U_i x by whatever route the caller wants
-    tested; it is sampled once per node, and every row is a weighted sum of
-    the same samples.  The tails below mu_min and above mu_max are restored
-    from the power series of r, which only needs powers of the exact
-    generator applied to x.
+    Returns one row per exponent a of alphas.  sampler(mus) must return one
+    row r(mu) = (U_i + mu)^(-1) U_i x per node mu, by whatever route the
+    caller wants tested; it is called once, and every row is a weighted sum
+    of the same samples.  The tails below mu_min and above mu_max are
+    restored from the power series of r, which only needs powers of the
+    exact generator applied to x.
     """
     im_max = float(np.max(np.abs(alphas.imag)))
     if math.pi * im_max > _LOG_MAX_DOUBLE:
@@ -145,7 +218,7 @@ def _radial_integral(
         )
 
     us, ws = gauss_panels(log_lo, log_hi, panels)
-    samples = np.array([resolvent_apply(mu) for mu in np.exp(us)])
+    samples = sampler(np.exp(us))
     # substitution mu = e^u turns mu^(a-1) dmu into e^(a u) du
     total = (
         (ws * np.exp(a * us)) @ samples
@@ -188,10 +261,12 @@ def reconstruct_Ut_delta(
 ) -> ReconstructionReport:
     """Graph pair reconstruction of U_t x along a sequence z -> t, Im z > 0.
 
-    Each approximant is computed with alpha = -i z from honest block
+    Each approximant is computed with alpha = -i z from the 2n x 2n
     solves (D + mu)^(-1) D on the stacked pair (x, U_i x), one per radial
     node and shared by the whole sequence, and equals U_z x to quadrature
-    accuracy.  The reported error is against the exact
+    accuracy.  The solves go through one unitary tridiagonal reduction of
+    D and a Thomas sweep over all nodes; no eigenvalues are computed.
+    The reported error is against the exact
     oracle U_t x, so at z = t + i d it is the limit gap
     ||(e^(-dH) - I) x|| <= (e^(d max|h|) - 1) ||x||, of order d: it
     shrinks as Im z -> 0+ but never vanishes at a finite offset.  The
@@ -206,14 +281,15 @@ def reconstruct_Ut_delta(
     pair = make_graph_vector(g, x).stacked()
     n = g.dim
     D = ampliation(g).as_matrix()
-    eye2 = np.eye(2 * n, dtype=complex)
-
-    def first_component(mu: float) -> np.ndarray:
-        sol = np.linalg.solve(D + mu * eye2, D @ pair)
-        return sol[:n]
-
     rows = _radial_integral(
-        g, -1j * np.array(zs), first_component, x, mu_min, mu_max, panels, q.rel_tolerance
+        g,
+        -1j * np.array(zs),
+        lambda mus: _shifted_solves(D, D @ pair, mus, n),
+        x,
+        mu_min,
+        mu_max,
+        panels,
+        q.rel_tolerance,
     )
     errors = np.linalg.norm(rows - apply_Uz(g, t, x), axis=1)
     steps = tuple(ReconstructionStep(z, float(e)) for z, e in zip(zs, errors))
@@ -275,14 +351,15 @@ def reconstruct_Ut_cz(
         raise ValueError(f"need a nonempty alpha sequence with 0 < Re alpha < 1, got {alphas}")
     _check_window(g, mu_min, mu_max)
     Ui = analytic_generator(g)
-    eye = np.eye(g.dim, dtype=complex)
-    Ui_x = Ui @ x
-
-    def resolvent_apply(lam: float) -> np.ndarray:
-        return np.linalg.solve(Ui + lam * eye, Ui_x)
-
     rows = _radial_integral(
-        g, np.array(alphas), resolvent_apply, x, mu_min, mu_max, panels, q.rel_tolerance
+        g,
+        np.array(alphas),
+        lambda lams: _shifted_solves(Ui, Ui @ x, lams, g.dim),
+        x,
+        mu_min,
+        mu_max,
+        panels,
+        q.rel_tolerance,
     )
     forward = np.linalg.norm(rows - apply_Uz(g, t, x), axis=1)
     reverse = np.linalg.norm(rows - apply_Uz(g, -t, x), axis=1)

@@ -4,24 +4,44 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from angen import (
     BranchViolation,
     FitUnstable,
+    GroupModel,
     OverflowRisk,
     TruncationDominates,
     ampliation,
     analytic_generator,
     apply_Uz,
     decay_bound_fit,
+    make_graph_vector,
     projection_reduction_residual,
     reconstruct_Ut_cz,
     reconstruct_Ut_delta,
+    reconstruction,
 )
-from angen.reconstruction import CORRECTION_TERMS, PANELS_DEFAULT
+from angen.group_models import H_MAX
+from angen.reconstruction import CORRECTION_TERMS, _shifted_solves, _tridiagonalize
 
 from conftest import random_unit
+
+# U_i of dimension 1 or 2, and D = diag(U_i, U_i), are tridiagonal as they
+# stand: the reduction makes no reflection and only its phase step acts
+SMALLEST = (
+    GroupModel.diagonal([0.7]),
+    GroupModel.hermitian(np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.8]])),
+)
+
+
+def hermitian_model(rng, n, radius):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = 0.5 * (a + a.conj().T)
+    h *= radius / float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    return GroupModel.hermitian(h)
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
@@ -59,7 +79,7 @@ def test_ampliation_matrix_layout(diag4):
 def test_graph_route_hits_interpolated_point(diag4, herm4, rng, quad):
     # before taking any limit the approximant at z equals U_z x itself;
     # this pins down the whole radial pipeline including the tail terms
-    for g in (diag4, herm4):
+    for g in (diag4, herm4, *SMALLEST):
         x = random_unit(rng, g.dim)
         for z in (0.7 + 0.25j, -1.2 + 0.6j, 2.0 + 0.05j):
             rep = reconstruct_Ut_delta(g, z.real, x, [z], quad)
@@ -113,10 +133,12 @@ def test_narrow_window_truncation_dominates(diag4, rng, quad):
 @pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
 def test_far_time_raises_typed_error(diag4, rng, quad, monkeypatch, t, error, route):
     # at t = 1000, sin(pi alpha) ~ e^(pi t) overflows a double; the guard
-    # must refuse before the radial solves, which are disabled here
+    # must refuse before any resolvent sample: the power-series solves and
+    # the reduction behind the node samples are disabled here
     x = random_unit(rng, 4)
     if error is OverflowRisk:
         monkeypatch.setattr(np.linalg, "solve", None)
+        monkeypatch.setattr(reconstruction, "_tridiagonalize", None)
     with pytest.raises(error):
         if route == "graph_pair":
             reconstruct_Ut_delta(diag4, t, x, [t + 0.1j], quad)
@@ -130,6 +152,12 @@ def test_scalar_route_matches_spectral_power(diag4, rng, quad):
     rep = reconstruct_Ut_cz(diag4, 0.8, x, [alpha], quad)
     want = np.exp(-diag4.exponents * alpha) * x
     assert np.linalg.norm(rep.approximation - want) <= 1e-7
+    for g in SMALLEST:
+        x = random_unit(rng, g.dim)
+        rep = reconstruct_Ut_cz(g, 0.8, x, [alpha], quad)
+        # spectrally B(alpha) = nu**alpha x = U_{i alpha} x
+        want = apply_Uz(g, 1j * alpha, x)
+        assert np.linalg.norm(rep.approximation - want) <= 1e-7
 
 
 def test_scalar_route_orientation_is_reverse(diag4, herm4, rng, quad):
@@ -160,27 +188,34 @@ def test_scalar_route_validates_alpha(diag4, rng, quad):
 def test_sequence_shares_radial_samples(diag4, herm4, rng, quad, monkeypatch, route):
     # every approximant of a sequence is a weighted sum of one set of
     # resolvent samples: the sequence matches one call per element, and it
-    # makes one solve per radial node plus the power-series solves
+    # makes one reduction for all radial nodes plus the power-series solves
     t = 0.7
     offsets = (0.3, 0.1, 0.03)
     if route == "graph_pair":
         reconstruct, seq = reconstruct_Ut_delta, [t + 1j * d for d in offsets]
     else:
         reconstruct, seq = reconstruct_Ut_cz, [d + 1j * t for d in offsets]
-    solve = np.linalg.solve
-    solves = []
+    solve, tridiagonalize = np.linalg.solve, reconstruction._tridiagonalize
+    solves, reductions = [], []
 
-    def counted(a, b):
+    def counted_solve(a, b):
         solves.append(1)
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    def counted_reduction(A):
+        reductions.append(1)
+        return tridiagonalize(A)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(reconstruction, "_tridiagonalize", counted_reduction)
     for g in (diag4, herm4):
         x = random_unit(rng, g.dim)
         singles = [reconstruct(g, t, x, [s], quad) for s in seq]
         solves.clear()
+        reductions.clear()
         rep = reconstruct(g, t, x, seq, quad)
-        assert len(solves) == 16 * PANELS_DEFAULT + CORRECTION_TERMS
+        assert len(reductions) == 1
+        assert len(solves) == CORRECTION_TERMS
 
         tol = 1e-13 * np.linalg.norm(x)
         steps = np.array([astuple(s) for s in rep.steps])
@@ -188,6 +223,59 @@ def test_sequence_shares_radial_samples(diag4, herm4, rng, quad, monkeypatch, ro
         assert steps.shape == want.shape
         assert np.max(np.abs(steps - want)) <= tol
         assert np.linalg.norm(rep.approximation - singles[-1].approximation) <= tol
+
+
+def test_shifted_solves_match_dense_block_solves(diag4, herm4, rng):
+    # the reduction and sweep against dense LU at nodes across the radial
+    # window, on the 2n x 2n graph pair system and on U_i itself
+    mus = np.array([1e-6, 1e-2, 1.0, 1e2, 1e6])
+    for g in (diag4, herm4, hermitian_model(rng, 64, 2.0)):
+        n = g.dim
+        x = random_unit(rng, n)
+        Ui = analytic_generator(g)
+        D = ampliation(g).as_matrix()
+        pair = make_graph_vector(g, x).stacked()
+        for A, b in ((D, D @ pair), (Ui, Ui @ x)):
+            m = len(A)
+            Q, d, e = _tridiagonalize(A)
+            T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            assert np.all(e >= 0.0)
+            assert np.linalg.norm(Q.conj().T @ Q - np.eye(m), 2) <= 1e-13
+            assert np.linalg.norm(Q @ T @ Q.conj().T - A, 2) <= 1e-13 * np.linalg.norm(A, 2)
+            if g is diag4:
+                assert np.array_equal(Q, np.eye(m))
+                assert not np.any(e)
+            got = _shifted_solves(A, b, mus, n)
+            assert got.shape == (mus.size, n)
+            for mu, row in zip(mus, got):
+                want = np.linalg.solve(A + mu * np.eye(m), b)[:n]
+                assert np.linalg.norm(row - want) <= 1e-13 * np.linalg.norm(want)
+
+
+# a hair inside the cap, so that rounding in V diag(h) V* never crosses it
+H_BOUND = H_MAX * (1.0 - 1e-9)
+
+
+@settings(max_examples=30, derandomize=True)
+@given(
+    h=st.lists(st.floats(min_value=-H_BOUND, max_value=H_BOUND), min_size=1, max_size=16),
+    log_mu=st.floats(min_value=math.log(1e-12), max_value=math.log(1e12)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_shifted_solve_is_backward_stable(h, log_mu, seed):
+    # unitary reduction and an unpivoted sweep of a positive definite
+    # tridiagonal are both backward stable, however ill-conditioned U_i + mu
+    # is (up to e^40 at ||H|| = H_MAX and mu = 1e-12)
+    rng = np.random.default_rng(seed)
+    n = len(h)
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    Ui = analytic_generator(GroupModel.hermitian((V * np.array(h)[None, :]) @ V.conj().T))
+    b = random_unit(rng, n)
+    mu = math.exp(log_mu)
+    y = _shifted_solves(Ui, b, np.array([mu]), n)[0]
+    residual = np.linalg.norm((Ui + mu * np.eye(n)) @ y - b)
+    eps = np.finfo(float).eps
+    assert residual <= 100.0 * eps * (np.linalg.norm(Ui, 2) + mu) * np.linalg.norm(y)
 
 
 def test_decay_fit_slope_minus_one(diag4, rng, quad):
