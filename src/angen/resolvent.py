@@ -43,7 +43,7 @@ from .group_models import (
     require_graph_vector,
 )
 from .kernel import KernelParam, eval_kernel_array, require_quadrature_clearance
-from .vecint import QuadratureSpec, integrate_vector
+from .vecint import QuadratureSpec, _widen, integrate_vector
 
 # the block resolvent contains 1/mu; degenerate parameters are rejected
 MIN_ABS_MU = 1e-6
@@ -53,18 +53,23 @@ def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     """Starting truncation and node density for the F(mu, .) * U_t integrand.
 
     |F(mu, t) U_t x| <= C*(1+|t|)*exp(-decay_rate*|t|)*||x||, so T grows
-    like log(1/tol)/decay_rate; the extra log(1+max|h|) absorbs the
-    polynomial factor.  The node density must resolve oscillation at
-    frequency max|h| + |log|mu|| (group phases times mu**(i t)).
-    integrate_vector clamps T to [1, TRUNCATION_CAP].
+    like log(1/tol)/decay_rate.  T0 = (log(1/tol) + log(1+max|h|)) /
+    decay_rate leaves out the (1+|t|) factor and the outer 16-node panel
+    that the tail gate of integrate_vector reads, and the gate rejects it
+    on every Q_mu column and shifted line the benchmark workloads run; the
+    window one widening step beyond T0 passes almost always, so the plan
+    starts there and the gate's widening stays as a guard.  The node
+    density must resolve oscillation at frequency max|h| + |log|mu||
+    (group phases times mu**(i t)).  integrate_vector clamps T to
+    [1, TRUNCATION_CAP].
     """
     hmax = g.max_exponent
-    T = (math.log(1.0 / q.rel_tolerance) + math.log1p(hmax)) / p.decay_rate
+    T0 = (math.log(1.0 / q.rel_tolerance) + math.log1p(hmax)) / p.decay_rate
     npu = max(
         q.nodes_per_unit,
         int(math.ceil(0.8 * (hmax + abs(math.log(abs(p.mu)))))) + 4,
     )
-    return T, npu
+    return _widen(T0), npu
 
 
 def _qmu_vector(

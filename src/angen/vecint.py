@@ -79,6 +79,11 @@ def _nodes(q: QuadratureSpec, T: float):
     return gauss_panel_nodes(-T, T, q.nodes_per_unit)
 
 
+def _widen(T: float) -> float:
+    """The next truncation window after the tail gate rejects [-T, T]."""
+    return min(TRUNCATION_CAP, max(T + 2.0, 1.3 * T))
+
+
 def _sample(f, density, ts):
     vals = np.asarray(f(ts), dtype=complex)
     dens = np.asarray(density(ts), dtype=complex).ravel()
@@ -140,7 +145,7 @@ def integrate_vector(
                 f"tail estimate {tail_est:.3e} exceeds "
                 f"{q.rel_tolerance:.1e} * {scale:.3e} at truncation {T:.1f}"
             )
-        T = min(TRUNCATION_CAP, max(T + 2.0, 1.3 * T))
+        T = _widen(T)
 
 
 def pairing_consistency_check(
