@@ -129,9 +129,11 @@ def integrate_vector(
         # conservative tail estimate: outermost panel magnitude decayed at
         # tail_rate on both sides, i.e. C*exp(-rate*T)/rate with C read off
         # the edge samples directly
-        mags = np.abs(dens) * np.linalg.norm(vals, axis=1)
-        k = min(16, mags.size)
-        edge = max(float(np.max(mags[:k])), float(np.max(mags[-k:])))
+        k = min(16, len(ts))
+        edge = max(
+            float(np.max(np.abs(dens[rows]) * np.linalg.norm(vals[rows], axis=1)))
+            for rows in (slice(None, k), slice(-k, None))
+        )
         tail_est = 2.0 * edge / tail_rate
 
         scale = float(np.linalg.norm(result))
