@@ -136,6 +136,15 @@ def test_known_mode_value(quad):
     assert Q[0, 0] == pytest.approx(2.0 / 9.0, rel=1e-9)
 
 
+def test_qmu_clears_the_kernel_pole(diag4, quad):
+    # with an odd panel count a panel centre sits at t = 0, under the
+    # kernel's poles at t = +-i, and this case stalls at 6.9e-12
+    p = KernelParam(0.5)
+    Q = compute_Qmu(diag4, p, quad)
+    S = qmu_spectral_oracle(diag4, p)
+    assert np.linalg.norm(Q - S, 2) <= 1e-12 * np.linalg.norm(S, 2)
+
+
 @pytest.mark.parametrize("mu", MU_POOL)
 def test_central_identity(diag4, herm4, rng, quad, mu):
     p = KernelParam(mu)
