@@ -52,22 +52,25 @@ MIN_ABS_MU = 1e-6
 def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     """Starting truncation and node density for the F(mu, .) * U_t integrand.
 
-    |F(mu, t) U_t x| <= C*(1+|t|)*exp(-decay_rate*|t|)*||x||, so T grows
-    like log(1/tol)/decay_rate.  T0 = (log(1/tol) + log(1+max|h|)) /
-    decay_rate leaves out the (1+|t|) factor and the outer 16-node panel
-    that the tail gate of integrate_vector reads, and the gate rejects it
-    on every Q_mu column and shifted line the benchmark workloads run; the
-    window one widening step beyond T0 passes almost always, so the plan
-    starts there and the gate's widening stays as a guard.  The node
-    density must resolve oscillation at frequency max|h| + |log|mu||
-    (group phases times mu**(i t)).  integrate_vector clamps T to
-    [1, TRUNCATION_CAP].
+    |F(mu, t) U_t x| <= C*(1+|t|)*exp(-decay_rate*|t|)*||x||/|mu|, so T
+    grows like log(1/tol)/decay_rate.  T0 below counts the 1/|mu| where it
+    exceeds 1 (a column's tail gate is relative to its unit input), but
+    leaves out the (1+|t|) factor and the outer 16-node panel that the
+    tail gate of integrate_vector reads, so the gate rejected T0 on every
+    Q_mu column and shifted line the benchmark workloads run.  The window
+    one widening step beyond T0 passes, so the plan starts there and the
+    gate's widening stays a guard.  The node density must resolve
+    oscillation at frequency max|h| + |log|mu|| (group phases times
+    mu**(i t)).  integrate_vector clamps T to [1, TRUNCATION_CAP].
     """
     hmax = g.max_exponent
-    T0 = (math.log(1.0 / q.rel_tolerance) + math.log1p(hmax)) / p.decay_rate
+    log_mu = math.log(abs(p.mu))
+    T0 = (
+        math.log(1.0 / q.rel_tolerance) + math.log1p(hmax) + max(0.0, -log_mu)
+    ) / p.decay_rate
     npu = max(
         q.nodes_per_unit,
-        int(math.ceil(0.8 * (hmax + abs(math.log(abs(p.mu)))))) + 4,
+        int(math.ceil(0.8 * (hmax + abs(log_mu)))) + 4,
     )
     return _widen(T0), npu
 

@@ -24,6 +24,7 @@ from angen import (
     spectrum_scan,
     verify_resolvent_identities,
 )
+from angen import vecint
 from angen.resolvent import MIN_ABS_MU, _graph_basis
 
 from conftest import random_unit
@@ -143,6 +144,24 @@ def test_qmu_clears_the_kernel_pole(diag4, quad):
     Q = compute_Qmu(diag4, p, quad)
     S = qmu_spectral_oracle(diag4, p)
     assert np.linalg.norm(Q - S, 2) <= 1e-12 * np.linalg.norm(S, 2)
+
+
+@pytest.mark.parametrize("mu", MU_POOL + [0.5, 5.0 * cmath.exp(2.5j)])
+def test_qmu_takes_one_window_per_column(diag4, herm4, quad, monkeypatch, mu):
+    # the plan starts at the window the tail gate accepts, so no column
+    # samples a window it then throws away
+    windows = []
+    nodes = vecint._nodes
+
+    def counting(q, T):
+        windows.append(T)
+        return nodes(q, T)
+
+    monkeypatch.setattr(vecint, "_nodes", counting)
+    for g in (diag4, herm4):
+        windows.clear()
+        compute_Qmu(g, KernelParam(mu), quad)
+        assert len(windows) == g.dim
 
 
 @pytest.mark.parametrize("mu", MU_POOL)
