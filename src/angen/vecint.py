@@ -73,11 +73,10 @@ def gauss_panel_nodes(lo: float, hi: float, nodes_per_unit: int):
     width = 16.0 / float(nodes_per_unit)
     panels = max(1, int(math.ceil((hi - lo) / width)))
     # On a window [-T, T] an odd count centres a panel at t = 0, right
-    # under the kernel's poles at t = +-i, whose error then dominates: on a
-    # 128-dim model at mu = 2+1j odd counts 11-17 stall at 1.45e-11
-    # relative error and even counts reach 7.6e-14.  An even count puts a
-    # panel edge there, where the pole is farther from both panels in the
-    # sense of their Bernstein ellipses.
+    # under the kernel's poles at t = +-i, and that panel's error dominates
+    # (compute_Qmu on a 4-mode diagonal model at mu = 0.5: 6.9e-12 relative
+    # error).  An even count puts a panel edge there, where the pole lies
+    # on a larger Bernstein ellipse of both neighbouring panels (4.9e-15).
     return gauss_panels(lo, hi, panels + panels % 2)
 
 
