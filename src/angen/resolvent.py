@@ -58,10 +58,12 @@ def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     leaves out the (1+|t|) factor and the outer 16-node panel that the
     tail gate of integrate_vector reads, so the gate rejected T0 on every
     Q_mu column and shifted line the benchmark workloads run.  The window
-    one widening step beyond T0 passes, so the plan starts there and the
-    gate's widening stays a guard.  The node density must resolve
-    oscillation at frequency max|h| + |log|mu|| (group phases times
-    mu**(i t)).  integrate_vector clamps T to [1, TRUNCATION_CAP].
+    one widening step beyond T0 passes on every compute_Qmu column they
+    run, so the plan starts there.  The gate's widening stays a guard;
+    decay_bound_fit, whose gate follows its small result rather than a
+    unit input, still widens.  The node density must resolve oscillation
+    at frequency max|h| + |log|mu|| (group phases times mu**(i t)).
+    integrate_vector clamps T to [1, TRUNCATION_CAP].
     """
     hmax = g.max_exponent
     log_mu = math.log(abs(p.mu))
