@@ -112,13 +112,12 @@ def _over_double_sinh(num, z):
     """Stable num / (exp(pi*z) - exp(-pi*z)), elementwise, for z away from i*Z."""
     num = np.asarray(num, dtype=complex)
     x = math.pi * np.asarray(z, dtype=complex)
-    big = np.abs(x.real) > _BIG_REAL
-    if not np.any(big):
-        return num / (2.0 * np.sinh(x))
     out = np.empty(x.shape, dtype=complex)
-    s = np.where(x.real[big] > 0, 1.0, -1.0)
-    e = np.exp(-s * x[big])
-    out[big] = num[big] * s * e / (1.0 - e * e)
+    big = np.abs(x.real) > _BIG_REAL
+    if np.any(big):
+        s = np.where(x.real[big] > 0, 1.0, -1.0)
+        e = np.exp(-s * x[big])
+        out[big] = num[big] * s * e / (1.0 - e * e)
     rest = ~big
     out[rest] = num[rest] / (2.0 * np.sinh(x[rest]))
     return out
@@ -138,18 +137,16 @@ def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
     the poles (real-line nodes always are).
     """
     ts = np.asarray(ts, dtype=complex)
+    out = np.empty(ts.shape, dtype=complex)
     small = np.abs(ts) < SERIES_SWITCH_RADIUS
     if np.any(small):
-        out = np.empty(ts.shape, dtype=complex)
         x2 = (math.pi * ts[small]) ** 2
         acc = np.full(x2.shape, _X_OVER_SINH[-1], dtype=complex)
         for c in reversed(_X_OVER_SINH[:-1]):
             acc = c + x2 * acc
         out[small] = acc / (2.0 * math.pi)
-        rest = ~small
-        out[rest] = _over_double_sinh(ts[rest], ts[rest])
-    else:
-        out = _over_double_sinh(ts, ts)
+    rest = ~small
+    out[rest] = _over_double_sinh(ts[rest], ts[rest])
     return out * np.exp((1j * ts - 1.0) * cmath.log(p.mu))
 
 
