@@ -53,16 +53,11 @@ def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     """Starting truncation and node density for the F(mu, .) * U_t integrand.
 
     |F(mu, t) U_t x| <= C*(1+|t|)*exp(-decay_rate*|t|)*||x||/|mu|, so T
-    grows like log(1/tol)/decay_rate.  T0 below counts the 1/|mu| where it
-    exceeds 1 (a column's tail gate is relative to its unit input), but
-    leaves out the (1+|t|) factor and the outer 16-node panel that the
-    tail gate of integrate_vector reads, so the gate rejected T0 on every
-    Q_mu column and shifted line the benchmark workloads run.  The window
-    one widening step beyond T0 passes on every compute_Qmu column they
-    run, so the plan starts there.  The gate's widening stays a guard;
-    decay_bound_fit, whose gate follows its small result rather than a
-    unit input, still widens.  The node density must resolve oscillation
-    at frequency max|h| + |log|mu|| (group phases times mu**(i t)).
+    grows like log(1/tol)/decay_rate; T0 counts the 1/|mu| where it
+    exceeds 1.  T0 leaves out the (1+|t|) factor and the outer panel that
+    the tail gate of integrate_vector reads, so the plan starts one _widen
+    step beyond it.  The node density must resolve oscillation at
+    frequency max|h| + |log|mu|| (group phases times mu**(i t)).
     integrate_vector clamps T to [1, TRUNCATION_CAP].
     """
     hmax = g.max_exponent

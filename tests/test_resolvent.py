@@ -114,13 +114,18 @@ def test_qmu_norm_obeys_kernel_l1_bound(h, log_abs_mu, arg_mu, attained, seed):
         assert norm >= phi * (1.0 - 1e-8)
 
 
-@pytest.mark.parametrize("mu", MU_POOL)
-def test_qmu_matches_spectral_oracle(diag4, herm4, quad, mu):
+# mu = 0.5 would stall at 6.9e-12 with an odd panel count, which centres a
+# panel at t = 0, under the kernel's poles at t = +-i
+ORACLE_CASES = [(mu, 1e-8) for mu in MU_POOL] + [(0.5, 1e-12)]
+
+
+@pytest.mark.parametrize("mu, rtol", ORACLE_CASES, ids=[str(mu) for mu, _ in ORACLE_CASES])
+def test_qmu_matches_spectral_oracle(diag4, herm4, quad, mu, rtol):
     p = KernelParam(mu)
     for g in (diag4, herm4):
         Q = compute_Qmu(g, p, quad)
         S = qmu_spectral_oracle(g, p)
-        assert np.linalg.norm(Q - S, 2) <= 1e-8 * np.linalg.norm(S, 2)
+        assert np.linalg.norm(Q - S, 2) <= rtol * np.linalg.norm(S, 2)
 
 
 def test_identity_model_quarter(identity3, quad):
@@ -135,15 +140,6 @@ def test_known_mode_value(quad):
     g = angen.GroupModel.diagonal([-math.log(2.0)])
     Q = compute_Qmu(g, KernelParam(1.0), quad)
     assert Q[0, 0] == pytest.approx(2.0 / 9.0, rel=1e-9)
-
-
-def test_qmu_clears_the_kernel_pole(diag4, quad):
-    # with an odd panel count a panel centre sits at t = 0, under the
-    # kernel's poles at t = +-i, and this case stalls at 6.9e-12
-    p = KernelParam(0.5)
-    Q = compute_Qmu(diag4, p, quad)
-    S = qmu_spectral_oracle(diag4, p)
-    assert np.linalg.norm(Q - S, 2) <= 1e-12 * np.linalg.norm(S, 2)
 
 
 @pytest.mark.parametrize("mu", MU_POOL + [0.5, 5.0 * cmath.exp(2.5j)])
