@@ -136,6 +136,31 @@ def apply_Uz_batch(g: GroupModel, zs, x) -> np.ndarray:
     return (phases * c[None, :]) @ g.basis.T
 
 
+def _eigen_twin(g: GroupModel) -> GroupModel:
+    """The Diagonal model with g's exponents.
+
+    U_z x = V (U'_z (V* x)) for the twin U', so a quadrature over the orbit
+    can integrate the eigenbasis coordinates V* x and map back once.  A
+    Diagonal model is its own twin.
+    """
+    return g if g.kind == "diagonal" else GroupModel.diagonal(g.exponents)
+
+
+def _eigen_adjoint(g: GroupModel) -> np.ndarray:
+    """V*, whose column k holds the eigenbasis coordinates of the unit vector e_k."""
+    return np.eye(g.dim, dtype=complex) if g.kind == "diagonal" else g.basis.conj().T
+
+
+def _to_eigen(g: GroupModel, x: np.ndarray) -> np.ndarray:
+    """Eigenbasis coordinates V* x; the identity map for a Diagonal model."""
+    return x if g.kind == "diagonal" else g.basis.conj().T @ x
+
+
+def _from_eigen(g: GroupModel, c: np.ndarray) -> np.ndarray:
+    """V c for coordinates c (a vector, or one column each); the inverse of _to_eigen."""
+    return c if g.kind == "diagonal" else g.basis @ c
+
+
 def group_matrix(g: GroupModel, z: complex) -> np.ndarray:
     """The matrix of U_z."""
     z = complex(z)

@@ -68,6 +68,9 @@ import numpy as np
 from .errors import FitUnstable, OverflowRisk, TruncationDominates
 from .group_models import (
     GroupModel,
+    _eigen_twin,
+    _from_eigen,
+    _to_eigen,
     analytic_generator,
     apply_Uz,
     apply_Uz_batch,
@@ -390,13 +393,16 @@ def _shifted_line_vector(
     # from the shifted line; the nearer one sets the density
     npu = max(npu, int(math.ceil(7.0 / min(r, 1.0 - r))))
     log_mu = cmath.log(p.mu)
-    return integrate_vector(
-        lambda ts: apply_Uz_batch(g, ts + 1j * r, x),
+    # the line runs over the eigenbasis coordinates, mapped back once
+    twin, c = _eigen_twin(g), _to_eigen(g, x)
+    y = integrate_vector(
+        lambda ts: apply_Uz_batch(twin, ts + 1j * r, c),
         lambda ts: _over_double_sinh(1j * np.exp(1j * (ts + 1j * r) * log_mu), ts + 1j * r),
         replace(q, nodes_per_unit=npu),
         tail_rate=p.decay_rate,
         truncation=T,
     )
+    return _from_eigen(g, y)
 
 
 def decay_bound_fit(

@@ -4,8 +4,9 @@ The smoothing operator is the kernel-weighted group average
 
     Q_mu = integral F(mu, t) * U_t dt,
 
-assembled column by column with the line quadrature of vecint.  Its
-spectral closed form on a model with generator eigenvalues nu_k is
+computed by the line quadrature of vecint in the model's eigenbasis: the
+quadrature integrates the coordinates exp(i t h) * (V* x) and maps back
+once with V.  Its spectral closed form on a model with generator eigenvalues nu_k is
 diagonal (in the eigenbasis) with entries nu_k / (nu_k + mu)**2, i.e.
 Q_mu = U_i * (U_i + mu)**(-2); the test suite first re-derives that closed
 form by brute-force scalar quadrature before using it as an oracle.
@@ -35,6 +36,10 @@ import numpy as np
 
 from .group_models import (
     GroupModel,
+    _eigen_adjoint,
+    _eigen_twin,
+    _from_eigen,
+    _to_eigen,
     analytic_generator,
     apply_Uz,
     apply_Uz_batch,
@@ -72,17 +77,11 @@ def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     return _widen(T0), npu
 
 
-def _qmu_vector(
-    g: GroupModel,
-    p: KernelParam,
-    q: QuadratureSpec,
-    w: np.ndarray,
-    scale_hint: float | None = None,
-) -> np.ndarray:
-    """Q_mu w by a single vector quadrature; scale_hint as in integrate_vector."""
+def _qmu_coords(g: GroupModel, p: KernelParam, q: QuadratureSpec, f, scale_hint=None):
+    """integral F(mu, t) f(t) dt, where f(ts) holds the eigenbasis coordinates of U_t x."""
     T, npu = _quadrature_plan(g, p, q)
     return integrate_vector(
-        lambda ts: apply_Uz_batch(g, ts, w),
+        f,
         lambda ts: eval_kernel_array(p, ts),
         replace(q, nodes_per_unit=npu),
         tail_rate=p.decay_rate,
@@ -91,14 +90,45 @@ def _qmu_vector(
     )
 
 
+def _qmu_vector(
+    g: GroupModel,
+    p: KernelParam,
+    q: QuadratureSpec,
+    w: np.ndarray,
+    scale_hint: float | None = None,
+) -> np.ndarray:
+    """Q_mu w by a single vector quadrature in the eigenbasis; scale_hint as in integrate_vector."""
+    twin, c = _eigen_twin(g), _to_eigen(g, as_state(g, w))
+    return _from_eigen(g, _qmu_coords(g, p, q, lambda ts: apply_Uz_batch(twin, ts, c), scale_hint))
+
+
 def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
-    """The matrix of Q_mu by column-wise line quadrature."""
+    """The matrix of Q_mu, one line quadrature per column in the eigenbasis.
+
+    Column k integrates the coordinates V* e_k.  The columns share the phase
+    matrix exp(i t h) of a node array, which is rebuilt only when a column's
+    window differs, and all columns map back in one product V C.
+    """
     require_quadrature_clearance(p)
-    eye = np.eye(g.dim, dtype=complex)
+    twin = _eigen_twin(g)
+    ones = np.ones(g.dim)
+    last = {"ts": None, "P": None}
+
+    def phases(ts):
+        if not np.array_equal(ts, last["ts"]):
+            last["ts"], last["P"] = ts, apply_Uz_batch(twin, ts, ones)
+        return last["P"]
+
+    coords = _eigen_adjoint(g)
     # the tail gate of each column is relative to the unit input norm
-    return np.stack(
-        [_qmu_vector(g, p, q, eye[:, k], scale_hint=1.0) for k in range(g.dim)], axis=1
+    C = np.stack(
+        [
+            _qmu_coords(g, p, q, lambda ts, c=coords[:, k]: phases(ts) * c, scale_hint=1.0)
+            for k in range(g.dim)
+        ],
+        axis=1,
     )
+    return _from_eigen(g, C)
 
 
 def qmu_spectral_oracle(g: GroupModel, p: KernelParam) -> np.ndarray:

@@ -26,47 +26,58 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import HypothesisViolation
-from .group_models import GroupModel, apply_Uz_batch, as_state, group_matrix
-from .vecint import QuadratureSpec, integrate_vector
+from .group_models import (
+    GroupModel,
+    _eigen_adjoint,
+    _eigen_twin,
+    _from_eigen,
+    _to_eigen,
+    apply_Uz_batch,
+    as_state,
+    group_matrix,
+)
+from .vecint import QuadratureSpec, _widen, integrate_vector
 
 _T_PROBES = (0.37, -1.13, 2.41, -3.7)
 
 
-def _mollify_plan(g: GroupModel, n: float, q: QuadratureSpec):
+def _check_width(n: float) -> None:
+    if not (n > 0.0 and math.isfinite(n)):
+        raise ValueError(f"n must be positive and finite, got {n}")
+
+
+def _mollify_coords(g: GroupModel, n: float, q: QuadratureSpec, f, scale_hint: float):
+    """sqrt(n/pi) * integral f(t) exp(-n t^2) dt, where f(ts) holds eigenbasis coordinates."""
     # Gaussian truncation: exp(-n*T^2) = tol at T = sqrt(log(1/tol)/n);
-    # tail rate n*T is the conservative linearization of the quadratic decay
+    # tail rate n*T is the conservative linearization of the quadratic
+    # decay.  Like the Q_mu plan, the window starts one _widen step out,
+    # because T leaves out the outer panel that the tail gate reads.
     T = max(1.0, math.sqrt(math.log(1.0 / q.rel_tolerance) / n))
-    tail_rate = n * T
     npu = max(
         q.nodes_per_unit,
         int(math.ceil(0.8 * g.max_exponent)) + 4,
         int(math.ceil(8.0 * math.sqrt(n))),
     )
-    return T, tail_rate, npu
+    amp = math.sqrt(n / math.pi)
+    return integrate_vector(
+        f,
+        lambda ts: amp * np.exp(-n * np.asarray(ts) ** 2),
+        replace(q, nodes_per_unit=npu),
+        tail_rate=n * T,
+        truncation=_widen(T),
+        scale_hint=scale_hint,
+    )
 
 
 def mollify(g: GroupModel, x, n: float, q: QuadratureSpec) -> np.ndarray:
-    """Gaussian average sqrt(n/pi) * integral U_t x exp(-n t^2) dt."""
-    if not (n > 0.0 and math.isfinite(n)):
-        raise ValueError(f"n must be positive and finite, got {n}")
+    """Gaussian average sqrt(n/pi) * integral U_t x exp(-n t^2) dt, in the eigenbasis."""
+    _check_width(n)
     x = as_state(g, x)
-    T, tail_rate, npu = _mollify_plan(g, n, q)
-    amp = math.sqrt(n / math.pi)
-
-    def f(ts):
-        return apply_Uz_batch(g, ts, x)
-
-    def density(ts):
-        return amp * np.exp(-n * np.asarray(ts) ** 2)
-
-    return integrate_vector(
-        f,
-        density,
-        replace(q, nodes_per_unit=npu),
-        tail_rate=tail_rate,
-        truncation=T,
-        scale_hint=float(np.linalg.norm(x)),
+    twin, c = _eigen_twin(g), _to_eigen(g, x)
+    y = _mollify_coords(
+        g, n, q, lambda ts: apply_Uz_batch(twin, ts, c), float(np.linalg.norm(x))
     )
+    return _from_eigen(g, y)
 
 
 def mollify_oracle(g: GroupModel, x, n: float) -> np.ndarray:
@@ -80,12 +91,19 @@ def mollify_oracle(g: GroupModel, x, n: float) -> np.ndarray:
 
 
 def mollify_operator(g: GroupModel, n: float, q: QuadratureSpec) -> np.ndarray:
-    """Matrix of the mollification map, assembled column by column."""
-    cols = []
-    eye = np.eye(g.dim, dtype=complex)
-    for k in range(g.dim):
-        cols.append(mollify(g, eye[:, k], n, q))
-    return np.stack(cols, axis=1)
+    """Matrix V diag(m) V* of the mollification map.
+
+    One quadrature of the phase matrix exp(i t h) against the Gaussian
+    gives the multipliers m of all modes at once; its tail gate is
+    relative to sqrt(g.dim), the norm of each phase row.
+    """
+    _check_width(n)
+    twin = _eigen_twin(g)
+    ones = np.ones(g.dim)
+    m = _mollify_coords(
+        g, n, q, lambda ts: apply_Uz_batch(twin, ts, ones), math.sqrt(g.dim)
+    )
+    return _from_eigen(g, m[:, None] * _eigen_adjoint(g))
 
 
 def mollifier_convergence_report(

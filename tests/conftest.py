@@ -51,3 +51,10 @@ def quad():
 def random_unit(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def random_hermitian(rng, n, radius=2.0):
+    """A Hermitian model with a random eigenbasis and exponents in [-radius, radius]."""
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    h = rng.uniform(-radius, radius, n)
+    return GroupModel.hermitian((V * h[None, :]) @ V.conj().T)

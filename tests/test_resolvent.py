@@ -24,10 +24,12 @@ from angen import (
     spectrum_scan,
     verify_resolvent_identities,
 )
-from angen import vecint
-from angen.resolvent import MIN_ABS_MU, _graph_basis
+from angen import resolvent, vecint
+from angen.group_models import apply_Uz_batch
+from angen.kernel import eval_kernel_array
+from angen.resolvent import MIN_ABS_MU, _graph_basis, _quadrature_plan
 
-from conftest import random_unit
+from conftest import random_hermitian, random_unit
 
 MU_POOL = [1.0, 2.0 + 1.0j, 0.4 - 0.8j, -1.0 + 1.0j]
 
@@ -158,6 +160,85 @@ def test_qmu_takes_one_window_per_column(diag4, herm4, quad, monkeypatch, mu):
         windows.clear()
         compute_Qmu(g, KernelParam(mu), quad)
         assert len(windows) == g.dim
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 48])
+def test_qmu_matches_oracle_on_random_hermitian(quad, n):
+    g = random_hermitian(np.random.default_rng(n), n)
+    for mu in MU_POOL:
+        p = KernelParam(mu)
+        S = qmu_spectral_oracle(g, p)
+        assert np.linalg.norm(compute_Qmu(g, p, quad) - S, 2) <= 1e-8 * np.linalg.norm(S, 2)
+
+
+def _count_phase_builds(monkeypatch):
+    """Record every node array compute_Qmu samples and every phase matrix it builds."""
+    windows, builds = [], []
+    nodes = vecint._nodes
+
+    def counting_nodes(q, T):
+        ts, ws = nodes(q, T)
+        windows.append(ts)
+        return ts, ws
+
+    def counting_batch(g, zs, x):
+        builds.append(len(zs))
+        return apply_Uz_batch(g, zs, x)
+
+    monkeypatch.setattr(vecint, "_nodes", counting_nodes)
+    monkeypatch.setattr(resolvent, "apply_Uz_batch", counting_batch)
+    return windows, builds
+
+
+@pytest.mark.parametrize("mu", MU_POOL)
+def test_qmu_builds_one_phase_matrix(diag4, herm4, quad, monkeypatch, mu):
+    # every column samples the same window, so the columns share one phase matrix
+    windows, builds = _count_phase_builds(monkeypatch)
+    for g in (diag4, herm4):
+        windows.clear()
+        builds.clear()
+        compute_Qmu(g, KernelParam(mu), quad)
+        assert len(windows) == g.dim
+        assert builds == [len(windows[0])]
+
+
+@pytest.mark.parametrize("mu", [1.0, -1.0 + 1.0j])
+def test_qmu_rebuilds_phases_when_the_window_widens(quad, monkeypatch, mu):
+    # a too-short first window makes every column widen, so the node array
+    # changes between and within columns and the phase matrix must follow it
+    plan = resolvent._quadrature_plan
+    monkeypatch.setattr(resolvent, "_quadrature_plan", lambda g, p, q: (2.0, plan(g, p, q)[1]))
+    windows, builds = _count_phase_builds(monkeypatch)
+    g = random_hermitian(np.random.default_rng(5), 16)
+    p = KernelParam(mu)
+    Q = compute_Qmu(g, p, quad)
+    changes = [ts for prev, ts in zip([None] + windows, windows) if not np.array_equal(prev, ts)]
+    assert len(windows) >= 2 * g.dim
+    assert builds == [len(ts) for ts in changes]
+    assert len(builds) >= 2 * g.dim
+    S = qmu_spectral_oracle(g, p)
+    assert np.linalg.norm(Q - S, 2) <= 1e-8 * np.linalg.norm(S, 2)
+
+
+@pytest.mark.parametrize("mu", MU_POOL + [0.5])
+def test_qmu_on_diagonal_model_matches_column_quadrature_bitwise(diag4, quad, mu):
+    # on a Diagonal model the shared phase matrix computes every column
+    # exactly as a quadrature of U_t e_k would, bit for bit
+    p = KernelParam(mu)
+    T, npu = _quadrature_plan(diag4, p, quad)
+    eye = np.eye(diag4.dim, dtype=complex)
+    cols = [
+        vecint.integrate_vector(
+            lambda ts, x=eye[:, k]: apply_Uz_batch(diag4, ts, x),
+            lambda ts: eval_kernel_array(p, ts),
+            vecint.QuadratureSpec(quad.rel_tolerance, npu),
+            tail_rate=p.decay_rate,
+            truncation=T,
+            scale_hint=1.0,
+        )
+        for k in range(diag4.dim)
+    ]
+    assert np.array_equal(compute_Qmu(diag4, p, quad), np.stack(cols, axis=1))
 
 
 @pytest.mark.parametrize("mu", MU_POOL)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +16,9 @@ from angen import (
     mollify_oracle,
 )
 
-from conftest import random_unit
+from angen import smoothing
+
+from conftest import random_hermitian, random_unit
 
 
 @pytest.mark.parametrize("n", [0.5, 2.0, 25.0, 400.0])
@@ -100,3 +104,35 @@ def test_hermitian_operator_matches_oracle(herm4, rng, quad):
     eye = np.eye(4, dtype=complex)
     want = np.stack([mollify_oracle(herm4, eye[:, k], 2.0) for k in range(4)], axis=1)
     assert np.linalg.norm(A - want, 2) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 48])
+def test_operator_matches_oracle_on_random_hermitian(quad, n):
+    g = random_hermitian(np.random.default_rng(n), n)
+    eye = np.eye(n, dtype=complex)
+    for width in (0.5, 2.0, 25.0):
+        A = mollify_operator(g, width, quad)
+        want = np.stack([mollify_oracle(g, eye[:, k], width) for k in range(n)], axis=1)
+        assert np.linalg.norm(A - want, 2) <= 1e-9
+
+
+@pytest.mark.parametrize("width", [0.0, -3.0, math.nan, math.inf])
+def test_operator_rejects_bad_width(diag4, quad, width):
+    with pytest.raises(ValueError):
+        mollify_operator(diag4, width, quad)
+
+
+def test_operator_takes_one_quadrature(diag4, herm4, quad, monkeypatch):
+    # one quadrature of the phase matrix gives every mode's multiplier
+    calls = []
+    integrate = smoothing.integrate_vector
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(smoothing, "integrate_vector", counting)
+    for g in (diag4, herm4):
+        calls.clear()
+        mollify_operator(g, 3.0, quad)
+        assert len(calls) == 1
