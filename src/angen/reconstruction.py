@@ -393,7 +393,6 @@ def _shifted_line_vector(
     # from the shifted line; the nearer one sets the density
     npu = max(npu, int(math.ceil(7.0 / min(r, 1.0 - r))))
     log_mu = cmath.log(p.mu)
-    # the line runs over the eigenbasis coordinates, mapped back once
     twin, c = _eigen_twin(g), _to_eigen(g, x)
     y = integrate_vector(
         lambda ts: apply_Uz_batch(twin, ts + 1j * r, c),

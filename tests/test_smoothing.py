@@ -74,10 +74,11 @@ def test_identity_model_fixed_points(identity3, rng, quad):
 
 
 def test_rejects_bad_width(diag4, rng, quad):
-    with pytest.raises(ValueError):
-        mollify(diag4, random_unit(rng, 4), 0.0, quad)
-    with pytest.raises(ValueError):
-        mollify(diag4, random_unit(rng, 4), -3.0, quad)
+    for width in (0.0, -3.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mollify(diag4, random_unit(rng, 4), width, quad)
+        with pytest.raises(ValueError):
+            mollify_operator(diag4, width, quad)
 
 
 def test_operator_commutes_with_group(diag4, rng, quad):
@@ -100,26 +101,13 @@ def test_commutation_check_rejects_bad_hypothesis(diag4, rng, quad):
 
 
 def test_hermitian_operator_matches_oracle(herm4, rng, quad):
-    A = mollify_operator(herm4, 2.0, quad)
-    eye = np.eye(4, dtype=complex)
-    want = np.stack([mollify_oracle(herm4, eye[:, k], 2.0) for k in range(4)], axis=1)
-    assert np.linalg.norm(A - want, 2) <= 1e-9
-
-
-@pytest.mark.parametrize("n", [1, 3, 16, 48])
-def test_operator_matches_oracle_on_random_hermitian(quad, n):
-    g = random_hermitian(np.random.default_rng(n), n)
-    eye = np.eye(n, dtype=complex)
-    for width in (0.5, 2.0, 25.0):
-        A = mollify_operator(g, width, quad)
-        want = np.stack([mollify_oracle(g, eye[:, k], width) for k in range(n)], axis=1)
-        assert np.linalg.norm(A - want, 2) <= 1e-9
-
-
-@pytest.mark.parametrize("width", [0.0, -3.0, math.nan, math.inf])
-def test_operator_rejects_bad_width(diag4, quad, width):
-    with pytest.raises(ValueError):
-        mollify_operator(diag4, width, quad)
+    models = [herm4] + [random_hermitian(np.random.default_rng(n), n) for n in (1, 3, 16, 48)]
+    for g in models:
+        eye = np.eye(g.dim, dtype=complex)
+        for width in (0.5, 2.0, 25.0):
+            A = mollify_operator(g, width, quad)
+            want = np.stack([mollify_oracle(g, eye[:, k], width) for k in range(g.dim)], axis=1)
+            assert np.linalg.norm(A - want, 2) <= 1e-9
 
 
 def test_operator_takes_one_quadrature(diag4, herm4, quad, monkeypatch):
