@@ -6,8 +6,9 @@ The smoothing operator is the kernel-weighted group average
 
 computed by the line quadrature of vecint in the model's eigenbasis: the
 quadrature integrates the coordinates exp(i t h) * (V* x) and maps back
-once with V.  Its spectral closed form on a model with generator eigenvalues nu_k is
-diagonal (in the eigenbasis) with entries nu_k / (nu_k + mu)**2, i.e.
+once with V.  Its spectral closed form on a model with generator
+eigenvalues nu_k is diagonal (in the eigenbasis) with entries
+nu_k / (nu_k + mu)**2, i.e.
 Q_mu = U_i * (U_i + mu)**(-2); the test suite first re-derives that closed
 form by brute-force scalar quadrature before using it as an oracle.
 
