@@ -100,7 +100,8 @@ def _qmu_vector(
 ) -> np.ndarray:
     """Q_mu w by a single vector quadrature in the eigenbasis; scale_hint as in integrate_vector."""
     twin, c = _eigen_twin(g), _to_eigen(g, as_state(g, w))
-    return _from_eigen(g, _qmu_coords(g, p, q, lambda ts: apply_Uz_batch(twin, ts, c), scale_hint))
+    y = _qmu_coords(g, p, q, lambda ts: apply_Uz_batch(twin, ts, c), scale_hint)
+    return _from_eigen(g, y)
 
 
 def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
