@@ -8,9 +8,10 @@ more CSV reports (header row, 17 significant digits) into the output
 directory and prints one PASS/FAIL summary line per check to stdout.
 
 Exit codes: 0 all checks passed, 1 a verification residual exceeded its
-tolerance, 2 invalid configuration or flags.  The keys, types and ranges of
-a config are those of the table _SCHEMA below; an invalid value exits 2 with
-one "config error:" line on stderr and never produces a traceback.
+tolerance or was NaN, 2 invalid configuration or flags.  The keys, types
+and ranges of a config are those of the table _SCHEMA below; an invalid
+value exits 2 with one "config error:" line on stderr and never produces a
+traceback.
 
 Every computation runs in one thread: the work is bound by the interpreter
 lock, and worker threads only made the spectrum scan slower.  Reruns with
@@ -32,6 +33,9 @@ import numpy as np
 from .errors import AngenError, BranchViolation, ConfigError
 from .group_models import (
     GroupModel,
+    _eigen_adjoint,
+    _spectral_matrix,
+    _to_eigen,
     analytic_generator,
     apply_Uz,
     generator_spectrum,
@@ -234,6 +238,9 @@ def _build_mu_list(raw: dict) -> list[complex]:
         raise ConfigError("'mu_list' must be a nonempty list of [re, im] pairs")
     mus = [_as_complex(v, "mu_list") for v in entries]
     for mu in mus:
+        # the scan rectangle's range; far beyond it the kernel overflows
+        for part in (mu.real, mu.imag):
+            _checked(part, _SCHEMA["scan"]["re_min"], "mu_list")
         if mu == 0 or (mu.imag == 0.0 and mu.real < 0.0):
             raise ConfigError(
                 f"mu={mu} lies on the branch cut (-inf, 0]; parameters must "
@@ -298,21 +305,36 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 class CheckSheet:
-    """Collects named check results and prints PASS/FAIL lines."""
+    """Reduces each named check to its worst sample and prints PASS/FAIL lines.
 
-    def __init__(self):
-        self.rows: list[tuple[str, float, float, bool]] = []
+    add(name, value) compares the largest value of a check, NaN above any
+    number, with the check's entry in tolerances.  flag(name, ok) records a
+    pass/fail check as 0 or 1 against 0.5, so that a failed flag stays
+    failed.  Checks print in the order they were first seen.
+    """
 
-    def add(self, name: str, value: float, tol: float, ok: bool | None = None) -> None:
-        if ok is None:
-            ok = value <= tol
-        self.rows.append((name, value, tol, bool(ok)))
+    def __init__(self, tolerances: dict):
+        self.tolerances = tolerances
+        self.worst: dict[str, tuple[float, float]] = {}
+
+    def add(self, name: str, value: float) -> None:
+        self._keep_worst(name, float(value), self.tolerances[name])
+
+    def flag(self, name: str, ok: bool) -> None:
+        self._keep_worst(name, 0.0 if ok else 1.0, 0.5)
+
+    def _keep_worst(self, name: str, value: float, tol: float) -> None:
+        if name in self.worst:
+            old = self.worst[name][0]
+            if math.isnan(old) or value <= old:
+                return
+        self.worst[name] = (value, tol)
 
     def report(self) -> int:
         code = EXIT_OK
-        for name, value, tol, ok in self.rows:
-            status = "PASS" if ok else "FAIL"
-            print(f"{status} {name} value={value:.6e} tol={tol:.6e}")
+        for name, (value, tol) in self.worst.items():
+            ok = value <= tol
+            print(f"{'PASS' if ok else 'FAIL'} {name} value={value:.6e} tol={tol:.6e}")
             if not ok:
                 code = EXIT_FAIL
         return code
@@ -332,7 +354,6 @@ def _run_kernel_check(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> 
     t_max, radius = cfg["t_max"], cfg["radius"]
     rows = []
     residue_rows = []
-    worst = {"kernel_eq1": 0.0, "kernel_eq2": 0.0, "kernel_integral": 0.0, "residue_loop": 0.0}
     for mu in exp.mu_list:
         p = KernelParam(mu)
         for _ in range(cfg["num_samples"]):
@@ -345,14 +366,14 @@ def _run_kernel_check(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> 
             oracle = eval_kernel_by_integral(p, t, exp.quadrature)
             dv = abs(closed - oracle) / (1.0 + abs(closed))
             rows.append((mu.real, mu.imag, t, e1, e2, dv))
-            worst["kernel_eq1"] = max(worst["kernel_eq1"], e1)
-            worst["kernel_eq2"] = max(worst["kernel_eq2"], e2)
-            worst["kernel_integral"] = max(worst["kernel_integral"], dv)
+            sheet.add("kernel_eq1", e1)
+            sheet.add("kernel_eq2", e2)
+            sheet.add("kernel_integral", dv)
         for lam in cfg["lambdas"]:
             res = contour_residue_check(p, lam, radius)
             rel = res / abs((1.0 / lam) / p.mu**2)
             residue_rows.append((mu.real, mu.imag, lam, radius, res, rel))
-            worst["residue_loop"] = max(worst["residue_loop"], rel)
+            sheet.add("residue_loop", rel)
     _write_csv(
         outdir / "kernel_check.csv",
         ["mu_re", "mu_im", "t", "eq1_residual", "eq2_residual", "closed_vs_integral"],
@@ -363,41 +384,24 @@ def _run_kernel_check(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> 
         ["mu_re", "mu_im", "lambda", "radius", "abs_residual", "rel_residual"],
         residue_rows,
     )
-    for name, val in worst.items():
-        sheet.add(name, val, exp.tolerances[name])
 
 
 def _run_qmu(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
     g = exp.model
     rows = []
-    worst = 0.0
+    nus = generator_spectrum(g)
+    V = _eigen_adjoint(g).conj().T
     for mu in exp.mu_list:
         p = KernelParam(mu)
         Q = compute_Qmu(g, p, exp.quadrature)
         S = qmu_spectral_oracle(g, p)
-        rel = float(np.linalg.norm(Q - S, 2) / np.linalg.norm(S, 2))
-        worst = max(worst, rel)
-        # per-mode diagonal entries in the eigenbasis of the model
-        if g.kind == "diagonal":
-            qd, sd = np.diag(Q), np.diag(S)
-        else:
-            qd = np.diag(g.basis.conj().T @ Q @ g.basis)
-            sd = np.diag(g.basis.conj().T @ S @ g.basis)
-        nus = generator_spectrum(g)
-        for k in range(g.dim):
-            rows.append(
-                (
-                    mu.real,
-                    mu.imag,
-                    k,
-                    nus[k],
-                    qd[k].real,
-                    qd[k].imag,
-                    sd[k].real,
-                    sd[k].imag,
-                    abs(qd[k] - sd[k]),
-                )
-            )
+        sheet.add("qmu_oracle", np.linalg.norm(Q - S, 2) / np.linalg.norm(S, 2))
+        # per-mode diagonal entries of V* A V, in the eigenbasis of the model
+        qd, sd = (np.diag(_to_eigen(g, A) @ V) for A in (Q, S))
+        rows += [
+            (mu.real, mu.imag, k, nu, q.real, q.imag, s.real, s.imag, abs(q - s))
+            for k, (nu, q, s) in enumerate(zip(nus, qd, sd))
+        ]
     _write_csv(
         outdir / "qmu_table.csv",
         [
@@ -413,7 +417,6 @@ def _run_qmu(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
         ],
         rows,
     )
-    sheet.add("qmu_oracle", worst, exp.tolerances["qmu_oracle"])
 
 
 def _run_resolvent_verify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
@@ -421,7 +424,6 @@ def _run_resolvent_verify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet)
     xs = [_random_state(rng, g.dim) for _ in range(exp.samples)]
     rows = []
     corr_rows = []
-    worst_central = worst_apply = worst_inv = worst_corr = 0.0
     Ui = analytic_generator(g)
     for mu in exp.mu_list:
         p = KernelParam(mu)
@@ -429,10 +431,11 @@ def _run_resolvent_verify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet)
         rep = verify_resolvent_identities(g, p, exp.quadrature, samples)
         for idx, x in enumerate(xs):
             central = check_central_identity(g, p, exp.quadrature, x)
-            worst_central = max(worst_central, central)
+            sheet.add("central_identity", central)
             rows.append((mu.real, mu.imag, idx, central))
-        worst_apply = max(worst_apply, rep.apply_after_residual, rep.apply_before_residual)
-        worst_inv = max(worst_inv, rep.graph_invariance_residual)
+        sheet.add("resolvent_apply", rep.apply_after_residual)
+        sheet.add("resolvent_apply", rep.apply_before_residual)
+        sheet.add("graph_invariance", rep.graph_invariance_residual)
 
         R = build_Rmu(g, p, exp.quadrature)
         first, second = graph_action_matrices(g, R)
@@ -440,7 +443,7 @@ def _run_resolvent_verify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet)
         err1 = float(np.linalg.norm(first - inv, 2) / np.linalg.norm(inv, 2))
         err2 = float(np.linalg.norm(second - Ui @ inv, 2) / np.linalg.norm(Ui @ inv, 2))
         corr = max(err1, err2)
-        worst_corr = max(worst_corr, corr)
+        sheet.add("graph_correspondence", corr)
         corr_rows.append(
             (
                 mu.real,
@@ -468,10 +471,6 @@ def _run_resolvent_verify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet)
         ],
         corr_rows,
     )
-    sheet.add("central_identity", worst_central, exp.tolerances["central_identity"])
-    sheet.add("resolvent_apply", worst_apply, exp.tolerances["resolvent_apply"])
-    sheet.add("graph_invariance", worst_inv, exp.tolerances["graph_invariance"])
-    sheet.add("graph_correspondence", worst_corr, exp.tolerances["graph_correspondence"])
 
 
 def scan_grid(cfg: dict) -> list[complex]:
@@ -505,18 +504,16 @@ def _run_spectrum_scan(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) ->
         ["mu_re", "mu_im", "resolvent_norm", "oracle_distance", "lower_bound_ok"],
         rows,
     )
-    bound_ok = all(pt.lower_bound_ok for pt in points)
-    sheet.add("scan_lower_bound", 0.0 if bound_ok else 1.0, 0.5, ok=bound_ok)
+    sheet.flag("scan_lower_bound", all(pt.lower_bound_ok for pt in points))
     # models here are normal, so the bound is an equality
-    eq = max(abs(pt.resolvent_norm * pt.oracle_distance - 1.0) for pt in points)
-    sheet.add("scan_equality", eq, exp.tolerances["scan_equality"])
+    for pt in points:
+        sheet.add("scan_equality", abs(pt.resolvent_norm * pt.oracle_distance - 1.0))
 
 
 def _run_mollify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
     g = exp.model
     x = _random_state(rng, g.dim)
     rows = []
-    worst_factor = 0.0
     errs = []
     for n in exp.mollify["n_sequence"]:
         xn = mollify(g, x, n, exp.quadrature)
@@ -524,27 +521,21 @@ def _run_mollify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
         factor_err = float(np.linalg.norm(xn - oracle))
         err = float(np.linalg.norm(xn - x))
         rows.append((n, err, float(np.linalg.norm(oracle - x)), factor_err))
-        worst_factor = max(worst_factor, factor_err)
+        sheet.add("mollifier_factor", factor_err)
         errs.append(err)
     _write_csv(
         outdir / "mollify_convergence.csv",
         ["n", "error", "oracle_error", "quad_vs_oracle"],
         rows,
     )
-    sheet.add("mollifier_factor", worst_factor, exp.tolerances["mollifier_factor"])
     # below 1e-10 the sequence sits in quadrature noise; do not demand order there
-    monotone = all(b < a or b <= 1e-10 for a, b in zip(errs, errs[1:]))
-    sheet.add("mollifier_monotone", 0.0 if monotone else 1.0, 0.5, ok=monotone)
+    sheet.flag("mollifier_monotone", all(b < a or b <= 1e-10 for a, b in zip(errs, errs[1:])))
 
     # commutation: S diagonal in the model eigenbasis commutes with the group
-    diag = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
-    if g.kind == "diagonal":
-        S = np.diag(diag)
-    else:
-        S = (g.basis * diag[None, :]) @ g.basis.conj().T
+    S = _spectral_matrix(g, rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim))
     A = mollify_operator(g, exp.mollify["commutation_n"], exp.quadrature)
     resid = commutation_check(g, A, S, [x] + [_random_state(rng, g.dim) for _ in range(3)])
-    sheet.add("commutation", resid, exp.tolerances["commutation"])
+    sheet.add("commutation", resid)
 
 
 def _run_reconstruct(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
@@ -558,15 +549,12 @@ def _run_reconstruct(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> N
     x = _random_state(rng, g.dim)
     rows = []
     cz_rows = []
-    worst_err = 0.0
-    monotone = True
-    orientation_ok = True
     for t in cfg["t_list"]:
         zs = [t + 1j * d for d in cfg["imag_offsets"]]
         rep = reconstruct_Ut_delta(g, t, x, zs, exp.quadrature, **window)
         errs = [s.error for s in rep.steps]
-        monotone = monotone and all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
-        worst_err = max(worst_err, errs[-1])
+        sheet.add("reconstruct_error", errs[-1])
+        sheet.flag("reconstruct_monotone", all(b <= a + 1e-12 for a, b in zip(errs, errs[1:])))
         for s in rep.steps:
             rows.append((t, s.z.imag, s.error))
 
@@ -574,8 +562,7 @@ def _run_reconstruct(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> N
         orep = reconstruct_Ut_cz(g, t, x, alphas, exp.quadrature, **window)
         for s in orep.steps:
             cz_rows.append((t, s.alpha.real, s.error_forward, s.error_reverse))
-        if t != 0.0:
-            orientation_ok = orientation_ok and orep.orientation == "reverse"
+        sheet.flag("cz_orientation_reverse", t == 0.0 or orep.orientation == "reverse")
     _write_csv(
         outdir / "reconstruct_errors.csv", ["t", "im_z", "error_vs_oracle"], rows
     )
@@ -584,9 +571,6 @@ def _run_reconstruct(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> N
         ["t", "re_alpha", "error_vs_forward", "error_vs_reverse"],
         cz_rows,
     )
-    sheet.add("reconstruct_error", worst_err, exp.tolerances["reconstruct_error"])
-    sheet.add("reconstruct_monotone", 0.0 if monotone else 1.0, 0.5, ok=monotone)
-    sheet.add("cz_orientation_reverse", 0.0 if orientation_ok else 1.0, 0.5, ok=orientation_ok)
 
 
 def _run_bound_fit(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
@@ -598,15 +582,13 @@ def _run_bound_fit(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> Non
     )
     value_rows = []
     fit_rows = []
-    worst_margin = -math.inf
-    worst_shift = 0.0
     for r in cfg["r_list"]:
         rep = decay_bound_fit(g, x, r, mags, exp.quadrature, arg_mu=cfg["arg_mu"])
         for m, yd, ys in rep.rows:
             value_rows.append((r, m, yd, ys, abs(yd - ys) / max(yd, 1e-30)))
         fit_rows.append((r, rep.slope, rep.c_r_estimate, rep.fit_residual))
-        worst_margin = max(worst_margin, rep.slope + r)  # need slope <= -r + margin
-        worst_shift = max(worst_shift, rep.shift_max_rel_diff)
+        sheet.add("bound_slope_margin", rep.slope + r)  # need slope <= -r + margin
+        sheet.add("bound_shift_match", rep.shift_max_rel_diff)
     _write_csv(
         outdir / "bound_fit_values.csv",
         ["r", "mu_mag", "y_direct", "y_shifted", "rel_diff"],
@@ -617,8 +599,6 @@ def _run_bound_fit(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> Non
         ["r", "slope", "c_r_estimate", "fit_residual"],
         fit_rows,
     )
-    sheet.add("bound_slope_margin", worst_margin, exp.tolerances["bound_slope_margin"])
-    sheet.add("bound_shift_match", worst_shift, exp.tolerances["bound_shift_match"])
 
 
 _HANDLERS = {
@@ -677,7 +657,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     rng = np.random.default_rng(args.seed)
-    sheet = CheckSheet()
+    sheet = CheckSheet(exp.tolerances)
     try:
         _HANDLERS[args.command](exp, rng, outdir, sheet)
     except (BranchViolation, ConfigError) as exc:

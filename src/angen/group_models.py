@@ -112,15 +112,11 @@ def _check_overflow(z: complex) -> None:
 
 
 def apply_Uz(g: GroupModel, z: complex, x) -> np.ndarray:
-    """Exact U_z x.  Diagonal: componentwise phases; Hermitian: eigenbasis."""
+    """Exact U_z x: the phases exp(i z h_k) times the eigenbasis coordinates of x."""
     z = complex(z)
     _check_overflow(z)
-    x = as_state(g, x)
     phases = np.exp(1j * z * g.exponents)
-    if g.kind == "diagonal":
-        return phases * x
-    c = g.basis.conj().T @ x
-    return g.basis @ (phases * c)
+    return _from_eigen(g, phases * _to_eigen(g, as_state(g, x)))
 
 
 def apply_Uz_batch(g: GroupModel, zs, x) -> np.ndarray:
@@ -128,12 +124,9 @@ def apply_Uz_batch(g: GroupModel, zs, x) -> np.ndarray:
     zs = np.asarray(zs, dtype=complex).ravel()
     if zs.size:
         _check_overflow(1j * float(np.max(np.abs(zs.imag))))
-    x = as_state(g, x)
     phases = np.exp(1j * np.multiply.outer(zs, g.exponents))
-    if g.kind == "diagonal":
-        return phases * x[None, :]
-    c = g.basis.conj().T @ x
-    return (phases * c[None, :]) @ g.basis.T
+    # one coordinate row per time: map the transpose, one column each
+    return _from_eigen(g, (phases * _to_eigen(g, as_state(g, x))[None, :]).T).T
 
 
 def _eigen_twin(g: GroupModel) -> GroupModel:
@@ -161,14 +154,18 @@ def _from_eigen(g: GroupModel, c: np.ndarray) -> np.ndarray:
     return c if g.kind == "diagonal" else g.basis @ c
 
 
+def _spectral_matrix(g: GroupModel, vals: np.ndarray) -> np.ndarray:
+    """The matrix V diag(vals) V* that acts on eigenbasis coordinates as the factors vals."""
+    if g.kind == "diagonal":
+        return np.diag(vals)
+    return (g.basis * vals[None, :]) @ g.basis.conj().T
+
+
 def group_matrix(g: GroupModel, z: complex) -> np.ndarray:
     """The matrix of U_z."""
     z = complex(z)
     _check_overflow(z)
-    phases = np.exp(1j * z * g.exponents)
-    if g.kind == "diagonal":
-        return np.diag(phases)
-    return (g.basis * phases[None, :]) @ g.basis.conj().T
+    return _spectral_matrix(g, np.exp(1j * z * g.exponents))
 
 
 def analytic_generator(g: GroupModel) -> np.ndarray:

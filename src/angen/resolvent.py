@@ -40,6 +40,7 @@ from .group_models import (
     _eigen_adjoint,
     _eigen_twin,
     _from_eigen,
+    _spectral_matrix,
     _to_eigen,
     analytic_generator,
     apply_Uz,
@@ -49,33 +50,32 @@ from .group_models import (
     require_graph_vector,
 )
 from .kernel import KernelParam, eval_kernel_array, require_quadrature_clearance
-from .vecint import QuadratureSpec, _widen, integrate_vector
+from .vecint import QuadratureSpec, integrate_vector
 
 # the block resolvent contains 1/mu; degenerate parameters are rejected
 MIN_ABS_MU = 1e-6
 
 
 def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
-    """Starting truncation and node density for the F(mu, .) * U_t integrand.
+    """Envelope truncation estimate and node density for the F(mu, .) * U_t integrand.
 
     |F(mu, t) U_t x| <= C*(1+|t|)*exp(-decay_rate*|t|)*||x||/|mu|, so T
-    grows like log(1/tol)/decay_rate; T0 counts the 1/|mu| where it
-    exceeds 1.  T0 leaves out the (1+|t|) factor and the outer panel that
-    the tail gate of integrate_vector reads, so the plan starts one _widen
-    step beyond it.  The node density must resolve oscillation at
-    frequency max|h| + |log|mu|| (group phases times mu**(i t)).
-    integrate_vector clamps T to [1, TRUNCATION_CAP].
+    grows like log(1/tol)/decay_rate; T counts the 1/|mu| where it exceeds
+    1.  T leaves out the (1+|t|) factor and the outer panel that the tail
+    gate reads; integrate_vector adds that margin itself.  The node density
+    must resolve oscillation at frequency max|h| + |log|mu|| (group phases
+    times mu**(i t)).
     """
     hmax = g.max_exponent
     log_mu = math.log(abs(p.mu))
-    T0 = (
+    T = (
         math.log(1.0 / q.rel_tolerance) + math.log1p(hmax) + max(0.0, -log_mu)
     ) / p.decay_rate
     npu = max(
         q.nodes_per_unit,
         int(math.ceil(0.8 * (hmax + abs(log_mu)))) + 4,
     )
-    return _widen(T0), npu
+    return T, npu
 
 
 def _qmu_coords(g: GroupModel, p: KernelParam, q: QuadratureSpec, f, scale_hint=None):
@@ -137,10 +137,7 @@ def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
 def qmu_spectral_oracle(g: GroupModel, p: KernelParam) -> np.ndarray:
     """Exact Q_mu from the spectral closed form nu/(nu+mu)**2."""
     nus = generator_spectrum(g)
-    vals = nus / (nus + p.mu) ** 2
-    if g.kind == "diagonal":
-        return np.diag(vals)
-    return (g.basis * vals[None, :]) @ g.basis.conj().T
+    return _spectral_matrix(g, nus / (nus + p.mu) ** 2)
 
 
 def check_central_identity(

@@ -36,7 +36,7 @@ from .group_models import (
     as_state,
     group_matrix,
 )
-from .vecint import QuadratureSpec, _widen, integrate_vector
+from .vecint import QuadratureSpec, integrate_vector
 
 _T_PROBES = (0.37, -1.13, 2.41, -3.7)
 
@@ -50,8 +50,7 @@ def _mollify_coords(g: GroupModel, n: float, q: QuadratureSpec, f, scale_hint: f
     """sqrt(n/pi) * integral f(t) exp(-n t^2) dt, where f(ts) holds eigenbasis coordinates."""
     # Gaussian truncation: exp(-n*T^2) = tol at T = sqrt(log(1/tol)/n);
     # tail rate n*T is the conservative linearization of the quadratic
-    # decay.  Like the Q_mu plan, the window starts one _widen step out,
-    # because T leaves out the outer panel that the tail gate reads.
+    # decay.  integrate_vector starts one step past T.
     T = max(1.0, math.sqrt(math.log(1.0 / q.rel_tolerance) / n))
     npu = max(
         q.nodes_per_unit,
@@ -64,7 +63,7 @@ def _mollify_coords(g: GroupModel, n: float, q: QuadratureSpec, f, scale_hint: f
         lambda ts: amp * np.exp(-n * np.asarray(ts) ** 2),
         replace(q, nodes_per_unit=npu),
         tail_rate=n * T,
-        truncation=_widen(T),
+        truncation=T,
         scale_hint=scale_hint,
     )
 
@@ -82,12 +81,8 @@ def mollify(g: GroupModel, x, n: float, q: QuadratureSpec) -> np.ndarray:
 
 def mollify_oracle(g: GroupModel, x, n: float) -> np.ndarray:
     """Closed-form mollification: factors exp(-h_k^2/(4n)) in the eigenbasis."""
-    x = as_state(g, x)
     factors = np.exp(-g.exponents**2 / (4.0 * n))
-    if g.kind == "diagonal":
-        return factors * x
-    c = g.basis.conj().T @ x
-    return g.basis @ (factors * c)
+    return _from_eigen(g, factors * _to_eigen(g, as_state(g, x)))
 
 
 def mollify_operator(g: GroupModel, n: float, q: QuadratureSpec) -> np.ndarray:

@@ -8,9 +8,9 @@ for a norm-bounded vector integrand f and a scalar density with an
 exponential tail bound supplied by the caller; both take the whole array
 of nodes.  A line R + i*s is integrated by closures that evaluate at
 t + i*s.  The rule is composite 16-point Gauss-Legendre.  Truncation
-starts from the caller's window and is widened until the analytic tail
-estimate drops below the requested relative tolerance, or the truncation
-cap is reached.
+starts one widening step past the caller's envelope estimate and is
+widened until the analytic tail estimate drops below the requested
+relative tolerance, or the truncation cap is reached.
 """
 
 from __future__ import annotations
@@ -113,7 +113,10 @@ def integrate_vector(
     f maps the array of nodes to an array with one row per node (a 1-d
     result is read as one column); density maps it to one value per node.
     tail_rate is the caller's exponential decay bound for |f * density|
-    beyond the truncation window, which starts at [-truncation, truncation]
+    beyond the truncation window.  truncation is the caller's envelope
+    estimate, where the decay bound alone reaches the tolerance; it leaves
+    out polynomial factors of the envelope and the outer panel that the
+    tail gate reads, so the first window is one _widen step past it
     (clamped to [1, TRUNCATION_CAP]).  The returned vector carries a tail
     estimate below q.rel_tolerance relative to max(result norm, scale_hint);
     if that cannot be reached before TRUNCATION_CAP the computation raises
@@ -122,7 +125,7 @@ def integrate_vector(
     """
     if not (tail_rate > 0.0 and math.isfinite(tail_rate)):
         raise ValueError(f"tail_rate must be positive and finite, got {tail_rate}")
-    T = min(max(1.0, float(truncation)), TRUNCATION_CAP)
+    T = max(1.0, _widen(float(truncation)))
 
     while True:
         ts, ws = _nodes(q, T)

@@ -8,11 +8,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from angen import ConfigError
-from angen.cli import _SCHEMA, SUBCOMMANDS, Experiment, main
+from angen.cli import _SCHEMA, SUBCOMMANDS, CheckSheet, Experiment, main
 
 NAN, INF = math.nan, math.inf
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -92,6 +92,30 @@ def test_failed_check_exits_one(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["qmu", "--config", cfg, "--out", out]) == 1
     assert "FAIL qmu_oracle" in capsys.readouterr().out
+
+
+def test_check_sheet_keeps_the_worst_value_and_fails_nan(capsys):
+    sheet = CheckSheet({"late_nan": 1.0, "worst": 1e-6, "early_nan": 1e-6})
+    sheet.add("late_nan", 0.5)
+    sheet.add("worst", 1e-9)
+    sheet.add("late_nan", NAN)
+    sheet.flag("flag", False)
+    sheet.add("early_nan", NAN)
+    sheet.add("early_nan", 1e-9)
+    sheet.add("worst", 1e-7)
+    sheet.add("worst", 1e-8)
+    sheet.flag("flag", True)
+    assert sheet.report() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL late_nan value=nan tol=1.000000e+00",
+        "PASS worst value=1.000000e-07 tol=1.000000e-06",
+        "FAIL flag value=1.000000e+00 tol=5.000000e-01",
+        "FAIL early_nan value=nan tol=1.000000e-06",
+    ]
+    passing = CheckSheet({"worst": 1e-6})
+    passing.add("worst", 1e-9)
+    passing.flag("flag", True)
+    assert passing.report() == 0
 
 
 def test_missing_config_exits_two(tmp_path):
@@ -247,7 +271,7 @@ def test_console_invocation_smoke(tmp_path):
 SHIPPED = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
 OTHER_TYPES = [None, True, "1e-10", {"k": 1}, [0.5], 0.5, 3]
 # mutations after which the config can never be valid
-ALWAYS_INVALID = ("nan", "inf", "-inf", "outside", "empty", "unknown-key")
+ALWAYS_INVALID = ("nan", "inf", "-inf", "outside", "empty", "unknown-key", "huge-mu")
 
 
 def _leaves(node, path=()):
@@ -289,6 +313,14 @@ def _outside(spec, upper: bool):
     return [v] if isinstance(default, list) else v
 
 
+def _is_mu_part(path):
+    return path[0] == "mu_list" and len(path) == 3
+
+
+# a real or imaginary part of mu beyond the scan rectangle's range
+HUGE_MU_PARTS = st.floats(1.01e6, 1e300) | st.floats(-1e300, -1.01e6)
+
+
 def _container(raw, path):
     """The dict or list that holds the leaf at path, made if missing."""
     parent = raw
@@ -305,6 +337,8 @@ def mutated_configs(draw):
     kinds = ["type", "nan", "inf", "-inf", "empty", "unknown-key", "drop-section"]
     if _spec(path) is not None:
         kinds.append("outside")
+    if _is_mu_part(path):
+        kinds.append("huge-mu")
     kind = draw(st.sampled_from(kinds))
     if kind == "drop-section":
         raw.pop(path[0], None)
@@ -318,12 +352,15 @@ def mutated_configs(draw):
         value = draw(st.sampled_from(OTHER_TYPES))
     elif kind == "outside":
         value = _outside(_spec(path), draw(st.booleans()))
+    elif kind == "huge-mu":
+        value = draw(HUGE_MU_PARTS)
     parent[path[-1]] = value
     return raw, kind
 
 
 @settings(derandomize=True, max_examples=300)
 @given(mutated_configs())
+@example((dict(SHIPPED[0], mu_list=[[1e160, 0.0]]), "huge-mu"))
 def test_loader_fuzz_raises_only_config_error(case):
     raw, kind = case
     try:
@@ -354,6 +391,8 @@ def mutated_runs(draw):
     kinds = ["type", "nan", "inf", "-inf"]
     if _spec(path) is not None:
         kinds += ["outside", "range-end"]
+    if _is_mu_part(path):
+        kinds.append("huge-mu")
     kind = draw(st.sampled_from(kinds))
     value = {"nan": NAN, "inf": INF, "-inf": -INF}.get(kind)
     if kind == "type":
@@ -362,12 +401,18 @@ def mutated_runs(draw):
         value = _outside(_spec(path), draw(st.booleans()))
     elif kind == "range-end":
         value = _range_end(_spec(path), draw(st.booleans()))
+    elif kind == "huge-mu":
+        value = draw(HUGE_MU_PARTS)
     _container(raw, path)[path[-1]] = value
     return raw, kind, draw(st.sampled_from(SUBCOMMANDS))
 
 
 @settings(derandomize=True, max_examples=15)
 @given(mutated_runs())
+# at |mu| = 1e160 the kernel overflows (arg mu = 0) and the SVD of Q_mu fails (arg mu = pi/4)
+@example((dict(IDENTITY, mu_list=[[1e160, 0.0]]), "huge-mu", "kernel-check"))
+@example((dict(IDENTITY, mu_list=[[1e160, 0.0]]), "huge-mu", "resolvent-verify"))
+@example((dict(IDENTITY, mu_list=[[7.07e159, 7.07e159]]), "huge-mu", "qmu"))
 def test_run_fuzz_keeps_exit_code_contract(case):
     raw, kind, command = case
     err = io.StringIO()

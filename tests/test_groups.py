@@ -8,14 +8,19 @@ from angen import (
     GraphMembershipViolation,
     GraphVector,
     GroupModel,
+    KernelParam,
     OverflowRisk,
     analytic_generator,
     apply_Uz,
     apply_Uz_batch,
+    compute_Qmu,
     generator_spectrum,
     graph_defect,
     group_matrix,
     make_graph_vector,
+    mollify_operator,
+    mollify_oracle,
+    qmu_spectral_oracle,
     require_graph_vector,
     strip_continuation_check,
 )
@@ -85,6 +90,28 @@ def test_batch_matches_scalar(diag4, herm4, rng):
         rows = apply_Uz_batch(g, zs, x)
         for z, row in zip(zs, rows):
             assert np.linalg.norm(row - apply_Uz(g, z, x)) <= 1e-12
+
+
+def test_model_kind_is_invisible_outside_group_models(rng, quad):
+    # a Hermitian model with a diagonal generator is the Diagonal model in a
+    # permuted eigenbasis, so every operator built from either must agree
+    h = np.array([0.9, -1.3, 0.2, 1.7, -0.4])
+    diag, herm = GroupModel.diagonal(h), GroupModel.hermitian(np.diag(h))
+    assert herm.kind == "hermitian" and not np.allclose(np.abs(herm.basis), np.eye(h.size))
+    x = random_unit(rng, h.size)
+    zs = np.array([0.7, -1.1 + 0.4j, 0.3 - 0.9j])
+    p, width = KernelParam(2.0 + 1.0j), 3.0
+    for build in (
+        lambda g: apply_Uz(g, zs[1], x),
+        lambda g: apply_Uz_batch(g, zs, x),
+        lambda g: group_matrix(g, zs[2]),
+        lambda g: qmu_spectral_oracle(g, p),
+        lambda g: mollify_oracle(g, x, width),
+        lambda g: compute_Qmu(g, p, quad),
+        lambda g: mollify_operator(g, width, quad),
+    ):
+        want = build(diag)
+        assert np.linalg.norm(build(herm) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_overflow_guard_trips():
