@@ -11,7 +11,9 @@ downstream truncation.  As a function of complex t the kernel is
 meromorphic with simple poles at t = +/- i*n for integer n >= 1.  At
 t = 0 the zero of the numerator cancels the zero of the denominator
 (t / (2*sinh(pi*t)) extends to 1/(2*pi)), and evaluation switches to a
-Taylor series inside a small disc to avoid 0/0 cancellation.
+Taylor series inside a small disc to avoid 0/0 cancellation.  Elsewhere F
+is one exponent, s*t*exp((i*t - 1)*Log mu - s*pi*t) / (-expm1(-2*s*pi*t))
+with s = sign(Re t), which overflows only where F itself does.
 
 Two independent routes to the same values exist: the closed form above
 and the Fourier-side representation
@@ -49,8 +51,6 @@ DELTA_MIN = math.pi / 16.0
 # Taylor coefficients of x/sinh(x) in powers of x**2
 _X_OVER_SINH = (1.0, -1.0 / 6.0, 7.0 / 360.0, -31.0 / 15120.0, 127.0 / 604800.0)
 
-# asymptotic switch for the stable 1/(e^x - e^-x) evaluation
-_BIG_REAL = 30.0
 # trapezoid nodes on the residue loop; half as many give the convergence check
 _RESIDUE_LOOP_NODES = 256
 
@@ -108,19 +108,16 @@ def _require_point(t: complex) -> None:
         )
 
 
-def _over_double_sinh(num, z):
-    """Stable num / (exp(pi*z) - exp(-pi*z)), elementwise, for z away from i*Z."""
-    num = np.asarray(num, dtype=complex)
-    x = math.pi * np.asarray(z, dtype=complex)
-    out = np.empty(x.shape, dtype=complex)
-    big = np.abs(x.real) > _BIG_REAL
-    if np.any(big):
-        s = np.where(x.real[big] > 0, 1.0, -1.0)
-        e = np.exp(-s * x[big])
-        out[big] = num[big] * s * e / (1.0 - e * e)
-    rest = ~big
-    out[rest] = num[rest] / (2.0 * np.sinh(x[rest]))
-    return out
+def _over_double_sinh(num, z, log_scale=0.0):
+    """num * exp(log_scale) / (exp(pi*z) - exp(-pi*z)), elementwise, for z off i*Z.
+
+    Evaluated as num * s * exp(log_scale - s*pi*z) / (-expm1(-2*s*pi*z)) with
+    s = sign(Re z): one exponent, which overflows only where the value does.
+    """
+    z = np.asarray(z)
+    s = np.where(z.real < 0.0, -1.0, 1.0)
+    sz = s * z
+    return num * s * np.exp(log_scale - math.pi * sz) / -np.expm1(-2.0 * math.pi * sz)
 
 
 def eval_kernel(p: KernelParam, t: complex) -> complex:
@@ -134,20 +131,20 @@ def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
     """Vectorized closed-form kernel on an array of (real or complex) points.
 
     Intended for quadrature nodes; callers are responsible for staying off
-    the poles (real-line nodes always are).
+    the poles (real-line nodes always are).  Points inside the series disc
+    around 0 are taken out of the one-exponent form and overwritten.
     """
-    ts = np.asarray(ts, dtype=complex)
-    out = np.empty(ts.shape, dtype=complex)
+    ts = np.asarray(ts)
+    log_mu = cmath.log(p.mu)
     small = np.abs(ts) < SERIES_SWITCH_RADIUS
-    if np.any(small):
-        x2 = (math.pi * ts[small]) ** 2
-        acc = np.full(x2.shape, _X_OVER_SINH[-1], dtype=complex)
-        for c in reversed(_X_OVER_SINH[:-1]):
-            acc = c + x2 * acc
-        out[small] = acc / (2.0 * math.pi)
-    rest = ~small
-    out[rest] = _over_double_sinh(ts[rest], ts[rest])
-    return out * np.exp((1j * ts - 1.0) * cmath.log(p.mu))
+    if not small.any():
+        return _over_double_sinh(ts, ts, ts * (1j * log_mu) - log_mu)
+    safe = np.where(small, 1.0, ts)  # no 0/0 at an exact zero node
+    out = np.asarray(_over_double_sinh(safe, safe, safe * (1j * log_mu) - log_mu))
+    near = ts[small]
+    series = np.polynomial.polynomial.polyval((math.pi * near) ** 2, _X_OVER_SINH)
+    out[small] = series / (2.0 * math.pi) * np.exp(near * (1j * log_mu) - log_mu)
+    return out
 
 
 def eval_kernel_by_integral(p: KernelParam, t: float, q: QuadratureSpec) -> complex:
@@ -199,7 +196,7 @@ def check_functional_eq2(p: KernelParam, z: complex) -> float:
     _require_point(z)
     _require_point(z - 1j)
     f0, f1 = eval_kernel_array(p, np.array([z, z - 1j]))
-    rhs = _over_double_sinh(1j * cmath.exp(1j * z * cmath.log(p.mu)), z)
+    rhs = _over_double_sinh(1j, z, 1j * z * cmath.log(p.mu))
     return abs(p.mu * f0 + f1 - complex(rhs))
 
 

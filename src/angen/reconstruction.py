@@ -396,7 +396,7 @@ def _shifted_line_vector(
     twin, c = _eigen_twin(g), _to_eigen(g, x)
     y = integrate_vector(
         lambda ts: apply_Uz_batch(twin, ts + 1j * r, c),
-        lambda ts: _over_double_sinh(1j * np.exp(1j * (ts + 1j * r) * log_mu), ts + 1j * r),
+        lambda ts: _over_double_sinh(1j, ts + 1j * r, 1j * (ts + 1j * r) * log_mu),
         replace(q, nodes_per_unit=npu),
         tail_rate=p.decay_rate,
         truncation=T,

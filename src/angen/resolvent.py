@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -78,17 +79,13 @@ def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     return T, npu
 
 
-def _qmu_coords(g: GroupModel, p: KernelParam, q: QuadratureSpec, f, scale_hint=None):
-    """integral F(mu, t) f(t) dt, where f(ts) holds the eigenbasis coordinates of U_t x."""
+def _qmu_coords(g: GroupModel, p: KernelParam, q: QuadratureSpec, fs, scale_hint=None):
+    """Yield integral F(mu, t) f(t) dt for each f in fs, where f(ts) holds the
+    eigenbasis coordinates of U_t x; the plan and the density are set up once."""
     T, npu = _quadrature_plan(g, p, q)
-    return integrate_vector(
-        f,
-        lambda ts: eval_kernel_array(p, ts),
-        replace(q, nodes_per_unit=npu),
-        tail_rate=p.decay_rate,
-        truncation=T,
-        scale_hint=scale_hint,
-    )
+    qp, density = replace(q, nodes_per_unit=npu), partial(eval_kernel_array, p)
+    for f in fs:
+        yield integrate_vector(f, density, qp, p.decay_rate, T, scale_hint)
 
 
 def _qmu_vector(
@@ -100,16 +97,17 @@ def _qmu_vector(
 ) -> np.ndarray:
     """Q_mu w by a single vector quadrature in the eigenbasis; scale_hint as in integrate_vector."""
     twin, c = _eigen_twin(g), _to_eigen(g, as_state(g, w))
-    y = _qmu_coords(g, p, q, lambda ts: apply_Uz_batch(twin, ts, c), scale_hint)
+    (y,) = _qmu_coords(g, p, q, [lambda ts: apply_Uz_batch(twin, ts, c)], scale_hint)
     return _from_eigen(g, y)
 
 
 def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
     """The matrix of Q_mu, one line quadrature per column in the eigenbasis.
 
-    Column k integrates the coordinates V* e_k.  The columns share the phase
-    matrix exp(i t h) of a node array, which is rebuilt only when a column's
-    window differs, and all columns map back in one product V C.
+    Column k integrates the coordinates V* e_k.  The columns share one
+    quadrature plan, one kernel density and the phase matrix exp(i t h) of
+    a node array, which is rebuilt only when a column's window differs, and
+    all columns map back in one product V C.
     """
     require_quadrature_clearance(p)
     twin = _eigen_twin(g)
@@ -117,20 +115,20 @@ def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
     last = {"ts": None, "P": None}
 
     def phases(ts):
-        if not np.array_equal(ts, last["ts"]):
+        # cached windows come back as the same array object
+        if ts is not last["ts"] and not np.array_equal(ts, last["ts"]):
             last["ts"], last["P"] = ts, apply_Uz_batch(twin, ts, ones)
         return last["P"]
 
     coords = _eigen_adjoint(g)
+    fs = (lambda ts, c=coords[:, k]: phases(ts) * c for k in range(g.dim))
     # filled in place, so that no column result stays live between the
     # large per-column temporaries; a stack of the results grew the heap by
     # about 1 MB over repeated calls at n = 128
     C = np.empty((g.dim, g.dim), dtype=complex)
-    for k in range(g.dim):
-        # the tail gate of each column is relative to the unit input norm
-        C[:, k] = _qmu_coords(
-            g, p, q, lambda ts, c=coords[:, k]: phases(ts) * c, scale_hint=1.0
-        )
+    # the tail gate of each column is relative to the unit input norm
+    for k, col in enumerate(_qmu_coords(g, p, q, fs, scale_hint=1.0)):
+        C[:, k] = col
     return _from_eigen(g, C)
 
 
@@ -144,10 +142,14 @@ def check_central_identity(
     g: GroupModel, p: KernelParam, q: QuadratureSpec, x
 ) -> float:
     """Relative residual of Q_mu U_2i x + 2 mu Q_mu U_i x + mu^2 Q_mu x = U_i x."""
+    return _central_residual(g, p, compute_Qmu(g, p, q), x)
+
+
+def _central_residual(g: GroupModel, p: KernelParam, Q: np.ndarray, x) -> float:
+    """check_central_identity for a Q_mu matrix already built."""
     x = as_state(g, x)
     if float(np.linalg.norm(x)) == 0.0:
         raise ValueError("x must be nonzero")
-    Q = compute_Qmu(g, p, q)
     u1 = apply_Uz(g, 1j, x)
     u2 = apply_Uz(g, 2j, x)
     lhs = Q @ u2 + 2.0 * p.mu * (Q @ u1) + p.mu**2 * (Q @ x)
@@ -168,7 +170,11 @@ class BlockOperator:
         return (self.a11 @ x + self.a12 @ y, self.a21 @ x + self.a22 @ y)
 
     def as_matrix(self) -> np.ndarray:
-        return np.block([[self.a11, self.a12], [self.a21, self.a22]])
+        n, m = self.a11.shape
+        blocks = (self.a11, self.a12, self.a21, self.a22)
+        M = np.empty((n + self.a21.shape[0], m + self.a12.shape[1]), np.result_type(*blocks))
+        M[:n, :m], M[:n, m:], M[n:, :m], M[n:, m:] = blocks
+        return M
 
 
 def ampliation(g: GroupModel) -> BlockOperator:
@@ -218,10 +224,14 @@ def verify_resolvent_identities(
     the image is again a pair (w, U_i w), which in finite dimension already
     lies in the domain of the squared generator).
     """
+    return _resolvent_report(g, p, build_Rmu(g, p, q), samples)
+
+
+def _resolvent_report(g: GroupModel, p: KernelParam, R: BlockOperator, samples) -> ResolventReport:
+    """verify_resolvent_identities for an R_mu already built."""
     samples = list(samples)
     for v in samples:
         require_graph_vector(g, v)
-    R = build_Rmu(g, p, q)
     M = R.as_matrix()
     D = ampliation(g).as_matrix()
     A = D + p.mu * np.eye(2 * g.dim)
@@ -260,12 +270,16 @@ def _graph_basis(g: GroupModel) -> np.ndarray:
     return P
 
 
+def _compressed(R: BlockOperator, P: np.ndarray) -> np.ndarray:
+    """P* M P, the matrix of R compressed to the range of P."""
+    return P.conj().T @ R.as_matrix() @ P
+
+
 def graph_restricted_norm(g: GroupModel, R: BlockOperator, P: np.ndarray | None = None) -> float:
     """Largest singular value of R compressed to the graph subspace."""
     if P is None:
         P = _graph_basis(g)
-    M = R.as_matrix()
-    return float(np.linalg.norm(P.conj().T @ M @ P, 2))
+    return float(np.linalg.norm(_compressed(R, P), 2))
 
 
 def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
@@ -274,22 +288,21 @@ def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
     Each grid entry mu parametrizes the resolvent at the point -mu, so the
     grid must avoid the ray (-inf, 0] in mu, equivalently the spectrum ray
     [0, inf) in -mu.  The norm is the largest singular value of the
-    graph-restricted block matrix; the oracle distance is
-    dist(-mu, {nu_k}) and the flag records the lower bound
-    norm >= 1/dist (up to 1e-6 slack).
+    graph-restricted block matrix, taken for the whole grid in one stacked
+    SVD; the oracle distance is dist(-mu, {nu_k}) and the flag records the
+    lower bound norm >= 1/dist (up to 1e-6 slack).
     """
     mus = [complex(m) for m in mu_grid]
     params = [KernelParam(m) for m in mus]  # raises BranchViolation on the cut
     for p in params:
         require_quadrature_clearance(p)
-    nus = generator_spectrum(g)
+    if not params:
+        return []
     P = _graph_basis(g)
-
-    def one(p: KernelParam) -> ScanPoint:
-        R = build_Rmu(g, p, q)
-        nrm = graph_restricted_norm(g, R, P)
-        dist = float(np.min(np.abs(p.mu + nus)))
-        ok = bool(nrm >= (1.0 / dist) * (1.0 - 1e-6))
-        return ScanPoint(p.mu, nrm, dist, ok)
-
-    return [one(p) for p in params]
+    stack = np.stack([_compressed(build_Rmu(g, p, q), P) for p in params])
+    norms = np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
+    dists = np.min(np.abs(np.array(mus)[:, None] + generator_spectrum(g)), axis=1).tolist()
+    return [
+        ScanPoint(mu, nrm, dist, nrm >= (1.0 / dist) * (1.0 - 1e-6))
+        for mu, nrm, dist in zip(mus, norms, dists)
+    ]

@@ -84,6 +84,21 @@ def test_asymptotic_branch_matches_direct(t):
     assert abs(eval_kernel(p, t) - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("t", [245.0, -245.0, 300.0, -300.0])
+def test_no_overflow_near_the_cut(t):
+    # at |arg mu| = pi - pi/16, |mu**(i t)| = exp(|t| arg mu) overflows past
+    # |t| ~ 240 although F itself decays there (|F| ~ e^-44 at t = -245)
+    mu = cmath.rect(3.0, math.pi - math.pi / 16.0)
+    got = eval_kernel_array(KernelParam(mu), np.array([t]))[0]
+    # log-space reference: t / (e^{pi t} - e^{-pi t}) is positive for real t
+    a = abs(t)
+    expo = (1j * t - 1.0) * cmath.log(mu)
+    log_abs = math.log(a) - math.pi * a - math.log1p(-math.exp(-2.0 * math.pi * a)) + expo.real
+    want = cmath.exp(complex(log_abs, expo.imag))  # underflows to 0 for t > 0, as F does
+    assert cmath.isfinite(got)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 @given(mu_strategy, st.floats(min_value=0.2, max_value=6.0), st.booleans())
 def test_two_term_shift_identity(mu, t, flip):
     p = KernelParam(mu)

@@ -330,6 +330,18 @@ def test_spectrum_scan_small_grid(diag4, quad):
         assert pt.resolvent_norm * pt.oracle_distance == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("size", [0, 1, 7])
+def test_spectrum_scan_norms_match_per_point_norms(diag4, herm4, quad, size):
+    # the scan takes every norm from one stacked SVD
+    grid = [cmath.rect(0.6 + 0.5 * k, -2.4 + 0.8 * k) for k in range(size)]
+    for g in (diag4, herm4):
+        pts = spectrum_scan(g, grid, quad)
+        assert [pt.mu for pt in pts] == grid
+        for pt in pts:
+            want = graph_restricted_norm(g, build_Rmu(g, KernelParam(pt.mu), quad))
+            assert abs(pt.resolvent_norm - want) <= 1e-13 * want
+
+
 def test_spectrum_scan_rejects_branch_cut(diag4, quad):
     with pytest.raises(BranchViolation):
         spectrum_scan(diag4, [1.0, -2.0], quad)

@@ -35,6 +35,15 @@ def test_panel_nodes_are_ascending_and_weights_sum():
     assert np.sum(ws) == pytest.approx(14.0, rel=1e-13)
 
 
+def test_panel_nodes_are_cached_and_read_only():
+    ts, ws = gauss_panel_nodes(-7.0, 7.0, 8)
+    again = gauss_panel_nodes(-7.0, 7.0, 8)
+    assert again[0] is ts and again[1] is ws
+    for arr in (ts, ws):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_gaussian_moments():
     q = QuadratureSpec(rel_tolerance=1e-12)
     got = integrate_vector(
