@@ -78,6 +78,25 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_resolvent_verify_builds_each_qmu_once(tmp_path, monkeypatch):
+    import angen.cli as cli
+    import angen.resolvent as resolvent
+
+    calls = []
+    build = resolvent.compute_Qmu
+
+    def counting(g, p, q):
+        calls.append(p.mu)
+        return build(g, p, q)
+
+    monkeypatch.setattr(resolvent, "compute_Qmu", counting)
+    monkeypatch.setattr(cli, "compute_Qmu", counting)
+    mu_list = [[1.0, 0.0], [2.0, 1.0], [0.4, -0.8]]
+    cfg = write_config(tmp_path, mu_list=mu_list, samples=3)
+    assert run(["resolvent-verify", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    assert len(calls) == len(mu_list)
+
+
 def test_csv_has_17_digit_floats(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
