@@ -237,3 +237,13 @@ def contour_residue_check(p: KernelParam, lam: float, radius: float) -> float:
 def decay_envelope_constant(p: KernelParam) -> float:
     """C such that |F(mu, t)| <= C * (1+|t|) * exp(-decay_rate*|t|) for real |t| >= 1."""
     return 1.0 / (abs(p.mu) * (1.0 - math.exp(-2.0 * math.pi)))
+
+
+def l1_norm(p: KernelParam) -> float:
+    """||F(mu, .)||_L1 = 1/(2(|mu| + Re mu)), the paper's bound on ||Q_mu||.
+
+    It equals sup_{nu > 0} nu/|nu + mu|^2, attained at nu = |mu|, so the
+    bound is sharp.  Written as 1/(4 |mu| cos^2(arg mu / 2)), which does not
+    cancel near the cut.
+    """
+    return 0.25 / (abs(p.mu) * math.cos(0.5 * p.arg_mu) ** 2)

@@ -17,10 +17,12 @@ where D = diag(U_i, U_i) acts on graph pairs and Pr1 projects onto the
 first component.  Spectrally the integrand reduces to
 (U_i + mu)**(-1) U_i x and A(z) = U_z x, so A(z) -> U_t x as z -> t from
 the upper half plane.  The 2n x 2n system on the pair is solved as it
-stands, never through the spectral shortcut: D is brought once to real
+stands, never through the spectral shortcut: D is brought to real
 tridiagonal form by a unitary similarity (Householder reflections, no
 eigenvalues), and one Thomas sweep then solves the shifted systems at every
-radial node together.
+radial node together.  The reduction depends on the matrix alone, so it is
+kept in a small cache keyed on the matrix's content and computed once per
+distinct matrix, however many calls solve with it.
 
 Route two (scalar power form) evaluates, for 0 < Re alpha < 1,
 
@@ -60,6 +62,7 @@ the factor mu**(i*z) = mu**(i*t) * mu**(-r) carries the mu**(-r) envelope.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -145,15 +148,35 @@ def _tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return Q, np.diagonal(T).real.copy(), e
 
 
+def _reduction(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, d, e) of _tridiagonalize(A), computed once per distinct matrix.
+
+    The key is A's shape, dtype and bytes, so equal content shares one
+    entry and any changed entry is reduced afresh.  The arrays are cached
+    and read-only.
+    """
+    A = np.ascontiguousarray(A)
+    return _reduction_of(A.shape, A.dtype.str, A.tobytes())
+
+
+@functools.lru_cache(maxsize=4)
+def _reduction_of(shape: tuple[int, ...], dtype: str, data: bytes):
+    Q, d, e = _tridiagonalize(np.frombuffer(data, dtype=dtype).reshape(shape))
+    Q.flags.writeable = d.flags.writeable = e.flags.writeable = False
+    return Q, d, e
+
+
 def _shifted_solves(A: np.ndarray, b: np.ndarray, mus: np.ndarray, rows: int) -> np.ndarray:
     """First rows entries of (A + mu I)^(-1) b for each mu, one row per mu.
 
     A must be Hermitian positive definite and every mu > 0, so each shifted
     tridiagonal system is positive definite and the Thomas sweep needs no
-    pivoting.  A is reduced once; the sweep runs over all mu together, with
-    real pivots and ratios, and only the rows kept are mapped back.
+    pivoting.  A's reduction comes from a small cache keyed on its content,
+    so each distinct A is reduced once per process; the sweep runs over all
+    mu together, with real pivots and ratios, and only the rows kept are
+    mapped back.
     """
-    Q, d, e = _tridiagonalize(A)
+    Q, d, e = _reduction(A)
     m = d.size
     rhs = Q.conj().T @ b
     # LDL* elimination of T + mu, each step over all mu at once
@@ -267,8 +290,9 @@ def reconstruct_Ut_delta(
     Each approximant is computed with alpha = -i z from the 2n x 2n
     solves (D + mu)^(-1) D on the stacked pair (x, U_i x), one per radial
     node and shared by the whole sequence, and equals U_z x to quadrature
-    accuracy.  The solves go through one unitary tridiagonal reduction of
-    D and a Thomas sweep over all nodes; no eigenvalues are computed.
+    accuracy.  The solves go through a unitary tridiagonal reduction of
+    D, computed once per distinct D and kept in a small cache, and a
+    Thomas sweep over all nodes; no eigenvalues are computed.
     The reported error is against the exact
     oracle U_t x, so at z = t + i d it is the limit gap
     ||(e^(-dH) - I) x|| <= (e^(d max|h|) - 1) ||x||, of order d: it

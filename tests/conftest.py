@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from angen import GroupModel, QuadratureSpec
+from angen import GroupModel, QuadratureSpec, reconstruction
 
 settings.register_profile(
     "ci",
@@ -13,6 +13,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def cold_reduction_cache():
+    # every test starts without cached tridiagonal reductions, so none
+    # depends on which tests ran before it
+    reconstruction._reduction_of.cache_clear()
 
 
 @pytest.fixture

@@ -77,8 +77,10 @@ def test_three_term_recurrence(mu, t):
 
 @pytest.mark.parametrize("t", [20.0, -20.0, 35.0, -35.0])
 def test_asymptotic_branch_matches_direct(t):
-    # |Re(pi t)| > 30 switches to the overflow-safe form; the plain formula
-    # is still finite at these t, so the two can be compared head on
+    # every node off the series disc takes the one-exponent form
+    # s t exp((i t - 1) Log mu - s pi t) / (-expm1(-2 s pi t)), s = sign(Re t);
+    # the plain formula is still finite at these t, so the two can be
+    # compared head on
     p = KernelParam(0.4 - 0.8j)
     want = direct_formula(p.mu, t)
     assert abs(eval_kernel(p, t) - want) <= 1e-13 * abs(want)

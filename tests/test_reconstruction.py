@@ -133,12 +133,14 @@ def test_narrow_window_truncation_dominates(diag4, rng, quad):
 @pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
 def test_far_time_raises_typed_error(diag4, rng, quad, monkeypatch, t, error, route):
     # at t = 1000, sin(pi alpha) ~ e^(pi t) overflows a double; the guard
-    # must refuse before any resolvent sample: the power-series solves and
-    # the reduction behind the node samples are disabled here
+    # must refuse before any resolvent sample: the power-series solves, the
+    # reduction behind the node samples and its cached entry point are all
+    # disabled here, so a warm cache cannot hide a guard that fires late
     x = random_unit(rng, 4)
     if error is OverflowRisk:
         monkeypatch.setattr(np.linalg, "solve", None)
         monkeypatch.setattr(reconstruction, "_tridiagonalize", None)
+        monkeypatch.setattr(reconstruction, "_reduction", None)
     with pytest.raises(error):
         if route == "graph_pair":
             reconstruct_Ut_delta(diag4, t, x, [t + 0.1j], quad)
@@ -187,8 +189,10 @@ def test_scalar_route_validates_alpha(diag4, rng, quad):
 @pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
 def test_sequence_shares_radial_samples(diag4, herm4, rng, quad, monkeypatch, route):
     # every approximant of a sequence is a weighted sum of one set of
-    # resolvent samples: the sequence matches one call per element, and it
-    # makes one reduction for all radial nodes plus the power-series solves
+    # resolvent samples: the sequence matches one call per element.  The
+    # count is of reductions computed, not looked up: the first single
+    # reduces the model's matrix, the other singles and the sequence reuse
+    # it, and each call still makes its own power-series solves
     t = 0.7
     offsets = (0.3, 0.1, 0.03)
     if route == "graph_pair":
@@ -210,11 +214,13 @@ def test_sequence_shares_radial_samples(diag4, herm4, rng, quad, monkeypatch, ro
     monkeypatch.setattr(reconstruction, "_tridiagonalize", counted_reduction)
     for g in (diag4, herm4):
         x = random_unit(rng, g.dim)
+        reductions.clear()
         singles = [reconstruct(g, t, x, [s], quad) for s in seq]
+        assert len(reductions) == 1
         solves.clear()
         reductions.clear()
         rep = reconstruct(g, t, x, seq, quad)
-        assert len(reductions) == 1
+        assert not reductions
         assert len(solves) == CORRECTION_TERMS
 
         tol = 1e-13 * np.linalg.norm(x)
@@ -276,6 +282,46 @@ def test_shifted_solve_is_backward_stable(h, log_mu, seed):
     residual = np.linalg.norm((Ui + mu * np.eye(n)) @ y - b)
     eps = np.finfo(float).eps
     assert residual <= 100.0 * eps * (np.linalg.norm(Ui, 2) + mu) * np.linalg.norm(y)
+    # the cache is cleared once per test, so it sees every example's matrix
+    # and must stay bounded
+    info = reconstruction._reduction_of.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_reduction_is_cached_by_content(herm4, rng, quad):
+    Ui = analytic_generator(herm4)
+    Q, d, e = reconstruction._reduction(Ui)
+    for a in (Q, d, e):
+        assert not a.flags.writeable
+    want = _tridiagonalize(Ui)
+    assert all(np.array_equal(a, b) for a, b in zip((Q, d, e), want))
+    # equal content in another array is a hit
+    assert reconstruction._reduction(Ui.copy())[0] is Q
+    assert reconstruction._reduction_of.cache_info().misses == 1
+    # one diagonal entry moved by one ulp (still Hermitian) is reduced afresh
+    moved = Ui.copy()
+    moved[0, 0] = np.nextafter(moved[0, 0].real, np.inf)
+    Q2, d2, e2 = reconstruction._reduction(moved)
+    assert reconstruction._reduction_of.cache_info().misses == 2
+    assert d2[0] != d[0]
+    assert all(np.array_equal(a, b) for a, b in zip((Q2, d2, e2), _tridiagonalize(moved)))
+
+    # cold and warm reports of both routes are bit-identical
+    t = 0.7
+    x = random_unit(rng, herm4.dim)
+    routes = (
+        (reconstruct_Ut_delta, [t + 0.1j, t + 0.03j]),
+        (reconstruct_Ut_cz, [0.1 + 1j * t, 0.03 + 1j * t]),
+    )
+    for reconstruct, seq in routes:
+        reconstruction._reduction_of.cache_clear()
+        cold = reconstruct(herm4, t, x, seq, quad)
+        warm = reconstruct(herm4, t, x, seq, quad)
+        info = reconstruction._reduction_of.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert cold.steps == warm.steps
+        assert np.array_equal(cold.approximation, warm.approximation)
+        assert getattr(cold, "orientation", None) == getattr(warm, "orientation", None)
 
 
 def test_decay_fit_slope_minus_one(diag4, rng, quad):

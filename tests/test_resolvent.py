@@ -26,7 +26,7 @@ from angen import (
 )
 from angen import resolvent, vecint
 from angen.group_models import apply_Uz_batch
-from angen.kernel import eval_kernel_array
+from angen.kernel import eval_kernel_array, l1_norm
 from angen.resolvent import MIN_ABS_MU, _graph_basis, _quadrature_plan
 
 from conftest import random_hermitian, random_unit
@@ -93,8 +93,8 @@ ARG_MAX = (math.pi - math.pi / 16.0) * (1.0 - 1e-12)
 @example(h=[0.0, -3.0], log_abs_mu=math.log(1e5), arg_mu=-ARG_MAX, attained=True, seed=11)
 def test_qmu_norm_obeys_kernel_l1_bound(h, log_abs_mu, arg_mu, attained, seed):
     # the paper's bound on any model: ||Q_mu|| <= ||F(mu, .)||_L1, whose
-    # closed form 1/(2(|mu| + Re mu)) = sup_nu nu/|nu + mu|^2 makes it
-    # sharp; it is attained when the spectrum contains nu = |mu|.  A seed
+    # closed form kernel.l1_norm = 1/(2(|mu| + Re mu)) = sup_nu nu/|nu + mu|^2
+    # makes it sharp; it is attained when the spectrum contains nu = |mu|.  A seed
     # builds a Hermitian model with a random eigenbasis, None a diagonal one.
     if attained:
         h = [-log_abs_mu] + h[1:]
@@ -108,9 +108,10 @@ def test_qmu_norm_obeys_kernel_l1_bound(h, log_abs_mu, arg_mu, attained, seed):
     mu = cmath.rect(math.exp(log_abs_mu), arg_mu)
     q = QuadratureSpec(rel_tolerance=1e-10)
 
+    p = KernelParam(mu)
     phi = kernel_l1_norm_by_quadrature(mu)
-    assert phi == pytest.approx(1.0 / (2.0 * (abs(mu) + mu.real)), rel=1e-10)
-    norm = float(np.linalg.norm(compute_Qmu(g, KernelParam(mu), q), 2))
+    assert phi == pytest.approx(l1_norm(p), rel=1e-10)
+    norm = float(np.linalg.norm(compute_Qmu(g, p, q), 2))
     assert norm <= phi * (1.0 + 10.0 * q.rel_tolerance)
     if attained:
         assert norm >= phi * (1.0 - 1e-8)
