@@ -155,7 +155,6 @@ def _reduction(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     entry and any changed entry is reduced afresh.  The arrays are cached
     and read-only.
     """
-    A = np.ascontiguousarray(A)
     return _reduction_of(A.shape, A.dtype.str, A.tobytes())
 
 

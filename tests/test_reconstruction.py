@@ -1,6 +1,6 @@
 import cmath
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -295,8 +295,9 @@ def test_reduction_is_cached_by_content(herm4, rng, quad):
         assert not a.flags.writeable
     want = _tridiagonalize(Ui)
     assert all(np.array_equal(a, b) for a, b in zip((Q, d, e), want))
-    # equal content in another array is a hit
+    # equal content in another array, in either memory order, is a hit
     assert reconstruction._reduction(Ui.copy())[0] is Q
+    assert reconstruction._reduction(np.asfortranarray(Ui))[0] is Q
     assert reconstruction._reduction_of.cache_info().misses == 1
     # one diagonal entry moved by one ulp (still Hermitian) is reduced afresh
     moved = Ui.copy()
@@ -319,9 +320,8 @@ def test_reduction_is_cached_by_content(herm4, rng, quad):
         warm = reconstruct(herm4, t, x, seq, quad)
         info = reconstruction._reduction_of.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert cold.steps == warm.steps
         assert np.array_equal(cold.approximation, warm.approximation)
-        assert getattr(cold, "orientation", None) == getattr(warm, "orientation", None)
+        assert replace(cold, approximation=None) == replace(warm, approximation=None)
 
 
 def test_decay_fit_slope_minus_one(diag4, rng, quad):
