@@ -4,11 +4,12 @@ The smoothing operator is the kernel-weighted group average
 
     Q_mu = integral F(mu, t) * U_t dt,
 
-computed by the line quadrature of vecint in the model's eigenbasis: the
-quadrature integrates the coordinates exp(i t h) * (V* x) and maps back
-once with V.  Its spectral closed form on a model with generator
-eigenvalues nu_k is diagonal (in the eigenbasis) with entries
-nu_k / (nu_k + mu)**2, i.e.
+computed by the line quadrature of vecint in the model's eigenbasis: one
+quadrature per eigenmode integrates the phase exp(i t h_k) to a factor
+q_k, and the matrix is mapped back as V diag(q) V*; Q_mu x integrates the
+coordinates exp(i t h) * (V* x) and maps back once with V.  Its spectral
+closed form on a model with generator eigenvalues nu_k is diagonal (in
+the eigenbasis) with entries nu_k / (nu_k + mu)**2, i.e.
 Q_mu = U_i * (U_i + mu)**(-2); the test suite first re-derives that closed
 form by brute-force scalar quadrature before using it as an oracle.
 
@@ -38,7 +39,6 @@ import numpy as np
 
 from .group_models import (
     GroupModel,
-    _eigen_adjoint,
     _eigen_twin,
     _from_eigen,
     _spectral_matrix,
@@ -50,7 +50,7 @@ from .group_models import (
     generator_spectrum,
     require_graph_vector,
 )
-from .kernel import KernelParam, eval_kernel_array, require_quadrature_clearance
+from .kernel import KernelParam, eval_kernel_array, l1_norm, require_quadrature_clearance
 from .vecint import QuadratureSpec, integrate_vector
 
 # the block resolvent contains 1/mu; degenerate parameters are rejected
@@ -102,12 +102,12 @@ def _qmu_vector(
 
 
 def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
-    """The matrix of Q_mu, one line quadrature per column in the eigenbasis.
+    """The matrix V diag(q) V* of Q_mu, one scalar line quadrature per eigenmode.
 
-    Column k integrates the coordinates V* e_k.  The columns share one
-    quadrature plan, one kernel density and the phase matrix exp(i t h) of
-    a node array, which is rebuilt only when a column's window differs, and
-    all columns map back in one product V C.
+    Mode k integrates its phase exp(i t h_k), q_k = integral F(mu, t)
+    exp(i t h_k) dt.  The modes share one quadrature plan, one kernel
+    density and the phase matrix exp(i t h) of a node array, which is
+    rebuilt only when a mode's window differs.
     """
     require_quadrature_clearance(p)
     twin = _eigen_twin(g)
@@ -120,16 +120,9 @@ def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
             last["ts"], last["P"] = ts, apply_Uz_batch(twin, ts, ones)
         return last["P"]
 
-    coords = _eigen_adjoint(g)
-    fs = (lambda ts, c=coords[:, k]: phases(ts) * c for k in range(g.dim))
-    # filled in place, so that no column result stays live between the
-    # large per-column temporaries; a stack of the results grew the heap by
-    # about 1 MB over repeated calls at n = 128
-    C = np.empty((g.dim, g.dim), dtype=complex)
-    # the tail gate of each column is relative to the unit input norm
-    for k, col in enumerate(_qmu_coords(g, p, q, fs, scale_hint=1.0)):
-        C[:, k] = col
-    return _from_eigen(g, C)
+    fs = (lambda ts, k=k: phases(ts)[:, k] for k in range(g.dim))
+    # each phase has unit modulus, so the tail gate is relative to 1
+    return _spectral_matrix(g, np.concatenate(list(_qmu_coords(g, p, q, fs, scale_hint=1.0))))
 
 
 def qmu_spectral_oracle(g: GroupModel, p: KernelParam) -> np.ndarray:
@@ -260,6 +253,7 @@ class ScanPoint:
     resolvent_norm: float
     oracle_distance: float
     lower_bound_ok: bool
+    upper_bound_ok: bool
 
 
 def _graph_basis(g: GroupModel) -> np.ndarray:
@@ -282,6 +276,15 @@ def graph_restricted_norm(g: GroupModel, R: BlockOperator, P: np.ndarray | None 
     return float(np.linalg.norm(_compressed(R, P), 2))
 
 
+def _block_bounds(params) -> np.ndarray:
+    """The paper's bound B(mu) = ||[[phi + 1/|mu|, phi/|mu|], [|mu| phi, phi]]||_2
+    on ||R_mu||, with phi = ||F(mu, .)||_L1, for each parameter in one batch."""
+    phi = np.array([l1_norm(p) for p in params])
+    r = np.abs([p.mu for p in params])
+    blocks = np.stack([phi + 1.0 / r, phi / r, r * phi, phi], axis=-1).reshape(-1, 2, 2)
+    return np.linalg.norm(blocks, 2, axis=(1, 2))
+
+
 def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
     """Resolvent norms on the graph along a mu grid, with the exact distance oracle.
 
@@ -290,7 +293,8 @@ def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
     [0, inf) in -mu.  The norm is the largest singular value of the
     graph-restricted block matrix, taken for the whole grid in one stacked
     SVD; the oracle distance is dist(-mu, {nu_k}) and the flag records the
-    lower bound norm >= 1/dist (up to 1e-6 slack).
+    lower bound norm >= 1/dist (up to 1e-6 slack).  A second flag records
+    the paper's upper bound norm <= B(mu) (same slack), see _block_bounds.
     """
     mus = [complex(m) for m in mu_grid]
     params = [KernelParam(m) for m in mus]  # raises BranchViolation on the cut
@@ -302,7 +306,8 @@ def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
     stack = np.stack([_compressed(build_Rmu(g, p, q), P) for p in params])
     norms = np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
     dists = np.min(np.abs(np.array(mus)[:, None] + generator_spectrum(g)), axis=1).tolist()
+    bounds = _block_bounds(params).tolist()
     return [
-        ScanPoint(mu, nrm, dist, nrm >= (1.0 / dist) * (1.0 - 1e-6))
-        for mu, nrm, dist in zip(mus, norms, dists)
+        ScanPoint(mu, nrm, dist, nrm >= (1.0 / dist) * (1.0 - 1e-6), nrm <= b * (1.0 + 1e-6))
+        for mu, nrm, dist, b in zip(mus, norms, dists, bounds)
     ]

@@ -28,9 +28,9 @@ import numpy as np
 from .errors import HypothesisViolation
 from .group_models import (
     GroupModel,
-    _eigen_adjoint,
     _eigen_twin,
     _from_eigen,
+    _spectral_matrix,
     _to_eigen,
     apply_Uz_batch,
     as_state,
@@ -98,7 +98,7 @@ def mollify_operator(g: GroupModel, n: float, q: QuadratureSpec) -> np.ndarray:
     m = _mollify_coords(
         g, n, q, lambda ts: apply_Uz_batch(twin, ts, ones), math.sqrt(g.dim)
     )
-    return _from_eigen(g, m[:, None] * _eigen_adjoint(g))
+    return _spectral_matrix(g, m)
 
 
 def mollifier_convergence_report(

@@ -73,8 +73,8 @@ def gauss_panel_nodes(lo: float, hi: float, nodes_per_unit: int):
     """Gauss panels on [lo, hi] with average node density at least nodes_per_unit.
 
     Panels have width at most 16/nodes_per_unit, and their count is even.
-    The arrays are cached and read-only: the columns of one Q_mu share a
-    window, so all but the first get it from the cache.
+    The arrays are cached and read-only: the eigenmodes of one Q_mu share
+    a window, so all but the first get it from the cache.
     """
     width = 16.0 / float(nodes_per_unit)
     panels = max(1, int(math.ceil((hi - lo) / width)))

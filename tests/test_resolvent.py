@@ -25,8 +25,8 @@ from angen import (
     verify_resolvent_identities,
 )
 from angen import resolvent, vecint
-from angen.group_models import apply_Uz_batch
-from angen.kernel import eval_kernel_array, l1_norm
+from angen.group_models import _eigen_twin, _spectral_matrix, apply_Uz_batch
+from angen.kernel import DELTA_MIN, eval_kernel_array, l1_norm
 from angen.resolvent import MIN_ABS_MU, _graph_basis, _quadrature_plan
 
 from conftest import random_hermitian, random_unit
@@ -175,9 +175,9 @@ def _count_phase_builds(monkeypatch):
 
 @pytest.mark.parametrize("mu", MU_POOL + [0.5, 5.0 * cmath.exp(2.5j)])
 def test_qmu_takes_one_window_per_column(diag4, herm4, quad, monkeypatch, mu):
-    # the plan starts at the window the tail gate accepts, so no column
-    # samples a window it then throws away, and all columns share the
-    # phase matrix of that one window
+    # the plan starts at the window the tail gate accepts, so no mode's
+    # quadrature samples a window it then throws away, and all modes share
+    # the phase matrix of that one window
     windows, builds = _count_phase_builds(monkeypatch)
     for g in (diag4, herm4):
         windows.clear()
@@ -189,8 +189,8 @@ def test_qmu_takes_one_window_per_column(diag4, herm4, quad, monkeypatch, mu):
 
 @pytest.mark.parametrize("mu", [1.0, -1.0 + 1.0j])
 def test_qmu_rebuilds_phases_when_the_window_widens(quad, monkeypatch, mu):
-    # a too-short first window makes every column widen, so the node array
-    # changes between and within columns and the phase matrix must follow it
+    # a too-short first window makes every mode widen, so the node array
+    # changes between and within modes and the phase matrix must follow it
     plan = resolvent._quadrature_plan
     monkeypatch.setattr(resolvent, "_quadrature_plan", lambda g, p, q: (2.0, plan(g, p, q)[1]))
     windows, builds = _count_phase_builds(monkeypatch)
@@ -205,24 +205,51 @@ def test_qmu_rebuilds_phases_when_the_window_widens(quad, monkeypatch, mu):
 
 
 @pytest.mark.parametrize("mu", MU_POOL + [0.5])
-def test_qmu_on_diagonal_model_matches_column_quadrature_bitwise(diag4, quad, mu):
-    # on a Diagonal model the shared phase matrix computes every column
-    # exactly as a quadrature of U_t e_k would, bit for bit
+def test_qmu_is_mode_quadrature_bitwise(diag4, herm4, quad, mu):
+    # Q_mu is V diag(q) V*, where q_k is one scalar quadrature of the
+    # phase exp(i t h_k), a column of the diagonal twin's phase matrix,
+    # bit for bit
     p = KernelParam(mu)
-    T, npu = _quadrature_plan(diag4, p, quad)
-    eye = np.eye(diag4.dim, dtype=complex)
-    cols = [
-        vecint.integrate_vector(
-            lambda ts, x=eye[:, k]: apply_Uz_batch(diag4, ts, x),
-            lambda ts: eval_kernel_array(p, ts),
-            vecint.QuadratureSpec(quad.rel_tolerance, npu),
-            tail_rate=p.decay_rate,
-            truncation=T,
-            scale_hint=1.0,
-        )
-        for k in range(diag4.dim)
-    ]
-    assert np.array_equal(compute_Qmu(diag4, p, quad), np.stack(cols, axis=1))
+    for g in (diag4, herm4):
+        T, npu = _quadrature_plan(g, p, quad)
+        twin, ones = _eigen_twin(g), np.ones(g.dim)
+        modes = [
+            vecint.integrate_vector(
+                lambda ts, k=k: apply_Uz_batch(twin, ts, ones)[:, k],
+                lambda ts: eval_kernel_array(p, ts),
+                vecint.QuadratureSpec(quad.rel_tolerance, npu),
+                tail_rate=p.decay_rate,
+                truncation=T,
+                scale_hint=1.0,
+            )
+            for k in range(g.dim)
+        ]
+        assert np.array_equal(compute_Qmu(g, p, quad), _spectral_matrix(g, np.concatenate(modes)))
+
+
+@pytest.mark.parametrize("mu", MU_POOL)
+def test_hermitian_qmu_is_twin_qmu_in_the_basis(quad, monkeypatch, mu):
+    # a Hermitian model's Q_mu is its diagonal twin's, rotated by the
+    # eigenbasis, and every quadrature samples one value per node, not a
+    # nodes x n block
+    shapes = []
+    integrate = resolvent.integrate_vector
+
+    def recording(f, *args):
+        def sampled(ts):
+            vals = f(ts)
+            shapes.append((np.shape(vals), len(ts)))
+            return vals
+
+        return integrate(sampled, *args)
+
+    monkeypatch.setattr(resolvent, "integrate_vector", recording)
+    g = random_hermitian(np.random.default_rng(11), 12)
+    p = KernelParam(mu)
+    twin_q = np.diag(compute_Qmu(_eigen_twin(g), p, quad))
+    assert np.array_equal(compute_Qmu(g, p, quad), _spectral_matrix(g, twin_q))
+    assert len(shapes) >= 2 * g.dim
+    assert all(shape == (nodes,) for shape, nodes in shapes)
 
 
 @pytest.mark.parametrize("mu", MU_POOL)
@@ -350,3 +377,37 @@ def test_spectrum_scan_rejects_branch_cut(diag4, quad):
     near_cut = cmath.rect(1.0, math.pi - math.pi / 64.0)
     with pytest.raises(BranchViolation):
         spectrum_scan(diag4, [near_cut], quad)
+
+
+def _block_bound_direct(mu: complex) -> float:
+    # the paper's ||R_mu|| <= B(mu), from phi = 1/(2(|mu| + Re mu)) per point
+    r = abs(mu)
+    phi = 1.0 / (2.0 * (r + mu.real))
+    return float(np.linalg.norm([[phi + 1.0 / r, phi / r], [r * phi, phi]], 2))
+
+
+def test_spectrum_scan_obeys_block_bound(diag4, herm4, quad):
+    # 21 x 21 square of -mu, minus the guard sector around the spectrum ray
+    axis = np.linspace(-4.0, 4.0, 21)
+    grid = [
+        -complex(a, b)
+        for a in axis
+        for b in axis
+        if abs(complex(a, b)) >= MIN_ABS_MU and abs(cmath.phase(complex(a, b))) >= DELTA_MIN
+    ]
+    bounds = np.array([_block_bound_direct(mu) for mu in grid])
+    batched = resolvent._block_bounds([KernelParam(mu) for mu in grid])
+    assert np.allclose(batched, bounds, rtol=1e-13, atol=0)
+    for g in (diag4, herm4):
+        pts = spectrum_scan(g, grid, quad)
+        norms = np.array([pt.resolvent_norm for pt in pts])
+        assert all(pt.upper_bound_ok for pt in pts)
+        assert np.all(norms <= bounds * (1.0 + 1e-6))
+    # the full 2n-norm of R_mu obeys it too, and comes close to it
+    ratios = [
+        np.linalg.norm(build_Rmu(diag4, KernelParam(mu), quad).as_matrix(), 2)
+        / _block_bound_direct(mu)
+        for mu in grid[::40]
+    ]
+    assert max(ratios) <= 1.0 + 1e-6
+    assert max(ratios) >= 0.9
