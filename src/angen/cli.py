@@ -49,6 +49,7 @@ from .kernel import (
     contour_residue_check,
     eval_kernel,
     eval_kernel_by_integral,
+    l1_norm,
 )
 from .reconstruction import (
     _check_window,
@@ -58,13 +59,13 @@ from .reconstruction import (
 )
 from .resolvent import (
     MIN_ABS_MU,
-    _central_residual,
-    _resolvent_report,
     build_Rmu,
+    check_central_identity,
     compute_Qmu,
     graph_action_matrices,
     qmu_spectral_oracle,
     spectrum_scan,
+    verify_resolvent_identities,
 )
 from .smoothing import commutation_check, mollify, mollify_operator, mollify_oracle
 from .vecint import QuadratureSpec
@@ -386,6 +387,11 @@ def _run_kernel_check(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> 
     )
 
 
+def _flag_l1_bound(sheet: CheckSheet, p: KernelParam, Q: np.ndarray) -> None:
+    # the paper's ||Q_mu|| <= ||F(mu, .)||_L1, attained when |mu| is an eigenvalue of U_i
+    sheet.flag("qmu_l1_bound", np.linalg.norm(Q, 2) <= l1_norm(p) * (1.0 + 1e-6))
+
+
 def _run_qmu(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
     g = exp.model
     rows = []
@@ -396,6 +402,7 @@ def _run_qmu(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
         Q = compute_Qmu(g, p, exp.quadrature)
         S = qmu_spectral_oracle(g, p)
         sheet.add("qmu_oracle", np.linalg.norm(Q - S, 2) / np.linalg.norm(S, 2))
+        _flag_l1_bound(sheet, p, Q)
         # per-mode diagonal entries of V* A V, in the eigenbasis of the model
         qd, sd = (np.diag(_to_eigen(g, A) @ V) for A in (Q, S))
         rows += [
@@ -429,9 +436,9 @@ def _run_resolvent_verify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet)
         p = KernelParam(mu)
         # one Q_mu per mu serves every check below; R.a22 is Q_mu itself
         R = build_Rmu(g, p, exp.quadrature)
-        rep = _resolvent_report(g, p, R, [make_graph_vector(g, x) for x in xs])
+        rep = verify_resolvent_identities(g, p, R, [make_graph_vector(g, x) for x in xs])
         for idx, x in enumerate(xs):
-            central = _central_residual(g, p, R.a22, x)
+            central = check_central_identity(g, p, R.a22, x)
             sheet.add("central_identity", central)
             rows.append((mu.real, mu.imag, idx, central))
         sheet.add("resolvent_apply", rep.apply_after_residual)
@@ -444,6 +451,7 @@ def _run_resolvent_verify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet)
         err2 = float(np.linalg.norm(second - Ui @ inv, 2) / np.linalg.norm(Ui @ inv, 2))
         corr = max(err1, err2)
         sheet.add("graph_correspondence", corr)
+        _flag_l1_bound(sheet, p, R.a22)
         corr_rows.append(
             (
                 mu.real,
@@ -505,6 +513,7 @@ def _run_spectrum_scan(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) ->
         rows,
     )
     sheet.flag("scan_lower_bound", all(pt.lower_bound_ok for pt in points))
+    sheet.flag("scan_upper_bound", all(pt.upper_bound_ok for pt in points))
     # models here are normal, so the bound is an equality
     for pt in points:
         sheet.add("scan_equality", abs(pt.resolvent_norm * pt.oracle_distance - 1.0))

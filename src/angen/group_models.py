@@ -35,7 +35,6 @@ OVERFLOW_GUARD = 40.0
 GRAPH_TOL = 1e-8
 
 _HERMITICITY_TOL = 1e-12
-_STRIP_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -210,46 +209,3 @@ def require_graph_vector(g: GroupModel, v: GraphVector) -> None:
         raise GraphMembershipViolation(
             f"pair fails the graph condition: relative defect {d:.3e} > {GRAPH_TOL:.0e}"
         )
-
-
-@dataclass(frozen=True)
-class StripReport:
-    """Residuals of the interpolation checks along a horizontal strip."""
-
-    group_law_residual: float
-    cauchy_riemann_residual: float
-
-
-def strip_continuation_check(g: GroupModel, x, z: complex) -> StripReport:
-    """Consistency of the continuation t -> U_{t+is} x across the strip.
-
-    Checks the interpolation property U_t (U_{is} x) = U_{t+is} x at sampled
-    real t, and discrete Cauchy-Riemann equations for F(z) = U_z x by
-    central finite differences in both coordinate directions.
-    """
-    z = complex(z)
-    _check_overflow(z)
-    x = as_state(g, x)
-    nx = max(float(np.linalg.norm(x)), 1e-30)
-    s = z.imag
-    half_span = abs(z.real) + 1.0
-    ts = np.linspace(-half_span, half_span, _STRIP_SAMPLES)
-
-    shifted = apply_Uz(g, 1j * s, x)
-    group_law = 0.0
-    for t in ts:
-        lhs = apply_Uz(g, t, shifted)
-        rhs = apply_Uz(g, t + 1j * s, x)
-        group_law = max(group_law, float(np.linalg.norm(lhs - rhs)) / nx)
-
-    step = 1e-5 / (1.0 + g.max_exponent)
-    cr = 0.0
-    for t in ts:
-        w = t + 1j * s
-        d_re = (apply_Uz(g, w + step, x) - apply_Uz(g, w - step, x)) / (2.0 * step)
-        d_im = (apply_Uz(g, w + 1j * step, x) - apply_Uz(g, w - 1j * step, x)) / (
-            2.0 * step
-        )
-        cr = max(cr, float(np.linalg.norm(d_im - 1j * d_re)) / nx)
-
-    return StripReport(group_law, cr)

@@ -234,11 +234,6 @@ def contour_residue_check(p: KernelParam, lam: float, radius: float) -> float:
     return abs(full - expected)
 
 
-def decay_envelope_constant(p: KernelParam) -> float:
-    """C such that |F(mu, t)| <= C * (1+|t|) * exp(-decay_rate*|t|) for real |t| >= 1."""
-    return 1.0 / (abs(p.mu) * (1.0 - math.exp(-2.0 * math.pi)))
-
-
 def l1_norm(p: KernelParam) -> float:
     """||F(mu, .)||_L1 = 1/(2(|mu| + Re mu)), the paper's bound on ||Q_mu||.
 

@@ -322,21 +322,6 @@ def reconstruct_Ut_delta(
     return ReconstructionReport(steps, rows[-1])
 
 
-def projection_reduction_residual(g: GroupModel, mu: float) -> float:
-    """||Pr1 (D + mu)^(-1) D restricted to pairs (x, U_i x) - (U_i+mu)^(-1) U_i||.
-
-    Matrix-level check that the block route of the graph pair
-    reconstruction agrees with the direct spectral reduction.
-    """
-    n = g.dim
-    Ui = analytic_generator(g)
-    D = ampliation(g).as_matrix()
-    lift = np.vstack([np.eye(n, dtype=complex), Ui])
-    block = np.linalg.solve(D + mu * np.eye(2 * n), D @ lift)[:n, :]
-    direct = np.linalg.solve(Ui + mu * np.eye(n), Ui)
-    return float(np.linalg.norm(block - direct, 2))
-
-
 @dataclass(frozen=True)
 class OrientationStep:
     alpha: complex

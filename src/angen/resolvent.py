@@ -131,15 +131,8 @@ def qmu_spectral_oracle(g: GroupModel, p: KernelParam) -> np.ndarray:
     return _spectral_matrix(g, nus / (nus + p.mu) ** 2)
 
 
-def check_central_identity(
-    g: GroupModel, p: KernelParam, q: QuadratureSpec, x
-) -> float:
-    """Relative residual of Q_mu U_2i x + 2 mu Q_mu U_i x + mu^2 Q_mu x = U_i x."""
-    return _central_residual(g, p, compute_Qmu(g, p, q), x)
-
-
-def _central_residual(g: GroupModel, p: KernelParam, Q: np.ndarray, x) -> float:
-    """check_central_identity for a Q_mu matrix already built."""
+def check_central_identity(g: GroupModel, p: KernelParam, Q: np.ndarray, x) -> float:
+    """Relative residual of Q U_2i x + 2 mu Q U_i x + mu^2 Q x = U_i x for a built Q = Q_mu."""
     x = as_state(g, x)
     if float(np.linalg.norm(x)) == 0.0:
         raise ValueError("x must be nonzero")
@@ -157,10 +150,6 @@ class BlockOperator:
     a12: np.ndarray
     a21: np.ndarray
     a22: np.ndarray
-
-    def apply(self, pair) -> tuple[np.ndarray, np.ndarray]:
-        x, y = pair
-        return (self.a11 @ x + self.a12 @ y, self.a21 @ x + self.a22 @ y)
 
     def as_matrix(self) -> np.ndarray:
         n, m = self.a11.shape
@@ -209,19 +198,14 @@ class ResolventReport:
 
 
 def verify_resolvent_identities(
-    g: GroupModel, p: KernelParam, q: QuadratureSpec, samples
+    g: GroupModel, p: KernelParam, R: BlockOperator, samples
 ) -> ResolventReport:
-    """Residuals of (D + mu) R v = v and R (D + mu) v = v on graph vectors.
+    """Residuals of (D + mu) R v = v and R (D + mu) v = v on graph vectors, for a built R = R_mu.
 
     Also measures how far R v strays from the graph (it should stay on it:
     the image is again a pair (w, U_i w), which in finite dimension already
     lies in the domain of the squared generator).
     """
-    return _resolvent_report(g, p, build_Rmu(g, p, q), samples)
-
-
-def _resolvent_report(g: GroupModel, p: KernelParam, R: BlockOperator, samples) -> ResolventReport:
-    """verify_resolvent_identities for an R_mu already built."""
     samples = list(samples)
     for v in samples:
         require_graph_vector(g, v)
@@ -267,13 +251,6 @@ def _graph_basis(g: GroupModel) -> np.ndarray:
 def _compressed(R: BlockOperator, P: np.ndarray) -> np.ndarray:
     """P* M P, the matrix of R compressed to the range of P."""
     return P.conj().T @ R.as_matrix() @ P
-
-
-def graph_restricted_norm(g: GroupModel, R: BlockOperator, P: np.ndarray | None = None) -> float:
-    """Largest singular value of R compressed to the graph subspace."""
-    if P is None:
-        P = _graph_basis(g)
-    return float(np.linalg.norm(_compressed(R, P), 2))
 
 
 def _block_bounds(params) -> np.ndarray:

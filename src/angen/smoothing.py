@@ -9,8 +9,7 @@ componentwise multiplication by exp(-h_k**2/(4n)); the same formula holds
 in the eigenbasis of a Hermitian model.  Mollification is a contraction,
 commutes with every U_t, and x_n -> x as n grows with error of order
 max_k h_k**2 / (4n).  The parameter n ranges over positive reals; nothing
-in the construction needs integrality, and real n makes rate fitting
-cleaner.
+in the construction needs integrality.
 
 Also here: the commutation check for operators assembled by vector
 quadrature.  If S commutes with every U_t then it commutes with any
@@ -99,36 +98,6 @@ def mollify_operator(g: GroupModel, n: float, q: QuadratureSpec) -> np.ndarray:
         g, n, q, lambda ts: apply_Uz_batch(twin, ts, ones), math.sqrt(g.dim)
     )
     return _spectral_matrix(g, m)
-
-
-def mollifier_convergence_report(
-    g: GroupModel, x, n_sequence, q: QuadratureSpec
-) -> list[tuple[float, float]]:
-    """Pairs (n, ||x_n - x||) along an increasing sequence of widths."""
-    ns = [float(n) for n in n_sequence]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_sequence must be strictly increasing")
-    x = as_state(g, x)
-    out = []
-    for n in ns:
-        xn = mollify(g, x, n, q)
-        out.append((n, float(np.linalg.norm(xn - x))))
-    return out
-
-
-def fit_inverse_rate(report: list[tuple[float, float]]) -> float:
-    """Least squares c in err ~ c/n over the tail of a convergence report.
-
-    Uses the last half of the rows, where the quadratic Taylor term
-    max h^2/(4n) dominates; returns the fitted constant c.
-    """
-    if not report:
-        raise ValueError("the convergence report is empty")
-    rows = report[len(report) // 2 :]
-    ns = np.array([r[0] for r in rows])
-    errs = np.array([r[1] for r in rows])
-    inv = 1.0 / ns
-    return float(np.dot(inv, errs) / np.dot(inv, inv))
 
 
 def commutation_check(g: GroupModel, A, S, samples) -> float:

@@ -160,41 +160,3 @@ def integrate_vector(
                 f"{q.rel_tolerance:.1e} * {scale:.3e} at truncation {T:.1f}"
             )
         T = _widen(T)
-
-
-def pairing_consistency_check(
-    f,
-    density,
-    q: QuadratureSpec,
-    probes,
-    tail_rate: float,
-) -> float:
-    """Duality check for the vector integral.
-
-    The defining property of the vector-valued integral y is that
-    <y, phi> equals the scalar integral of <f(t), phi> * density(t) for
-    every probe functional phi.  The scalar side here is computed with an
-    independent adaptive routine (QUADPACK via scipy) rather than the
-    panel rule, so agreement is meaningful.  Returns the worst absolute
-    mismatch over the probes.
-    """
-    from scipy.integrate import quad
-
-    T = max(1.0, math.log(1.0 / q.rel_tolerance) / tail_rate)
-    y = integrate_vector(f, density, q, tail_rate, T)
-    T = min(1.5 * T + 2.0, TRUNCATION_CAP)
-
-    worst = 0.0
-    for phi in probes:
-        phi = np.asarray(phi, dtype=complex).ravel()
-
-        def scalar(t: float) -> complex:
-            ts = np.array([t])
-            row = np.asarray(f(ts), dtype=complex).ravel()
-            return complex(np.vdot(phi, row) * np.asarray(density(ts)).ravel()[0])
-
-        re = quad(lambda t: scalar(t).real, -T, T, limit=400, epsabs=1e-13, epsrel=1e-12)[0]
-        im = quad(lambda t: scalar(t).imag, -T, T, limit=400, epsabs=1e-13, epsrel=1e-12)[0]
-        lhs = complex(np.vdot(phi, y))
-        worst = max(worst, abs(lhs - (re + 1j * im)))
-    return worst

@@ -286,6 +286,67 @@ def test_console_invocation_smoke(tmp_path):
     assert "PASS qmu_oracle" in proc.stdout
 
 
+def test_bound_check_lines(tmp_path, capsys, monkeypatch):
+    import angen.cli as cli
+
+    cfg = CONFIG_DIR / "identity.json"
+    assert run(["spectrum-scan", "--config", cfg, "--out", tmp_path / "scan"]) == 0
+    assert "PASS scan_upper_bound" in capsys.readouterr().out
+    for command in ("qmu", "resolvent-verify"):
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) == 0
+        assert "PASS qmu_l1_bound" in capsys.readouterr().out
+    # at mu = 1 the identity model attains ||Q_mu|| = ||F(mu, .)||_L1, so a
+    # Q_mu larger by 1e-4 breaks the bound
+    build = cli.compute_Qmu
+    monkeypatch.setattr(cli, "compute_Qmu", lambda g, p, q: build(g, p, q) * (1.0 + 1e-4))
+    assert run(["qmu", "--config", cfg, "--out", tmp_path / "scaled"]) == 1
+    assert "FAIL qmu_l1_bound" in capsys.readouterr().out
+
+
+_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+src, config, out = sys.argv[1:]
+sys.path.insert(0, src)
+import angen
+from angen.cli import SUBCOMMANDS, main
+
+codes = {}
+for command in SUBCOMMANDS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[command] = main([command, "--config", config, "--out", f"{out}/{command}"])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+try:
+    import scipy.integrate
+    blocked = False
+except ImportError:
+    blocked = True
+print(json.dumps({"codes": codes, "loaded": loaded, "blocked": blocked}))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    args = [str(src), str(CONFIG_DIR / "diagonal_small.json"), str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["blocked"]
+    assert result["codes"] == {command: 0 for command in SUBCOMMANDS}
+    assert result["loaded"] == []
+
+
 # loader fuzz: mutate one leaf of a shipped config (or one key of the table)
 SHIPPED = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
 OTHER_TYPES = [None, True, "1e-10", {"k": 1}, [0.5], 0.5, 3]

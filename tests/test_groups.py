@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,14 +24,58 @@ from angen import (
     mollify_oracle,
     qmu_spectral_oracle,
     require_graph_vector,
-    strip_continuation_check,
 )
-from angen.group_models import H_MAX, OVERFLOW_GUARD, as_state
+from angen.group_models import H_MAX, OVERFLOW_GUARD, _check_overflow, as_state
 
 from conftest import random_unit
 
 times = st.floats(min_value=-8.0, max_value=8.0)
 offsets = st.floats(min_value=-1.9, max_value=1.9)
+
+_STRIP_SAMPLES = 10
+
+
+@dataclass(frozen=True)
+class StripReport:
+    """Residuals of the interpolation checks along a horizontal strip."""
+
+    group_law_residual: float
+    cauchy_riemann_residual: float
+
+
+def strip_continuation_check(g: GroupModel, x, z: complex) -> StripReport:
+    """Consistency of the continuation t -> U_{t+is} x across the strip.
+
+    Checks the interpolation property U_t (U_{is} x) = U_{t+is} x at sampled
+    real t, and discrete Cauchy-Riemann equations for F(z) = U_z x by
+    central finite differences in both coordinate directions.
+    """
+    z = complex(z)
+    _check_overflow(z)
+    x = as_state(g, x)
+    nx = max(float(np.linalg.norm(x)), 1e-30)
+    s = z.imag
+    half_span = abs(z.real) + 1.0
+    ts = np.linspace(-half_span, half_span, _STRIP_SAMPLES)
+
+    shifted = apply_Uz(g, 1j * s, x)
+    group_law = 0.0
+    for t in ts:
+        lhs = apply_Uz(g, t, shifted)
+        rhs = apply_Uz(g, t + 1j * s, x)
+        group_law = max(group_law, float(np.linalg.norm(lhs - rhs)) / nx)
+
+    step = 1e-5 / (1.0 + g.max_exponent)
+    cr = 0.0
+    for t in ts:
+        w = t + 1j * s
+        d_re = (apply_Uz(g, w + step, x) - apply_Uz(g, w - step, x)) / (2.0 * step)
+        d_im = (apply_Uz(g, w + 1j * step, x) - apply_Uz(g, w - 1j * step, x)) / (
+            2.0 * step
+        )
+        cr = max(cr, float(np.linalg.norm(d_im - 1j * d_re)) / nx)
+
+    return StripReport(group_law, cr)
 
 
 def test_diagonal_constructor_validates():

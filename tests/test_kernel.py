@@ -14,7 +14,6 @@ from angen import (
     check_functional_eq1,
     check_functional_eq2,
     contour_residue_check,
-    decay_envelope_constant,
     eval_kernel,
     eval_kernel_array,
     eval_kernel_by_integral,
@@ -145,7 +144,9 @@ def test_decay_envelope(mu, t, flip):
     if flip:
         t = -t
     p = KernelParam(mu)
-    bound = decay_envelope_constant(p) * (1.0 + abs(t)) * math.exp(-p.decay_rate * abs(t))
+    # |F(mu, t)| <= C (1+|t|) exp(-decay_rate |t|) for real |t| >= 1
+    C = 1.0 / (abs(p.mu) * (1.0 - math.exp(-2.0 * math.pi)))
+    bound = C * (1.0 + abs(t)) * math.exp(-p.decay_rate * abs(t))
     assert abs(eval_kernel(p, t)) <= bound * (1.0 + 1e-12)
 
 
