@@ -36,10 +36,13 @@ orientation is measured against the oracle and reported, never assumed.
 
 The radial integral is truncated to [mu_min, mu_max] on a logarithmic
 Gauss grid.  The resolvent is sampled once per node, and every approximant
-of a z (or alpha) sequence is a weighted sum of those samples.  Naive truncation is useless near the imaginary axis in
-alpha: the prefactor sin(pi*alpha) grows like exp(pi*|Im alpha|) while the
-omitted tails shrink only algebraically, so both tails are restored
-analytically from the resolvent power series,
+of a z (or alpha) sequence is a weighted sum of those samples.  The
+samples stay in the tridiagonal basis of the reduction: they are weighted
+there, and each approximant is mapped back once, not each node.  Naive
+truncation is useless near the imaginary axis in alpha: the prefactor
+sin(pi*alpha) grows like exp(pi*|Im alpha|) while the omitted tails
+shrink only algebraically, so both tails are restored analytically from
+the resolvent power series,
 
     (U_i+mu)^(-1) U_i = sum_k (-mu)^k U_i^(-k)            (mu below the spectrum)
     (U_i+mu)^(-1) U_i = sum_k (-1)^(k+1) mu^(-k) U_i^k    (mu above the spectrum),
@@ -57,6 +60,9 @@ shifted-line representation
 
 obtained by moving the integration line of Q_mu (mu + U_i) to Im z = r;
 the factor mu**(i*z) = mu**(i*t) * mu**(-r) carries the mu**(-r) envelope.
+Both lines integrate orbits of the model's diagonal twin, the direct one
+U_t (V* w) and the shifted one U_t (V* U_ir x), so they share the phase
+matrix exp(i t h) of each window.
 """
 
 from __future__ import annotations
@@ -72,17 +78,15 @@ from .errors import FitUnstable, OverflowRisk, TruncationDominates
 from .group_models import (
     GroupModel,
     _eigen_twin,
-    _from_eigen,
     _to_eigen,
     analytic_generator,
     apply_Uz,
-    apply_Uz_batch,
     as_state,
     generator_spectrum,
     make_graph_vector,
 )
 from .kernel import KernelParam, _over_double_sinh, require_quadrature_clearance
-from .resolvent import _qmu_vector, _quadrature_plan, ampliation
+from .resolvent import _phase_memo, _qmu_coords, _quadrature_plan, ampliation
 from .vecint import QuadratureSpec, gauss_panels, integrate_vector
 
 MU_MIN_DEFAULT = 1e-6
@@ -165,15 +169,20 @@ def _reduction_of(shape: tuple[int, ...], dtype: str, data: bytes):
     return Q, d, e
 
 
-def _shifted_solves(A: np.ndarray, b: np.ndarray, mus: np.ndarray, rows: int) -> np.ndarray:
-    """First rows entries of (A + mu I)^(-1) b for each mu, one row per mu.
+def _shifted_solves(
+    A: np.ndarray, b: np.ndarray, mus: np.ndarray, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, Y) with B @ Y[:, j] the first rows entries of (A + mu_j I)^(-1) b.
 
-    A must be Hermitian positive definite and every mu > 0, so each shifted
-    tridiagonal system is positive definite and the Thomas sweep needs no
-    pivoting.  A's reduction comes from a small cache keyed on its content,
-    so each distinct A is reduced once per process; the sweep runs over all
-    mu together, with real pivots and ratios, and only the rows kept are
-    mapped back.
+    Column j of Y holds the solution at mu_j in the tridiagonal basis of A,
+    and B is the first rows rows of the unitary reduction Q.  Nothing is
+    mapped back here: a caller that weights the columns maps the weighted
+    sums back with B, once each.  A must be Hermitian positive definite and
+    every mu > 0, so each shifted tridiagonal system is positive definite
+    and the Thomas sweep needs no pivoting.  A's reduction comes from a
+    small cache keyed on its content, so each distinct A is reduced once
+    per process; the sweep runs over all mu together, with real pivots and
+    ratios.
     """
     Q, d, e = _reduction(A)
     m = d.size
@@ -189,9 +198,7 @@ def _shifted_solves(A: np.ndarray, b: np.ndarray, mus: np.ndarray, rows: int) ->
         y[k] = (rhs[k] - e[k - 1] * y[k - 1]) / pivot
     for k in range(m - 2, -1, -1):
         y[k] -= ratios[k] * y[k + 1]
-    # freed before the mapped-back rows are allocated, which lowers the peak
-    del ratios
-    return (Q[:rows] @ y).T
+    return Q[:rows], y
 
 
 def _radial_integral(
@@ -206,12 +213,13 @@ def _radial_integral(
 ) -> np.ndarray:
     """sin(pi a)/pi * integral_0^inf mu^(a-1) r(mu) dmu with analytic tails.
 
-    Returns one row per exponent a of alphas.  sampler(mus) must return one
-    row r(mu) = (U_i + mu)^(-1) U_i x per node mu, by whatever route the
-    caller wants tested; it is called once, and every row is a weighted sum
-    of the same samples.  The tails below mu_min and above mu_max are
-    restored from the power series of r, which only needs powers of the
-    exact generator applied to x.
+    Returns one row per exponent a of alphas.  sampler(mus) must return a
+    pair (B, Y) with r(mu_j) = (U_i + mu_j)^(-1) U_i x = B @ Y[:, j] at each
+    node mu_j, by whatever route the caller wants tested; it is called
+    once.  Every row is a weighted sum of the same samples, formed in the
+    sampler's reduced basis and mapped back with B once per exponent.  The
+    tails below mu_min and above mu_max are restored from the power series
+    of r, which only needs powers of the exact generator applied to x.
     """
     im_max = float(np.max(np.abs(alphas.imag)))
     if math.pi * im_max > _LOG_MAX_DOUBLE:
@@ -243,10 +251,10 @@ def _radial_integral(
         )
 
     us, ws = gauss_panels(log_lo, log_hi, panels)
-    samples = sampler(np.exp(us))
+    B, Y = sampler(np.exp(us))
     # substitution mu = e^u turns mu^(a-1) dmu into e^(a u) du
     total = (
-        (ws * np.exp(a * us)) @ samples
+        ((ws * np.exp(a * us)) @ Y.T) @ B.T
         + low[:, :K] @ np.array(low_vecs[:K])
         + high[:, :K] @ np.array(high_vecs[:K])
     )
@@ -392,24 +400,26 @@ class DecayFitReport:
     rows: tuple[tuple[float, float, float], ...]  # (|mu|, y_direct, y_shifted)
 
 
-def _shifted_line_vector(
-    g: GroupModel, p: KernelParam, q: QuadratureSpec, x: np.ndarray, r: float
+def _shifted_line_coords(
+    g: GroupModel, p: KernelParam, q: QuadratureSpec, phases, c: np.ndarray, r: float
 ) -> np.ndarray:
-    """integral i mu^(i z) U_z x / (e^{pi z} - e^{-pi z}) dt along z = t + ir."""
+    """integral i mu^(i z) U_z x / (e^{pi z} - e^{-pi z}) dt along z = t + ir.
+
+    The result is in eigenbasis coordinates.  c holds those of U_{ir} x, so
+    the orbit U_z x = U_t U_{ir} x is sampled as phases(ts) times c.
+    """
     T, npu = _quadrature_plan(g, p, q)
     # 1/sinh(pi z) has poles at z = 0 and z = i, at distances r and 1 - r
     # from the shifted line; the nearer one sets the density
     npu = max(npu, int(math.ceil(7.0 / min(r, 1.0 - r))))
     log_mu = cmath.log(p.mu)
-    twin, c = _eigen_twin(g), _to_eigen(g, x)
-    y = integrate_vector(
-        lambda ts: apply_Uz_batch(twin, ts + 1j * r, c),
+    return integrate_vector(
+        lambda ts: phases(ts) * c,
         lambda ts: _over_double_sinh(1j, ts + 1j * r, 1j * (ts + 1j * r) * log_mu),
         replace(q, nodes_per_unit=npu),
         tail_rate=p.decay_rate,
         truncation=T,
     )
-    return _from_eigen(g, y)
 
 
 def decay_bound_fit(
@@ -439,17 +449,26 @@ def decay_bound_fit(
     # every mu on the ray shares its decay rate
     require_quadrature_clearance(KernelParam(cmath.exp(1j * arg_mu)))
 
-    Ui_x = analytic_generator(g) @ x
+    # both lines integrate orbits of the diagonal twin, U_t (V* w) directly
+    # and U_t (V* U_ir x) shifted, so they share the phase matrix of a window;
+    # V is unitary, so the norms are taken in the eigenbasis
+    twin = _eigen_twin(g)
+    phases = _phase_memo(twin, size=2)
+    c = _to_eigen(g, x)
+    c_ui = _to_eigen(g, analytic_generator(g) @ x)
+    c_shift = apply_Uz(twin, 1j * r, c)
     rows = []
     for m in mags:
         mu = m * cmath.exp(1j * arg_mu)
         p = KernelParam(mu)
-        w = mu * x + Ui_x
-        # no scale hint: y(mu) = ||Q_mu w|| is much smaller than ||w|| at
-        # large mu (the two halves of w nearly cancel under Q_mu), and the
-        # tail gate must track the result, not the input
-        y_direct = float(np.linalg.norm(_qmu_vector(g, p, q, w)))
-        y_shift = float(np.linalg.norm(_shifted_line_vector(g, p, q, x, r)))
+        c_w = mu * c + c_ui
+        # y(mu) = ||Q_mu w|| is about ||x|| nu/|mu|, while the integrand
+        # F(mu, t) U_t w is about ||x||: the two halves of w = mu x + U_i x
+        # nearly cancel under Q_mu.  The gate tracks the result, not the
+        # input, so the window is lengthened by that dynamic range
+        (y,) = _qmu_coords(g, p, q, [lambda ts: phases(ts) * c_w], dynamic_range=1.0 + m)
+        y_direct = float(np.linalg.norm(y))
+        y_shift = float(np.linalg.norm(_shifted_line_coords(g, p, q, phases, c_shift, r)))
         rows.append((m, y_direct, y_shift))
 
     top = [row for row in rows if row[0] >= rows[-1][0] / 10.0 * (1.0 - 1e-12)]

@@ -6,8 +6,9 @@ The smoothing operator is the kernel-weighted group average
 
 computed by the line quadrature of vecint in the model's eigenbasis: one
 quadrature per eigenmode integrates the phase exp(i t h_k) to a factor
-q_k, and the matrix is mapped back as V diag(q) V*; Q_mu x integrates the
-coordinates exp(i t h) * (V* x) and maps back once with V.  Its spectral
+q_k, and the matrix is mapped back as V diag(q) V*.  The modes share the
+phase matrix exp(i t h) of a window (_phase_memo), and decay_bound_fit
+integrates Q_mu w as that matrix times the coordinates V* w.  Its spectral
 closed form on a model with generator eigenvalues nu_k is diagonal (in
 the eigenbasis) with entries nu_k / (nu_k + mu)**2, i.e.
 Q_mu = U_i * (U_i + mu)**(-2); the test suite first re-derives that closed
@@ -40,9 +41,7 @@ import numpy as np
 from .group_models import (
     GroupModel,
     _eigen_twin,
-    _from_eigen,
     _spectral_matrix,
-    _to_eigen,
     analytic_generator,
     apply_Uz,
     apply_Uz_batch,
@@ -79,26 +78,43 @@ def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     return T, npu
 
 
-def _qmu_coords(g: GroupModel, p: KernelParam, q: QuadratureSpec, fs, scale_hint=None):
+def _qmu_coords(
+    g: GroupModel, p: KernelParam, q: QuadratureSpec, fs, scale_hint=None, dynamic_range=1.0
+):
     """Yield integral F(mu, t) f(t) dt for each f in fs, where f(ts) holds the
-    eigenbasis coordinates of U_t x; the plan and the density are set up once."""
+    eigenbasis coordinates of U_t x; the plan and the density are set up once.
+
+    dynamic_range is how much larger the integrand is than the result the
+    tail gate compares against; the planned window is lengthened by
+    log(dynamic_range)/decay_rate, where the envelope has fallen that much.
+    """
     T, npu = _quadrature_plan(g, p, q)
+    T += math.log(dynamic_range) / p.decay_rate
     qp, density = replace(q, nodes_per_unit=npu), partial(eval_kernel_array, p)
     for f in fs:
         yield integrate_vector(f, density, qp, p.decay_rate, T, scale_hint)
 
 
-def _qmu_vector(
-    g: GroupModel,
-    p: KernelParam,
-    q: QuadratureSpec,
-    w: np.ndarray,
-    scale_hint: float | None = None,
-) -> np.ndarray:
-    """Q_mu w by a single vector quadrature in the eigenbasis; scale_hint as in integrate_vector."""
-    twin, c = _eigen_twin(g), _to_eigen(g, as_state(g, w))
-    (y,) = _qmu_coords(g, p, q, [lambda ts: apply_Uz_batch(twin, ts, c)], scale_hint)
-    return _from_eigen(g, y)
+def _phase_memo(twin: GroupModel, size: int = 1):
+    """phases(ts): the matrix exp(i t h) of a node array, one row per node.
+
+    The matrices of the last size distinct node arrays are kept, so every
+    integrand sampled on a kept window shares one build.  Cached windows
+    come back as the same array object, which is checked before content.
+    """
+    ones = np.ones(twin.dim)
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def phases(ts):
+        for i, (seen, P) in enumerate(kept):
+            if ts is seen or np.array_equal(ts, seen):
+                kept.append(kept.pop(i))
+                return P
+        kept.append((ts, apply_Uz_batch(twin, ts, ones)))
+        del kept[:-size]
+        return kept[-1][1]
+
+    return phases
 
 
 def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
@@ -110,16 +126,7 @@ def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
     rebuilt only when a mode's window differs.
     """
     require_quadrature_clearance(p)
-    twin = _eigen_twin(g)
-    ones = np.ones(g.dim)
-    last = {"ts": None, "P": None}
-
-    def phases(ts):
-        # cached windows come back as the same array object
-        if ts is not last["ts"] and not np.array_equal(ts, last["ts"]):
-            last["ts"], last["P"] = ts, apply_Uz_batch(twin, ts, ones)
-        return last["P"]
-
+    phases = _phase_memo(_eigen_twin(g))
     fs = (lambda ts, k=k: phases(ts)[:, k] for k in range(g.dim))
     # each phase has unit modulus, so the tail gate is relative to 1
     return _spectral_matrix(g, np.concatenate(list(_qmu_coords(g, p, q, fs, scale_hint=1.0))))

@@ -12,6 +12,7 @@ from angen import (
     BranchViolation,
     FitUnstable,
     GroupModel,
+    KernelParam,
     OverflowRisk,
     TruncationDominates,
     ampliation,
@@ -19,12 +20,17 @@ from angen import (
     apply_Uz,
     decay_bound_fit,
     make_graph_vector,
+    qmu_spectral_oracle,
     reconstruct_Ut_cz,
     reconstruct_Ut_delta,
     reconstruction,
+    resolvent,
+    vecint,
 )
-from angen.group_models import H_MAX
+from angen.group_models import H_MAX, _eigen_twin, _to_eigen, apply_Uz_batch
+from angen.kernel import _over_double_sinh, eval_kernel_array
 from angen.reconstruction import CORRECTION_TERMS, _shifted_solves, _tridiagonalize
+from angen.resolvent import _quadrature_plan
 
 from conftest import random_unit
 
@@ -265,11 +271,44 @@ def test_shifted_solves_match_dense_block_solves(diag4, herm4, rng):
             if g is diag4:
                 assert np.array_equal(Q, np.eye(m))
                 assert not np.any(e)
-            got = _shifted_solves(A, b, mus, n)
+            B, Y = _shifted_solves(A, b, mus, n)
+            got = (B @ Y).T
             assert got.shape == (mus.size, n)
             for mu, row in zip(mus, got):
                 want = np.linalg.solve(A + mu * np.eye(m), b)[:n]
                 assert np.linalg.norm(row - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
+def test_weighting_in_reduced_basis_matches_mapped_back_samples(
+    herm4, rng, quad, monkeypatch, route
+):
+    # weighting the sweep's columns in the tridiagonal basis and mapping
+    # each approximant back once is the same sum as mapping every node's
+    # solution back first and weighting those: the reference hands
+    # _radial_integral the mapped-back samples with the identity as basis
+    t = 0.7
+    offsets = (0.3, 0.1, 0.03)
+    if route == "graph_pair":
+        reconstruct, seq = reconstruct_Ut_delta, [t + 1j * d for d in offsets]
+    else:
+        reconstruct, seq = reconstruct_Ut_cz, [d + 1j * t for d in offsets]
+    solves = reconstruction._shifted_solves
+
+    def mapped_back(A, b, mus, rows):
+        B, Y = solves(A, b, mus, rows)
+        return np.eye(rows), B @ Y
+
+    for g in (herm4, hermitian_model(rng, 64, 2.0)):
+        x = random_unit(rng, g.dim)
+        rep = reconstruct(g, t, x, seq, quad)
+        with monkeypatch.context() as patch:
+            patch.setattr(reconstruction, "_shifted_solves", mapped_back)
+            want = reconstruct(g, t, x, seq, quad)
+        tol = 1e-13 * np.linalg.norm(x)
+        steps = np.array([astuple(s) for s in rep.steps])
+        assert np.max(np.abs(steps - np.array([astuple(s) for s in want.steps]))) <= tol
+        assert np.linalg.norm(rep.approximation - want.approximation) <= tol
 
 
 # a hair inside the cap, so that rounding in V diag(h) V* never crosses it
@@ -292,7 +331,8 @@ def test_shifted_solve_is_backward_stable(h, log_mu, seed):
     Ui = analytic_generator(GroupModel.hermitian((V * np.array(h)[None, :]) @ V.conj().T))
     b = random_unit(rng, n)
     mu = math.exp(log_mu)
-    y = _shifted_solves(Ui, b, np.array([mu]), n)[0]
+    B, Y = _shifted_solves(Ui, b, np.array([mu]), n)
+    y = (B @ Y).T[0]
     residual = np.linalg.norm((Ui + mu * np.eye(n)) @ y - b)
     eps = np.finfo(float).eps
     assert residual <= 100.0 * eps * (np.linalg.norm(Ui, 2) + mu) * np.linalg.norm(y)
@@ -378,3 +418,122 @@ def test_decay_fit_rejects_ray_near_cut(diag4, rng, quad, arg_mu):
     x = random_unit(rng, 4)
     with pytest.raises(BranchViolation):
         decay_bound_fit(diag4, x, 0.5, [10.0, 100.0, 1000.0], quad, arg_mu=arg_mu)
+
+
+def _count_fit_quadratures(monkeypatch):
+    """Record decay_bound_fit's windows by line and every phase matrix it builds.
+
+    A window taken inside a shifted-line quadrature counts for that line,
+    every other one for the direct Q_mu w.
+    """
+    direct, shifted, builds, inside = [], [], [], []
+    nodes, shifted_line = vecint._nodes, reconstruction._shifted_line_coords
+
+    def counting_nodes(q, T):
+        ts, ws = nodes(q, T)
+        (shifted if inside else direct).append(ts)
+        return ts, ws
+
+    def marked_shifted_line(*args):
+        inside.append(1)
+        try:
+            return shifted_line(*args)
+        finally:
+            inside.pop()
+
+    def counting_batch(g, zs, x):
+        builds.append(np.array(zs))
+        return apply_Uz_batch(g, zs, x)
+
+    monkeypatch.setattr(vecint, "_nodes", counting_nodes)
+    monkeypatch.setattr(reconstruction, "_shifted_line_coords", marked_shifted_line)
+    monkeypatch.setattr(resolvent, "apply_Uz_batch", counting_batch)
+    return direct, shifted, builds
+
+
+FIT_CASES = [(np.logspace(1.0, 3.0, 9), 0.0), (np.logspace(1.0, 2.5, 7), 0.6)]
+
+
+@pytest.mark.parametrize(("mags", "arg_mu"), FIT_CASES)
+def test_decay_fit_direct_line_takes_one_window(
+    diag4, herm4, rng, quad, monkeypatch, mags, arg_mu
+):
+    # the direct line's gate is relative to ||Q_mu w|| ~ ||x|| nu/|mu| while
+    # its integrand is ~ ||x||, so its plan is longer by log1p(|mu|)/rate
+    # and its first window is accepted, to the tolerance of the result
+    direct, _, _ = _count_fit_quadratures(monkeypatch)
+    for g in (diag4, herm4):
+        direct.clear()
+        x = random_unit(rng, g.dim)
+        rep = decay_bound_fit(g, x, 0.5, mags, quad, arg_mu=arg_mu)
+        assert len(direct) == len(mags)
+        Ui_x = analytic_generator(g) @ x
+        for m, y_direct, _ in rep.rows:
+            mu = m * cmath.exp(1j * arg_mu)
+            want = np.linalg.norm(qmu_spectral_oracle(g, KernelParam(mu)) @ (mu * x + Ui_x))
+            assert abs(y_direct - want) <= quad.rel_tolerance * want
+
+
+@pytest.mark.parametrize(("mags", "arg_mu"), FIT_CASES)
+def test_decay_fit_builds_one_phase_matrix_per_window(
+    diag4, herm4, rng, quad, monkeypatch, mags, arg_mu
+):
+    # both lines sample orbits of the diagonal twin, so every distinct node
+    # array of the fit costs one phase matrix exp(i t h), shared by the
+    # lines and kept across magnitudes
+    direct, shifted, builds = _count_fit_quadratures(monkeypatch)
+    for g in (diag4, herm4):
+        direct.clear()
+        shifted.clear()
+        builds.clear()
+        decay_bound_fit(g, random_unit(rng, g.dim), 0.5, mags, quad, arg_mu=arg_mu)
+        distinct = []
+        for ts in direct + shifted:
+            if not any(np.array_equal(ts, seen) for seen in distinct):
+                distinct.append(ts)
+        assert len(builds) == len(distinct)
+        assert all(any(np.array_equal(zs, ts) for ts in distinct) for zs in builds)
+
+
+def decay_fit_rows_reference(g, x, r, mags, q, arg_mu):
+    """decay_bound_fit's rows with each line's orbit built on its own.
+
+    The direct line samples U_t (V* w) and the shifted line U_{t+ir} (V* x),
+    each by its own apply_Uz_batch on the diagonal twin, over the same
+    windows as the library.
+    """
+    twin, c = _eigen_twin(g), _to_eigen(g, x)
+    c_ui = _to_eigen(g, analytic_generator(g) @ x)
+    npu_shift = int(math.ceil(7.0 / min(r, 1.0 - r)))
+    rows = []
+    for m in mags:
+        mu = m * cmath.exp(1j * arg_mu)
+        p = KernelParam(mu)
+        T, npu = _quadrature_plan(g, p, q)
+        c_w = mu * c + c_ui
+        direct = vecint.integrate_vector(
+            lambda ts: apply_Uz_batch(twin, ts, c_w),
+            lambda ts: eval_kernel_array(p, ts),
+            replace(q, nodes_per_unit=npu),
+            p.decay_rate,
+            T + math.log1p(m) / p.decay_rate,
+        )
+        shift = vecint.integrate_vector(
+            lambda ts: apply_Uz_batch(twin, ts + 1j * r, c),
+            lambda ts: _over_double_sinh(1j, ts + 1j * r, 1j * (ts + 1j * r) * cmath.log(mu)),
+            replace(q, nodes_per_unit=max(npu, npu_shift)),
+            p.decay_rate,
+            T,
+        )
+        rows.append((m, np.linalg.norm(direct), np.linalg.norm(shift)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(("mags", "arg_mu"), FIT_CASES)
+def test_decay_fit_rows_match_lines_built_on_their_own(diag4, herm4, rng, quad, mags, arg_mu):
+    for g in (diag4, herm4, hermitian_model(rng, 16, 2.0)):
+        x = random_unit(rng, g.dim)
+        got = np.array(decay_bound_fit(g, x, 0.5, mags, quad, arg_mu=arg_mu).rows)
+        want = decay_fit_rows_reference(g, x, 0.5, mags, quad, arg_mu)
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert np.max(np.abs(got[:, 1:] - want[:, 1:]) / want[:, 1:]) <= 1e-13
