@@ -22,7 +22,10 @@ tridiagonal form by a unitary similarity (Householder reflections, no
 eigenvalues), and one Thomas sweep then solves the shifted systems at every
 radial node together.  The reduction depends on the matrix alone, so it is
 kept in a small cache keyed on the matrix's content and computed once per
-distinct matrix, however many calls solve with it.
+distinct matrix, however many calls solve with it.  The sweep's samples
+depend on the matrix, the right-hand side and the nodes alone, never on z,
+so each cache entry also keeps the latest samples taken with its
+reduction: calls at other z (or alpha, or t) on the same state run no sweep.
 
 Route two (scalar power form) evaluates, for 0 < Re alpha < 1,
 
@@ -155,9 +158,18 @@ def _tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _reduction(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Q, d, e) of _tridiagonalize(A), computed once per distinct matrix.
 
+    The arrays are cached and read-only.
+    """
+    return _reduction_entry(A)[:3]
+
+
+def _reduction_entry(A: np.ndarray):
+    """A's cache entry (Q, d, e, kept): its reduction and the samples kept with it.
+
     The key is A's shape, dtype and bytes, so equal content shares one
-    entry and any changed entry is reduced afresh.  The arrays are cached
-    and read-only.
+    entry and any changed entry is reduced afresh.  kept maps the key of
+    the latest radial samples taken with the reduction to those samples;
+    _shifted_solves fills it, and it never holds more than one set.
     """
     return _reduction_of(A.shape, A.dtype.str, A.tobytes())
 
@@ -166,25 +178,18 @@ def _reduction(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _reduction_of(shape: tuple[int, ...], dtype: str, data: bytes):
     Q, d, e = _tridiagonalize(np.frombuffer(data, dtype=dtype).reshape(shape))
     Q.flags.writeable = d.flags.writeable = e.flags.writeable = False
-    return Q, d, e
+    return Q, d, e, {}
 
 
-def _shifted_solves(
-    A: np.ndarray, b: np.ndarray, mus: np.ndarray, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(B, Y) with B @ Y[:, j] the first rows entries of (A + mu_j I)^(-1) b.
+def _sweep(
+    Q: np.ndarray, d: np.ndarray, e: np.ndarray, b: np.ndarray, mus: np.ndarray
+) -> np.ndarray:
+    """Columns Q* (A + mu_j I)^(-1) b, A = Q T Q*, by one Thomas sweep over all mu.
 
-    Column j of Y holds the solution at mu_j in the tridiagonal basis of A,
-    and B is the first rows rows of the unitary reduction Q.  Nothing is
-    mapped back here: a caller that weights the columns maps the weighted
-    sums back with B, once each.  A must be Hermitian positive definite and
-    every mu > 0, so each shifted tridiagonal system is positive definite
-    and the Thomas sweep needs no pivoting.  A's reduction comes from a
-    small cache keyed on its content, so each distinct A is reduced once
-    per process; the sweep runs over all mu together, with real pivots and
-    ratios.
+    Every mu must be positive and T positive definite, so each shifted
+    tridiagonal system is positive definite and the sweep needs no pivoting;
+    the pivots and ratios are real.
     """
-    Q, d, e = _reduction(A)
     m = d.size
     rhs = Q.conj().T @ b
     # LDL* elimination of T + mu, each step over all mu at once
@@ -198,11 +203,37 @@ def _shifted_solves(
         y[k] = (rhs[k] - e[k - 1] * y[k - 1]) / pivot
     for k in range(m - 2, -1, -1):
         y[k] -= ratios[k] * y[k + 1]
-    return Q[:rows], y
+    return y
+
+
+def _shifted_solves(
+    A: np.ndarray, b: np.ndarray, mus: np.ndarray, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, Y) with B @ Y[:, j] the first rows entries of (A + mu_j I)^(-1) b.
+
+    Column j of Y holds the solution at mu_j in the tridiagonal basis of A,
+    and B is the first rows rows of the unitary reduction Q.  Nothing is
+    mapped back here: a caller that weights the columns maps the weighted
+    sums back with B, once each.  A must be Hermitian positive definite and
+    every mu > 0 (see _sweep).  A's reduction comes from a small cache keyed
+    on its content, so each distinct A is reduced once per process.  The
+    samples depend on A, b, the nodes and rows alone, so the cache entry
+    keeps the latest (B, Y) beside the reduction: a repeated call skips the
+    sweep and returns the same read-only arrays, bit for bit what a sweep
+    would give.
+    """
+    Q, d, e, kept = _reduction_entry(A)
+    key = (b.dtype.str, b.tobytes(), mus.dtype.str, mus.tobytes(), rows)
+    if key not in kept:
+        Y = _sweep(Q, d, e, b, mus)
+        Y.flags.writeable = False
+        kept.clear()
+        kept[key] = Q[:rows], Y
+    return kept[key]
 
 
 def _radial_integral(
-    g: GroupModel,
+    Ui: np.ndarray,
     alphas: np.ndarray,
     sampler,
     x: np.ndarray,
@@ -219,13 +250,12 @@ def _radial_integral(
     once.  Every row is a weighted sum of the same samples, formed in the
     sampler's reduced basis and mapped back with B once per exponent.  The
     tails below mu_min and above mu_max are restored from the power series
-    of r, which only needs powers of the exact generator applied to x.
+    of r, which only needs powers of the exact generator Ui applied to x.
     """
     im_max = float(np.max(np.abs(alphas.imag)))
     if math.pi * im_max > _LOG_MAX_DOUBLE:
         raise OverflowRisk(f"sin(pi alpha) overflows at |Im alpha| = {im_max:.3f}")
     K = CORRECTION_TERMS
-    Ui = analytic_generator(g)
     low_vecs, high_vecs = [x], [Ui @ x]
     for _ in range(K):
         low_vecs.append(np.linalg.solve(Ui, low_vecs[-1]))
@@ -299,7 +329,8 @@ def reconstruct_Ut_delta(
     node and shared by the whole sequence, and equals U_z x to quadrature
     accuracy.  The solves go through a unitary tridiagonal reduction of
     D, computed once per distinct D and kept in a small cache, and a
-    Thomas sweep over all nodes; no eigenvalues are computed.
+    Thomas sweep over all nodes, whose samples the cache keeps for the
+    latest pair; no eigenvalues are computed.
     The reported error is against the exact
     oracle U_t x, so at z = t + i d it is the limit gap
     ||(e^(-dH) - I) x|| <= (e^(d max|h|) - 1) ||x||, of order d: it
@@ -314,9 +345,10 @@ def reconstruct_Ut_delta(
     _check_window(g, mu_min, mu_max)
     pair = make_graph_vector(g, x).stacked()
     n = g.dim
-    D = ampliation(g).as_matrix()
+    amp = ampliation(g)
+    D = amp.as_matrix()
     rows = _radial_integral(
-        g,
+        amp.a11,  # D = diag(U_i, U_i)
         -1j * np.array(zs),
         lambda mus: _shifted_solves(D, D @ pair, mus, n),
         x,
@@ -371,7 +403,7 @@ def reconstruct_Ut_cz(
     _check_window(g, mu_min, mu_max)
     Ui = analytic_generator(g)
     rows = _radial_integral(
-        g,
+        Ui,
         np.array(alphas),
         lambda lams: _shifted_solves(Ui, Ui @ x, lams, g.dim),
         x,

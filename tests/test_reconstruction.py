@@ -29,7 +29,12 @@ from angen import (
 )
 from angen.group_models import H_MAX, _eigen_twin, _to_eigen, apply_Uz_batch
 from angen.kernel import _over_double_sinh, eval_kernel_array
-from angen.reconstruction import CORRECTION_TERMS, _shifted_solves, _tridiagonalize
+from angen.reconstruction import (
+    CORRECTION_TERMS,
+    PANELS_DEFAULT,
+    _shifted_solves,
+    _tridiagonalize,
+)
 from angen.resolvent import _quadrature_plan
 
 from conftest import random_unit
@@ -160,7 +165,7 @@ def test_far_time_raises_typed_error(diag4, rng, quad, monkeypatch, t, error, ro
     if error is OverflowRisk:
         monkeypatch.setattr(np.linalg, "solve", None)
         monkeypatch.setattr(reconstruction, "_tridiagonalize", None)
-        monkeypatch.setattr(reconstruction, "_reduction", None)
+        monkeypatch.setattr(reconstruction, "_reduction_entry", None)
     with pytest.raises(error):
         if route == "graph_pair":
             reconstruct_Ut_delta(diag4, t, x, [t + 0.1j], quad)
@@ -337,9 +342,12 @@ def test_shifted_solve_is_backward_stable(h, log_mu, seed):
     eps = np.finfo(float).eps
     assert residual <= 100.0 * eps * (np.linalg.norm(Ui, 2) + mu) * np.linalg.norm(y)
     # the cache is cleared once per test, so it sees every example's matrix
-    # and must stay bounded
+    # and must stay bounded, with one sample set beside each reduction
     info = reconstruction._reduction_of.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+    *_, kept = reconstruction._reduction_entry(Ui)
+    ((kept_B, kept_Y),) = kept.values()
+    assert kept_B is B and kept_Y is Y
 
 
 def test_reduction_is_cached_by_content(herm4, rng, quad):
@@ -376,6 +384,106 @@ def test_reduction_is_cached_by_content(herm4, rng, quad):
         assert (info.misses, info.hits) == (1, 1)
         assert np.array_equal(cold.approximation, warm.approximation)
         assert replace(cold, approximation=None) == replace(warm, approximation=None)
+
+
+def route_sequence(route, t):
+    """The reconstruction function of a route and a three-step sequence towards t."""
+    offsets = (0.3, 0.1, 0.03)
+    if route == "graph_pair":
+        return reconstruct_Ut_delta, [t + 1j * d for d in offsets]
+    return reconstruct_Ut_cz, [d + 1j * t for d in offsets]
+
+
+def counted_sweeps(monkeypatch):
+    """A list that grows by one entry per Thomas sweep run from here on."""
+    sweep, sweeps = reconstruction._sweep, []
+
+    def counted(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(reconstruction, "_sweep", counted)
+    return sweeps
+
+
+@pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
+def test_radial_samples_are_swept_once_across_times(herm4, rng, quad, monkeypatch, route):
+    # the samples depend on the matrix, the right-hand side and the nodes,
+    # never on t: three times on one (g, x) run one sweep, and every warm
+    # report is bit for bit the report computed from a cold cache
+    sweeps = counted_sweeps(monkeypatch)
+    x = random_unit(rng, herm4.dim)
+    times = (0.4, 0.7, 1.3)
+    warm = []
+    for t in times:
+        reconstruct, seq = route_sequence(route, t)
+        warm.append(reconstruct(herm4, t, x, seq, quad))
+    assert len(sweeps) == 1
+    for t, w in zip(times, warm):
+        reconstruction._reduction_of.cache_clear()
+        reconstruct, seq = route_sequence(route, t)
+        cold = reconstruct(herm4, t, x, seq, quad)
+        assert np.array_equal(cold.approximation, w.approximation)
+        assert replace(cold, approximation=None) == replace(w, approximation=None)
+    assert len(sweeps) == 1 + len(times)
+
+
+@pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
+def test_moved_state_or_other_panels_sweep_again(herm4, rng, quad, monkeypatch, route):
+    # x moved by one ulp changes the right-hand side, and other panels
+    # change the nodes: either runs a new sweep on the one kept reduction
+    sweeps = counted_sweeps(monkeypatch)
+    reconstruct, seq = route_sequence(route, 0.7)
+    x = random_unit(rng, herm4.dim)
+    moved = x.copy()
+    moved[0] = complex(np.nextafter(x[0].real, np.inf), x[0].imag)
+    runs = (
+        (x, PANELS_DEFAULT, 1),
+        (x, PANELS_DEFAULT, 1),
+        (moved, PANELS_DEFAULT, 2),
+        (moved, PANELS_DEFAULT + 1, 3),
+        (moved, PANELS_DEFAULT + 1, 3),
+    )
+    for state, panels, total in runs:
+        reconstruct(herm4, 0.7, state, seq, quad, panels=panels)
+        assert len(sweeps) == total
+    assert reconstruction._reduction_of.cache_info().misses == 1
+
+
+def test_shifted_solves_keep_the_latest_samples(herm4, rng, monkeypatch):
+    # equal (A, b, nodes, rows) content returns the kept read-only arrays
+    # without a sweep; b or one node moved by one ulp, or other rows, sweep
+    # again, and only the latest samples stay beside the reduction
+    sweeps = counted_sweeps(monkeypatch)
+    Ui = analytic_generator(herm4)
+    n = herm4.dim
+    b = Ui @ random_unit(rng, n)
+    mus = np.logspace(-2.0, 2.0, 5)
+    B, Y = _shifted_solves(Ui, b, mus, n)
+    assert not B.flags.writeable and not Y.flags.writeable
+    with pytest.raises(ValueError):
+        Y[0, 0] = 0.0
+    again = _shifted_solves(Ui.copy(), b.copy(), mus.copy(), n)
+    assert again[0] is B and again[1] is Y and len(sweeps) == 1
+
+    b_moved = b.copy()
+    b_moved[0] = complex(np.nextafter(b[0].real, np.inf), b[0].imag)
+    mus_moved = mus.copy()
+    mus_moved[2] = np.nextafter(mus[2], np.inf)
+    for args, total in (
+        ((b_moved, mus, n), 2),
+        ((b, mus_moved, n), 3),
+        ((b, mus, n - 1), 4),
+        ((b, mus, n), 5),
+    ):
+        _shifted_solves(Ui, *args)
+        assert len(sweeps) == total
+        *_, kept = reconstruction._reduction_entry(Ui)
+        assert len(kept) == 1
+    # the first samples had been replaced, so they were swept afresh, to the bit
+    B5, Y5 = _shifted_solves(Ui, b, mus, n)
+    assert Y5 is not Y and np.array_equal(Y5, Y) and np.array_equal(B5, B)
+    assert reconstruction._reduction_of.cache_info().misses == 1
 
 
 def test_decay_fit_slope_minus_one(diag4, rng, quad):

@@ -173,7 +173,7 @@ def _count_phase_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("mu", MU_POOL + [0.5, 5.0 * cmath.exp(2.5j)])
-def test_qmu_takes_one_window_per_column(diag4, herm4, quad, monkeypatch, mu):
+def test_qmu_takes_one_window_per_mode(diag4, herm4, quad, monkeypatch, mu):
     # the plan starts at the window the tail gate accepts, so no mode's
     # quadrature samples a window it then throws away, and all modes share
     # the phase matrix of that one window
