@@ -68,7 +68,7 @@ from .resolvent import (
     verify_resolvent_identities,
 )
 from .smoothing import commutation_check, mollify, mollify_operator, mollify_oracle
-from .vecint import QuadratureSpec
+from .vecint import REL_TOLERANCE_MAX, REL_TOLERANCE_MIN, QuadratureSpec
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -110,7 +110,7 @@ DEFAULT_TOLERANCES = {
 _SCHEMA = {
     "samples": (8, 1, 1000),
     "quadrature": {
-        "rel_tolerance": (1e-10, 1e-14, 1e-2),
+        "rel_tolerance": (1e-10, REL_TOLERANCE_MIN, REL_TOLERANCE_MAX),
         "nodes_per_unit": (8, 1, 1000),
     },
     "tolerances": {key: (tol, 0.0, 1.0) for key, tol in DEFAULT_TOLERANCES.items()},

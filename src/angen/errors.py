@@ -19,7 +19,7 @@ class ZeroArgument(AngenError):
 
 
 class QuadratureNonConvergence(AngenError):
-    """Tail estimate still exceeds the tolerance at the maximum truncation."""
+    """Tail estimate exceeds the tolerance at its planned window."""
 
 
 class NonFiniteSample(AngenError):

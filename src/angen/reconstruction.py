@@ -88,9 +88,9 @@ from .group_models import (
     generator_spectrum,
     make_graph_vector,
 )
-from .kernel import KernelParam, _over_double_sinh, require_quadrature_clearance
-from .resolvent import _phase_memo, _qmu_coords, _quadrature_plan, ampliation
-from .vecint import QuadratureSpec, gauss_panels, integrate_vector
+from .kernel import KernelParam, _over_double_sinh, eval_kernel_array, require_quadrature_clearance
+from .resolvent import _SINH_FLOOR, _kernel_floor, _phase_memo, _quadrature_plan, ampliation
+from .vecint import QuadratureSpec, _truncation_for_edge, gauss_panels, integrate_vector
 
 MU_MIN_DEFAULT = 1e-6
 MU_MAX_DEFAULT = 1e6
@@ -153,14 +153,6 @@ def _tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # S* T S with S = diag(cumprod(phases)) has subdiagonal |sub|
     Q *= np.cumprod(phases)
     return Q, np.diagonal(T).real.copy(), e
-
-
-def _reduction(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q, d, e) of _tridiagonalize(A), computed once per distinct matrix.
-
-    The arrays are cached and read-only.
-    """
-    return _reduction_entry(A)[:3]
 
 
 def _reduction_entry(A: np.ndarray):
@@ -432,23 +424,43 @@ class DecayFitReport:
     rows: tuple[tuple[float, float, float], ...]  # (|mu|, y_direct, y_shifted)
 
 
+def _shifted_line_plan(
+    g: GroupModel, ps: list[KernelParam], q: QuadratureSpec, r: float, ratios: np.ndarray
+):
+    """One plan (qp, T) of the shifted line for every parameter of a ray.
+
+    ps runs along the ray by magnitude.  The per-magnitude plan is taken at
+    its longest (the smallest |mu|) and densest (an end of the ray), and
+    1/sinh(pi z) has poles at z = 0 and z = i, at distances r and 1 - r from
+    the line, so the nearer one sets a density too.  For |t| >= 1,
+    |mu^(iz) / (2 sinh pi z)| <= |mu|^(-r) e^(-rate |t|) / (1 - e^(-2 pi)),
+    and ratios[j] bounds the integrand's coordinates over the result at
+    ps[j], so the tail gate passes a priori once the inner edge of the outer
+    panels is past the point where 2/rate times the worst bound on the ray
+    falls to the tolerance.
+    """
+    (T0, n0), (_, n1) = _quadrature_plan(g, ps[0], q), _quadrature_plan(g, ps[-1], q)
+    npu = max(n0, n1, int(math.ceil(7.0 / min(r, 1.0 - r))))
+    rate = ps[0].decay_rate
+    worst = float(np.max(np.abs([p.mu for p in ps]) ** -r * ratios))
+    edge = max(1.0, math.log(2.0 * worst / (q.rel_tolerance * rate * _SINH_FLOOR)) / rate)
+    return replace(q, nodes_per_unit=npu), max(T0, _truncation_for_edge(edge, npu))
+
+
 def _shifted_line_coords(
-    g: GroupModel, p: KernelParam, q: QuadratureSpec, phases, c: np.ndarray, r: float
+    p: KernelParam, qp: QuadratureSpec, T: float, phases, c: np.ndarray, r: float
 ) -> np.ndarray:
     """integral i mu^(i z) U_z x / (e^{pi z} - e^{-pi z}) dt along z = t + ir.
 
     The result is in eigenbasis coordinates.  c holds those of U_{ir} x, so
-    the orbit U_z x = U_t U_{ir} x is sampled as phases(ts) times c.
+    the orbit U_z x = U_t U_{ir} x is sampled as phases(ts) times c, on the
+    window of the ray's plan (qp, T) from _shifted_line_plan.
     """
-    T, npu = _quadrature_plan(g, p, q)
-    # 1/sinh(pi z) has poles at z = 0 and z = i, at distances r and 1 - r
-    # from the shifted line; the nearer one sets the density
-    npu = max(npu, int(math.ceil(7.0 / min(r, 1.0 - r))))
     log_mu = cmath.log(p.mu)
     return integrate_vector(
         lambda ts: phases(ts) * c,
         lambda ts: _over_double_sinh(1j, ts + 1j * r, 1j * (ts + 1j * r) * log_mu),
-        replace(q, nodes_per_unit=npu),
+        qp,
         tail_rate=p.decay_rate,
         truncation=T,
     )
@@ -470,6 +482,12 @@ def decay_bound_fit(
     values are cross-validated against the shifted-line representation at
     offset r.  C_r is only an estimate sup y(mu) * mu^r, it is reported,
     not asserted against anything.
+
+    Every window is sized before it is sampled and sampled once: the
+    direct line's per magnitude, the shifted line's once for the whole ray
+    (_shifted_line_plan).  Both are raised to where the tail gate passes a
+    priori, from the kernel's envelope and a bound on the integrand over
+    the result taken from the coordinates of x.
     """
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
@@ -489,18 +507,37 @@ def decay_bound_fit(
     c = _to_eigen(g, x)
     c_ui = _to_eigen(g, analytic_generator(g) @ x)
     c_shift = apply_Uz(twin, 1j * r, c)
+    ps = [KernelParam(m * cmath.exp(1j * arg_mu)) for m in mags]
+    # both lines integrate to Q_mu w, w = mu x + U_i x, whose coordinates
+    # nu/(nu + mu) c are at least nu/(nu + |mu|) c in modulus: the tail gate
+    # compares against at least this norm
+    nus = generator_spectrum(g)
+    y_least = np.linalg.norm(nus / (nus + np.array(mags)[:, None]) * c, axis=1)
+    qp_shift, T_shift = _shifted_line_plan(g, ps, q, r, np.linalg.norm(c_shift) / y_least)
     rows = []
-    for m in mags:
-        mu = m * cmath.exp(1j * arg_mu)
-        p = KernelParam(mu)
-        c_w = mu * c + c_ui
+    for m, p, least in zip(mags, ps, y_least):
+        c_w = p.mu * c + c_ui
         # y(mu) = ||Q_mu w|| is about ||x|| nu/|mu|, while the integrand
-        # F(mu, t) U_t w is about ||x||: the two halves of w = mu x + U_i x
-        # nearly cancel under Q_mu.  The gate tracks the result, not the
-        # input, so the window is lengthened by that dynamic range
-        (y,) = _qmu_coords(g, p, q, [lambda ts: phases(ts) * c_w], dynamic_range=1.0 + m)
+        # F(mu, t) U_t w is about ||x||: the two halves of w nearly cancel
+        # under Q_mu.  The gate tracks the result, not the input, so the
+        # window is lengthened by that dynamic range, 1 + |mu|, and raised
+        # to where the bound ||c_w|| / least on that ratio needs it
+        T, npu = _quadrature_plan(g, p, q)
+        T = max(
+            T + math.log(1.0 + m) / p.decay_rate,
+            _kernel_floor(p, q, npu, float(np.linalg.norm(c_w)) / least),
+        )
+        y = integrate_vector(
+            lambda ts: phases(ts) * c_w,
+            functools.partial(eval_kernel_array, p),
+            replace(q, nodes_per_unit=npu),
+            p.decay_rate,
+            T,
+        )
         y_direct = float(np.linalg.norm(y))
-        y_shift = float(np.linalg.norm(_shifted_line_coords(g, p, q, phases, c_shift, r)))
+        y_shift = float(
+            np.linalg.norm(_shifted_line_coords(p, qp_shift, T_shift, phases, c_shift, r))
+        )
         rows.append((m, y_direct, y_shift))
 
     top = [row for row in rows if row[0] >= rows[-1][0] / 10.0 * (1.0 - 1e-12)]

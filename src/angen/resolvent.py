@@ -6,9 +6,11 @@ The smoothing operator is the kernel-weighted group average
 
 computed by the line quadrature of vecint in the model's eigenbasis: one
 quadrature per eigenmode integrates the phase exp(i t h_k) to a factor
-q_k, and the matrix is mapped back as V diag(q) V*.  The modes share the
-phase matrix exp(i t h) of a window (_phase_memo), and decay_bound_fit
-integrates Q_mu w as that matrix times the coordinates V* w.  Its spectral
+q_k, and the matrix is mapped back as V diag(q) V*.  Each window is sized
+in advance from the kernel's decay envelope (_kernel_floor) and sampled
+once.  The modes share the phase matrix exp(i t h) of a window
+(_phase_memo), and decay_bound_fit integrates Q_mu w as that matrix
+times the coordinates V* w.  Its spectral
 closed form on a model with generator eigenvalues nu_k is diagonal (in
 the eigenbasis) with entries nu_k / (nu_k + mu)**2, i.e.
 Q_mu = U_i * (U_i + mu)**(-2); the test suite first re-derives that closed
@@ -50,7 +52,7 @@ from .group_models import (
     require_graph_vector,
 )
 from .kernel import KernelParam, eval_kernel_array, l1_norm, require_quadrature_clearance
-from .vecint import QuadratureSpec, integrate_vector
+from .vecint import QuadratureSpec, _truncation_for_edge, integrate_vector
 
 # the block resolvent contains 1/mu; degenerate parameters are rejected
 MIN_ABS_MU = 1e-6
@@ -62,9 +64,10 @@ def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     |F(mu, t) U_t x| <= C*(1+|t|)*exp(-decay_rate*|t|)*||x||/|mu|, so T
     grows like log(1/tol)/decay_rate; T counts the 1/|mu| where it exceeds
     1.  T leaves out the (1+|t|) factor and the outer panel that the tail
-    gate reads; integrate_vector adds that margin itself.  The node density
-    must resolve oscillation at frequency max|h| + |log|mu|| (group phases
-    times mu**(i t)).
+    gate reads, and integrate_vector adds one margin step for them; where
+    that margin falls short, each caller raises T to _kernel_floor.  The
+    node density must resolve oscillation at frequency max|h| + |log|mu||
+    (group phases times mu**(i t)).
     """
     hmax = g.max_exponent
     log_mu = math.log(abs(p.mu))
@@ -78,21 +81,27 @@ def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     return T, npu
 
 
-def _qmu_coords(
-    g: GroupModel, p: KernelParam, q: QuadratureSpec, fs, scale_hint=None, dynamic_range=1.0
-):
-    """Yield integral F(mu, t) f(t) dt for each f in fs, where f(ts) holds the
-    eigenbasis coordinates of U_t x; the plan and the density are set up once.
+# |2 sinh(pi t)| >= e^(pi |t|) (1 - e^(-2 pi)) for |t| >= 1
+_SINH_FLOOR = -math.expm1(-2.0 * math.pi)
 
-    dynamic_range is how much larger the integrand is than the result the
-    tail gate compares against; the planned window is lengthened by
-    log(dynamic_range)/decay_rate, where the envelope has fallen that much.
+
+def _kernel_floor(p: KernelParam, q: QuadratureSpec, npu: int, ratio: float) -> float:
+    """A truncation estimate whose window passes the tail gate a priori on
+    F(mu, t) f(t), where ratio bounds ||f(t)|| over the result the gate
+    compares against.
+
+    |F(mu, t)| <= (1+|t|) e^(-rate |t|) / (|mu| (1 - e^(-2 pi))), and the gate
+    takes 2/rate times the largest sample in the outer panels, so it passes
+    if rate t - log(1+t) >= L = log(2 ratio / (tol rate |mu| (1 - e^(-2 pi))))
+    at every |t| past their inner edge.  One fixed-point step gives
+    t1 >= 1/rate; log(1+t) lies below its tangent at t1, so the root of the
+    tangent inequality is such an edge, exact to second order in t1 - root.
     """
-    T, npu = _quadrature_plan(g, p, q)
-    T += math.log(dynamic_range) / p.decay_rate
-    qp, density = replace(q, nodes_per_unit=npu), partial(eval_kernel_array, p)
-    for f in fs:
-        yield integrate_vector(f, density, qp, p.decay_rate, T, scale_hint)
+    rate = p.decay_rate
+    L = math.log(2.0 * ratio / (q.rel_tolerance * rate * abs(p.mu) * _SINH_FLOOR))
+    t1 = max(1.0 / rate, (L + math.log1p(max(L, 0.0) / rate)) / rate)
+    edge = (L + math.log1p(t1) - t1 / (1.0 + t1)) / (rate - 1.0 / (1.0 + t1))
+    return _truncation_for_edge(edge, npu)
 
 
 def _phase_memo(twin: GroupModel, size: int = 1):
@@ -121,15 +130,21 @@ def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
     """The matrix V diag(q) V* of Q_mu, one scalar line quadrature per eigenmode.
 
     Mode k integrates its phase exp(i t h_k), q_k = integral F(mu, t)
-    exp(i t h_k) dt.  The modes share one quadrature plan, one kernel
-    density and the phase matrix exp(i t h) of a node array, which is
-    rebuilt only when a mode's window differs.
+    exp(i t h_k) dt.  The modes share one window, one kernel density and
+    the phase matrix exp(i t h) of that window.  Each phase has unit
+    modulus and the tail gate is relative to at least 1, so the window is
+    the plan raised to _kernel_floor at ratio 1.
     """
     require_quadrature_clearance(p)
+    T, npu = _quadrature_plan(g, p, q)
+    T = max(T, _kernel_floor(p, q, npu, 1.0))
+    qp, density = replace(q, nodes_per_unit=npu), partial(eval_kernel_array, p)
     phases = _phase_memo(_eigen_twin(g))
-    fs = (lambda ts, k=k: phases(ts)[:, k] for k in range(g.dim))
-    # each phase has unit modulus, so the tail gate is relative to 1
-    return _spectral_matrix(g, np.concatenate(list(_qmu_coords(g, p, q, fs, scale_hint=1.0))))
+    coords = [
+        integrate_vector(lambda ts, k=k: phases(ts)[:, k], density, qp, p.decay_rate, T, 1.0)
+        for k in range(g.dim)
+    ]
+    return _spectral_matrix(g, np.concatenate(coords))
 
 
 def qmu_spectral_oracle(g: GroupModel, p: KernelParam) -> np.ndarray:

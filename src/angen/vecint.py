@@ -7,10 +7,12 @@ Computes integrals of the form
 for a norm-bounded vector integrand f and a scalar density with an
 exponential tail bound supplied by the caller; both take the whole array
 of nodes.  A line R + i*s is integrated by closures that evaluate at
-t + i*s.  The rule is composite 16-point Gauss-Legendre.  Truncation
-starts one widening step past the caller's envelope estimate and is
-widened until the analytic tail estimate drops below the requested
-relative tolerance, or the truncation cap is reached.
+t + i*s.  The rule is composite 16-point Gauss-Legendre on one window,
+one margin step past the caller's truncation estimate and clamped to
+[1, TRUNCATION_CAP].  Callers size that estimate in advance, so that the
+analytic tail estimate read off the window's outer panels meets the
+requested relative tolerance; a window that misses it raises instead of
+being widened.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # hard ceiling on the half-width of the integration window
 TRUNCATION_CAP = 200.0
+# the accepted range of QuadratureSpec.rel_tolerance
+REL_TOLERANCE_MIN, REL_TOLERANCE_MAX = 1e-14, 1e-2
 
 _TINY = 1e-300
 # the outermost panel on each side, read by the tail gate (a window has two or more)
@@ -46,9 +50,10 @@ class QuadratureSpec:
     nodes_per_unit: int = 8
 
     def __post_init__(self) -> None:
-        if not (1e-14 <= self.rel_tolerance <= 1e-2):
+        if not (REL_TOLERANCE_MIN <= self.rel_tolerance <= REL_TOLERANCE_MAX):
             raise ValueError(
-                f"rel_tolerance must lie in [1e-14, 1e-2], got {self.rel_tolerance}"
+                f"rel_tolerance must lie in [{REL_TOLERANCE_MIN}, {REL_TOLERANCE_MAX}], "
+                f"got {self.rel_tolerance}"
             )
         if int(self.nodes_per_unit) < 1:
             raise ValueError("nodes_per_unit must be a positive integer")
@@ -93,9 +98,25 @@ def _nodes(q: QuadratureSpec, T: float):
     return gauss_panel_nodes(-T, T, q.nodes_per_unit)
 
 
-def _widen(T: float) -> float:
-    """The next truncation window after the tail gate rejects [-T, T]."""
-    return min(TRUNCATION_CAP, max(T + 2.0, 1.3 * T))
+def _window(truncation: float) -> float:
+    """The half-width integrate_vector samples for a truncation estimate.
+
+    It is one margin step past the estimate, for the polynomial factors
+    of an envelope and the outer panel that the tail gate reads, clamped
+    to [1, TRUNCATION_CAP].
+    """
+    return max(1.0, min(TRUNCATION_CAP, max(truncation + 2.0, 1.3 * truncation)))
+
+
+def _truncation_for_edge(edge: float, nodes_per_unit: int) -> float:
+    """A truncation estimate whose window puts the inner edge of its outer
+    panels at |t| >= edge (below the cap).
+
+    A panel is at most 16/nodes_per_unit wide, so the window must reach
+    edge plus that width; the margin of _window is then inverted.
+    """
+    reach = edge + 16.0 / nodes_per_unit
+    return min(reach - 2.0, reach / 1.3)
 
 
 def _sample(f, density, ts):
@@ -121,42 +142,38 @@ def integrate_vector(
     f maps the array of nodes to an array with one row per node (a 1-d
     result is read as one column); density maps it to one value per node.
     tail_rate is the caller's exponential decay bound for |f * density|
-    beyond the truncation window.  truncation is the caller's envelope
-    estimate, where the decay bound alone reaches the tolerance; it leaves
-    out polynomial factors of the envelope and the outer panel that the
-    tail gate reads, so the first window is one _widen step past it
-    (clamped to [1, TRUNCATION_CAP]).  The returned vector carries a tail
-    estimate below q.rel_tolerance relative to max(result norm, scale_hint);
-    if that cannot be reached before TRUNCATION_CAP the computation raises
-    QuadratureNonConvergence.  The weighted sum over nodes is one BLAS
-    product per window, so repeated calls are bit-identical.
+    beyond the truncation window.  truncation is the caller's estimate,
+    sized in advance so that the decay bound has fallen to the tolerance
+    at the inner edge of the window's outer panels; the one window sampled
+    is one margin step past it (see _window).  The tail gate reads the
+    outer panel on each side: if its estimate exceeds q.rel_tolerance
+    relative to max(result norm, scale_hint), the window was planned too
+    short and the computation raises QuadratureNonConvergence.  The
+    weighted sum over nodes is one BLAS product, so repeated calls are
+    bit-identical.
     """
     if not (tail_rate > 0.0 and math.isfinite(tail_rate)):
         raise ValueError(f"tail_rate must be positive and finite, got {tail_rate}")
-    T = max(1.0, _widen(float(truncation)))
+    T = _window(float(truncation))
+    ts, ws = _nodes(q, T)
+    vals, dens = _sample(f, density, ts)
+    if not (np.isfinite(vals).all() and np.isfinite(dens).all()):
+        raise NonFiniteSample("integrand produced non-finite samples")
+    result = (dens * ws) @ vals
 
-    while True:
-        ts, ws = _nodes(q, T)
-        vals, dens = _sample(f, density, ts)
-        if not (np.isfinite(vals).all() and np.isfinite(dens).all()):
-            raise NonFiniteSample("integrand produced non-finite samples")
-        result = (dens * ws) @ vals
+    # conservative tail estimate: outermost panel magnitude decayed at
+    # tail_rate on both sides, i.e. C*exp(-rate*T)/rate with C read off
+    # the edge samples directly
+    edge = np.abs(dens[_EDGE_ROWS]) * np.linalg.norm(vals[_EDGE_ROWS], axis=1)
+    tail_est = 2.0 * float(edge.max()) / tail_rate
 
-        # conservative tail estimate: outermost panel magnitude decayed at
-        # tail_rate on both sides, i.e. C*exp(-rate*T)/rate with C read off
-        # the edge samples directly
-        edge = np.abs(dens[_EDGE_ROWS]) * np.linalg.norm(vals[_EDGE_ROWS], axis=1)
-        tail_est = 2.0 * float(edge.max()) / tail_rate
-
-        scale = float(np.linalg.norm(result))
-        if scale_hint is not None:
-            scale = max(scale, float(scale_hint))
-        scale = max(scale, _TINY)
-        if tail_est <= q.rel_tolerance * scale:
-            return result
-        if T >= TRUNCATION_CAP - 1e-12:
-            raise QuadratureNonConvergence(
-                f"tail estimate {tail_est:.3e} exceeds "
-                f"{q.rel_tolerance:.1e} * {scale:.3e} at truncation {T:.1f}"
-            )
-        T = _widen(T)
+    scale = float(np.linalg.norm(result))
+    if scale_hint is not None:
+        scale = max(scale, float(scale_hint))
+    scale = max(scale, _TINY)
+    if tail_est > q.rel_tolerance * scale:
+        raise QuadratureNonConvergence(
+            f"tail estimate {tail_est:.3e} exceeds "
+            f"{q.rel_tolerance:.1e} * {scale:.3e} at the planned window {T:.1f}"
+        )
+    return result

@@ -32,10 +32,11 @@ from angen.kernel import _over_double_sinh, eval_kernel_array
 from angen.reconstruction import (
     CORRECTION_TERMS,
     PANELS_DEFAULT,
+    _shifted_line_plan,
     _shifted_solves,
     _tridiagonalize,
 )
-from angen.resolvent import _quadrature_plan
+from angen.resolvent import _kernel_floor, _quadrature_plan
 
 from conftest import random_unit
 
@@ -352,19 +353,19 @@ def test_shifted_solve_is_backward_stable(h, log_mu, seed):
 
 def test_reduction_is_cached_by_content(herm4, rng, quad):
     Ui = analytic_generator(herm4)
-    Q, d, e = reconstruction._reduction(Ui)
+    Q, d, e = reconstruction._reduction_entry(Ui)[:3]
     for a in (Q, d, e):
         assert not a.flags.writeable
     want = _tridiagonalize(Ui)
     assert all(np.array_equal(a, b) for a, b in zip((Q, d, e), want))
     # equal content in another array, in either memory order, is a hit
-    assert reconstruction._reduction(Ui.copy())[0] is Q
-    assert reconstruction._reduction(np.asfortranarray(Ui))[0] is Q
+    assert reconstruction._reduction_entry(Ui.copy())[0] is Q
+    assert reconstruction._reduction_entry(np.asfortranarray(Ui))[0] is Q
     assert reconstruction._reduction_of.cache_info().misses == 1
     # one diagonal entry moved by one ulp (still Hermitian) is reduced afresh
     moved = Ui.copy()
     moved[0, 0] = np.nextafter(moved[0, 0].real, np.inf)
-    Q2, d2, e2 = reconstruction._reduction(moved)
+    Q2, d2, e2 = reconstruction._reduction_entry(moved)[:3]
     assert reconstruction._reduction_of.cache_info().misses == 2
     assert d2[0] != d[0]
     assert all(np.array_equal(a, b) for a, b in zip((Q2, d2, e2), _tridiagonalize(moved)))
@@ -608,15 +609,19 @@ def decay_fit_rows_reference(g, x, r, mags, q, arg_mu):
 
     The direct line samples U_t (V* w) and the shifted line U_{t+ir} (V* x),
     each by its own apply_Uz_batch on the diagonal twin, over the same
-    windows as the library.
+    windows as the library: the direct plan lengthened by log(1 + |mu|)/rate
+    and raised to _kernel_floor, and the shifted line's one plan for the ray.
     """
     twin, c = _eigen_twin(g), _to_eigen(g, x)
     c_ui = _to_eigen(g, analytic_generator(g) @ x)
-    npu_shift = int(math.ceil(7.0 / min(r, 1.0 - r)))
+    ps = [KernelParam(m * cmath.exp(1j * arg_mu)) for m in mags]
+    nus = np.exp(-g.exponents)
+    least = np.linalg.norm(nus / (nus + np.array(mags)[:, None]) * c, axis=1)
+    c_shift = np.exp(-r * g.exponents) * c
+    qp_shift, T_shift = _shifted_line_plan(g, ps, q, r, np.linalg.norm(c_shift) / least)
     rows = []
-    for m in mags:
-        mu = m * cmath.exp(1j * arg_mu)
-        p = KernelParam(mu)
+    for m, p, y_least in zip(mags, ps, least):
+        mu = p.mu
         T, npu = _quadrature_plan(g, p, q)
         c_w = mu * c + c_ui
         direct = vecint.integrate_vector(
@@ -624,14 +629,17 @@ def decay_fit_rows_reference(g, x, r, mags, q, arg_mu):
             lambda ts: eval_kernel_array(p, ts),
             replace(q, nodes_per_unit=npu),
             p.decay_rate,
-            T + math.log1p(m) / p.decay_rate,
+            max(
+                T + math.log1p(m) / p.decay_rate,
+                _kernel_floor(p, q, npu, np.linalg.norm(c_w) / y_least),
+            ),
         )
         shift = vecint.integrate_vector(
             lambda ts: apply_Uz_batch(twin, ts + 1j * r, c),
             lambda ts: _over_double_sinh(1j, ts + 1j * r, 1j * (ts + 1j * r) * cmath.log(mu)),
-            replace(q, nodes_per_unit=max(npu, npu_shift)),
+            qp_shift,
             p.decay_rate,
-            T,
+            T_shift,
         )
         rows.append((m, np.linalg.norm(direct), np.linalg.norm(shift)))
     return np.array(rows)

@@ -12,6 +12,7 @@ from angen import (
     QuadratureSpec,
     integrate_vector,
 )
+from angen import vecint
 from angen.vecint import TRUNCATION_CAP, gauss_panel_nodes
 
 SQRT_PI = math.sqrt(math.pi)
@@ -125,23 +126,34 @@ def test_shifted_line():
     assert got[0] == pytest.approx(SQRT_PI, rel=1e-12)
 
 
-def test_adaptive_widening_recovers_slow_tail():
+def test_short_truncation_raises_after_one_window(monkeypatch):
+    # a window planned far too short is sampled once and rejected; it is
+    # never widened
+    windows = []
+    nodes = vecint._nodes
+
+    def counting_nodes(q, T):
+        windows.append(T)
+        return nodes(q, T)
+
+    monkeypatch.setattr(vecint, "_nodes", counting_nodes)
     q = QuadratureSpec(rel_tolerance=1e-10)
-    got = integrate_vector(
-        np.ones_like,
-        lambda t: 1.0 / np.cosh(0.2 * t),
-        q,
-        tail_rate=0.2,
-        truncation=5.0,  # deliberately far too narrow; widening must kick in
-    )
-    assert got[0] == pytest.approx(math.pi / 0.2, rel=1e-9)
+    with pytest.raises(QuadratureNonConvergence, match="planned window 7.0"):
+        integrate_vector(
+            np.ones_like,
+            lambda t: 1.0 / np.cosh(0.2 * t),
+            q,
+            tail_rate=0.2,
+            truncation=5.0,  # deliberately far too narrow
+        )
+    assert windows == [7.0]
 
 
 def test_cap_reached_raises():
     q = QuadratureSpec(rel_tolerance=1e-10)
     with pytest.raises(QuadratureNonConvergence):
-        # widening stops at the cap of 200, where the tail at rate 0.05 is
-        # still far above the tolerance
+        # at rate 0.05 the tail is still far above the tolerance at the
+        # cap of 200, so no window this integrand could be planned passes
         integrate_vector(
             np.ones_like,
             lambda t: 1.0 / np.cosh(0.05 * t),
