@@ -35,7 +35,7 @@ from .group_models import (
     as_state,
     group_matrix,
 )
-from .vecint import QuadratureSpec, integrate_vector
+from .vecint import QuadratureSpec, _truncation_for_edge, integrate_vector
 
 _T_PROBES = (0.37, -1.13, 2.41, -3.7)
 
@@ -56,13 +56,17 @@ def _mollify_coords(g: GroupModel, n: float, q: QuadratureSpec, f, scale_hint: f
         int(math.ceil(0.8 * g.max_exponent)) + 4,
         int(math.ceil(8.0 * math.sqrt(n))),
     )
+    # Panels wider than that margin step (npu < 8) would start the outer
+    # panel inside T; the window is raised so that it starts at T.  From
+    # there the gate's estimate is 2 tol / (sqrt(pi n) T) <= tol, since
+    # n T^2 >= log(1/tol) > 4/pi.
     amp = math.sqrt(n / math.pi)
     return integrate_vector(
         f,
         lambda ts: amp * np.exp(-n * np.asarray(ts) ** 2),
         replace(q, nodes_per_unit=npu),
         tail_rate=n * T,
-        truncation=T,
+        truncation=max(T, _truncation_for_edge(T, npu)),
         scale_hint=scale_hint,
     )
 

@@ -67,17 +67,23 @@ def run_planned(calls, fn):
 @given(
     hmax=st.sampled_from([0.0, 1.0, 5.0, 20.0]),
     tol=st.sampled_from([1e-14, 1e-10, 1e-6]),
+    npu=st.sampled_from([1, 4, 8]),
     log_abs_mu=st.floats(min_value=math.log(1e-3), max_value=math.log(1e5)),
     arg_mu=st.floats(min_value=-ARG_MAX, max_value=ARG_MAX),
     r=st.sampled_from([0.1, 0.25, 0.5, 0.9]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-@example(hmax=20.0, tol=1e-14, log_abs_mu=math.log(1e5), arg_mu=ARG_MAX, r=0.1, seed=0)
-@example(hmax=0.0, tol=1e-6, log_abs_mu=math.log(1e-3), arg_mu=-ARG_MAX, r=0.9, seed=1)
-def test_every_quadrature_samples_one_planned_window(hmax, tol, log_abs_mu, arg_mu, r, seed):
+@example(hmax=20.0, tol=1e-14, npu=8, log_abs_mu=math.log(1e5), arg_mu=ARG_MAX, r=0.1, seed=0)
+@example(hmax=0.0, tol=1e-6, npu=8, log_abs_mu=math.log(1e-3), arg_mu=-ARG_MAX, r=0.9, seed=1)
+# panels of 16/5 units: the mollifier at n = 0.3 and tol 1e-2 needs its
+# window raised past the margin step to keep the outer panel beyond T
+@example(hmax=1.25, tol=1e-2, npu=5, log_abs_mu=math.log(0.3), arg_mu=0.0, r=0.5, seed=0)
+def test_every_quadrature_samples_one_planned_window(
+    hmax, tol, npu, log_abs_mu, arg_mu, r, seed
+):
     rng = np.random.default_rng(seed)
     g = GroupModel.diagonal(np.append(rng.uniform(-hmax, hmax, 3), hmax))
-    q = QuadratureSpec(rel_tolerance=tol)
+    q = QuadratureSpec(rel_tolerance=tol, nodes_per_unit=npu)
     mu = cmath.rect(math.exp(log_abs_mu), arg_mu)
     mags = abs(mu) * np.logspace(0.0, 1.0, 4)
     x = random_unit(rng, g.dim)
