@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphMembershipViolation, OverflowRisk
+from .vecint import _panel_window_of
 
 # cap on |h_k| (or ||H||) so exp(2H) stays well inside double range
 H_MAX = 20.0
@@ -119,11 +120,27 @@ def apply_Uz(g: GroupModel, z: complex, x) -> np.ndarray:
 
 
 def apply_Uz_batch(g: GroupModel, zs, x) -> np.ndarray:
-    """U_z x for an array of (possibly complex) times; rows follow zs."""
-    zs = np.asarray(zs, dtype=complex).ravel()
-    if zs.size:
-        _check_overflow(1j * float(np.max(np.abs(zs.imag))))
-    phases = np.exp(1j * np.multiply.outer(zs, g.exponents))
+    """U_z x for an array of (possibly complex) times; rows follow zs.
+
+    On a window of gauss_panel_nodes, whose node 16 j + m is the sum of a
+    panel centre c_j and a Gauss offset d_m, the phases exp(i t h) are the
+    products exp(i c_j h) * exp(i d_m h): panels + 16 exponentials per
+    mode instead of one per node.  They differ from the per-node phases by
+    the rounding of the arguments, a few units of
+    eps * (1 + (|c_j| + |d_m|) max|h|).
+    """
+    window = _panel_window_of(zs)
+    if window is not None:
+        h = g.exponents
+        phases = (
+            np.exp(1j * np.multiply.outer(window.centres, h))[:, None, :]
+            * np.exp(1j * np.multiply.outer(window.offsets, h))[None, :, :]
+        ).reshape(zs.size, h.size)
+    else:
+        zs = np.asarray(zs, dtype=complex).ravel()
+        if zs.size:
+            _check_overflow(1j * float(np.max(np.abs(zs.imag))))
+        phases = np.exp(1j * np.multiply.outer(zs, g.exponents))
     # one coordinate row per time: map the transpose, one column each
     return _from_eigen(g, (phases * _to_eigen(g, as_state(g, x))[None, :]).T).T
 

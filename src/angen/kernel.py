@@ -13,7 +13,10 @@ t = 0 the zero of the numerator cancels the zero of the denominator
 (t / (2*sinh(pi*t)) extends to 1/(2*pi)), and evaluation switches to a
 Taylor series inside a small disc to avoid 0/0 cancellation.  Elsewhere F
 is one exponent, s*t*exp((i*t - 1)*Log mu - s*pi*t) / (-expm1(-2*s*pi*t))
-with s = sign(Re t), which overflows only where F itself does.
+with s = sign(Re t), which overflows only where F itself does.  On real
+nodes it reads |t| * exp(i*t*Log mu - Log mu - pi*|t|) / (-expm1(-2*pi*|t|)),
+where only the exponential depends on mu; a cached quadrature window keeps
+the rest, its kernel row.
 
 Two independent routes to the same values exist: the closed form above
 and the Fourier-side representation
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchViolation, PoleProximity, QuadratureNonConvergence, ZeroArgument
-from .vecint import QuadratureSpec, gauss_panel_nodes
+from .vecint import QuadratureSpec, _panel_window_of, gauss_panel_nodes
 
 # switch to the Taylor series of t/(2 sinh(pi t)) inside this disc
 SERIES_SWITCH_RADIUS = 1e-2
@@ -127,24 +130,60 @@ def eval_kernel(p: KernelParam, t: complex) -> complex:
     return complex(eval_kernel_array(p, t))
 
 
+def _kernel_row(ts: np.ndarray):
+    """The mu-independent parts (pi|t|, |t|, inv) of the kernel on real nodes.
+
+    F(mu, t) = |t| * exp(i t Log mu - Log mu - pi|t|) * inv, with inv =
+    1/(-expm1(-2 pi |t|)) = sign(t) e^{pi |t|} / (e^{pi t} - e^{-pi t}), the
+    value of _over_double_sinh at log_scale pi|t|, whose exponential is
+    then exp(0) = 1.  Taken in this order, the operations are those of the
+    one-exponent form on t + 0i, so real nodes get its values bit for bit.
+    Inside the series disc around 0, |t| is replaced by the series of
+    t / (2 sinh(pi t)), and pi|t| by 0 and inv by 1.
+    """
+    small = np.abs(ts) < SERIES_SWITCH_RADIUS
+    safe = np.where(small, 1.0, ts)  # no 0/0 at an exact zero node
+    abs_t = np.abs(safe)
+    pi_abs = math.pi * abs_t
+    inv = _over_double_sinh(np.sign(safe), safe, pi_abs)
+    if small.any():
+        series = np.polynomial.polynomial.polyval((math.pi * ts) ** 2, _X_OVER_SINH)
+        abs_t = np.where(small, series / (2.0 * math.pi), abs_t)
+        pi_abs, inv = np.where(small, 0.0, pi_abs), np.where(small, 1.0, inv)
+    return pi_abs, abs_t, inv
+
+
 def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
     """Vectorized closed-form kernel on an array of (real or complex) points.
 
     Intended for quadrature nodes; callers are responsible for staying off
-    the poles (real-line nodes always are).  Points inside the series disc
-    around 0 are taken out of the one-exponent form and overwritten.
+    the poles (real-line nodes always are).  Real nodes take one complex
+    exponential each times the mu-independent row of _kernel_row; a window
+    of gauss_panel_nodes keeps its row, so the row is computed once per
+    window, however many mu and modes sample it.  Complex points take the
+    one-exponent form, and those inside the series disc around 0 are
+    taken out of it and overwritten.
     """
+    window = _panel_window_of(ts)
     ts = np.asarray(ts)
     log_mu = cmath.log(p.mu)
-    small = np.abs(ts) < SERIES_SWITCH_RADIUS
-    if not small.any():
-        return _over_double_sinh(ts, ts, ts * (1j * log_mu) - log_mu)
-    safe = np.where(small, 1.0, ts)  # no 0/0 at an exact zero node
-    out = np.asarray(_over_double_sinh(safe, safe, safe * (1j * log_mu) - log_mu))
-    near = ts[small]
-    series = np.polynomial.polynomial.polyval((math.pi * near) ** 2, _X_OVER_SINH)
-    out[small] = series / (2.0 * math.pi) * np.exp(near * (1j * log_mu) - log_mu)
-    return out
+    if np.iscomplexobj(ts):
+        small = np.abs(ts) < SERIES_SWITCH_RADIUS
+        if not small.any():
+            return _over_double_sinh(ts, ts, ts * (1j * log_mu) - log_mu)
+        safe = np.where(small, 1.0, ts)  # no 0/0 at an exact zero node
+        out = np.asarray(_over_double_sinh(safe, safe, safe * (1j * log_mu) - log_mu))
+        near = ts[small]
+        series = np.polynomial.polynomial.polyval((math.pi * near) ** 2, _X_OVER_SINH)
+        out[small] = series / (2.0 * math.pi) * np.exp(near * (1j * log_mu) - log_mu)
+        return out
+    if window is None:
+        pi_abs, abs_t, inv = _kernel_row(ts)
+    else:
+        if window.kernel_row is None:
+            window.kernel_row = _kernel_row(ts)
+        pi_abs, abs_t, inv = window.kernel_row
+    return abs_t * np.exp(ts * (1j * log_mu) - log_mu - pi_abs) * inv
 
 
 def eval_kernel_by_integral(p: KernelParam, t: float, q: QuadratureSpec) -> complex:

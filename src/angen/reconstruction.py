@@ -492,6 +492,8 @@ def decay_bound_fit(
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
     x = as_state(g, x)
+    if float(np.linalg.norm(x)) == 0.0:
+        raise ValueError("x must be nonzero")
     mags = sorted(float(m) for m in mu_magnitudes)
     if any(m <= 0 for m in mags):
         raise ValueError("mu magnitudes must be positive")
@@ -549,7 +551,7 @@ def decay_bound_fit(
     ly = np.log10([row[1] for row in top])
     slope, intercept = np.polyfit(lx, ly, 1)
     fit_residual = float(np.max(np.abs(slope * lx + intercept - ly)))
-    if fit_residual > 0.1:
+    if not fit_residual <= 0.1:
         raise FitUnstable(
             f"log-log fit residual {fit_residual:.3f} exceeds 0.1; "
             "y(mu) is not a clean power law over the top decade"

@@ -13,12 +13,21 @@ one margin step past the caller's truncation estimate and clamped to
 analytic tail estimate read off the window's outer panels meets the
 requested relative tolerance; a window that misses it raises instead of
 being widened.
+
+The windows are cached (gauss_panel_nodes), and a cached window keeps
+what its nodes' integrands share: the panel centres c_j and the scaled
+Gauss offsets d_m, whose sums are the nodes, and a slot for the
+mu-independent row of the kernel.  _panel_window_of recognises a cached
+node array by identity, so apply_Uz_batch can take its phases exp(i t h)
+as exp(i c_j h) * exp(i d_m h) and eval_kernel_array can reuse the row;
+every other array takes the per-node paths.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,28 +68,48 @@ class QuadratureSpec:
             raise ValueError("nodes_per_unit must be a positive integer")
 
 
+def _panel_rule(lo: float, hi: float, panels: int):
+    """Centres, scaled Gauss offsets, nodes and weights of equal panels on [lo, hi]."""
+    edges = np.linspace(lo, hi, panels + 1)
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    offsets = half * GAUSS_NODES
+    ts = (centres[:, None] + offsets[None, :]).ravel()
+    return centres, offsets, ts, np.tile(half * GAUSS_WEIGHTS, panels)
+
+
 def gauss_panels(lo: float, hi: float, panels: int):
     """Composite 16-point Gauss-Legendre nodes and weights on [lo, hi].
 
     The interval is cut into the given number of equal panels.  Nodes are
     returned in ascending order.
     """
-    edges = np.linspace(lo, hi, panels + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    ts = (centers[:, None] + half * GAUSS_NODES[None, :]).ravel()
-    ws = np.tile(half * GAUSS_WEIGHTS, panels)
-    return ts, ws
+    return _panel_rule(lo, hi, panels)[2:]
+
+
+class _PanelWindow:
+    """One cached window: read-only nodes ts and weights ws, node ts[16 j + m]
+    being the sum centres[j] + offsets[m] as computed, and kernel_row, the
+    mu-independent part of the kernel on ts, which eval_kernel_array fills
+    on first use."""
+
+    __slots__ = ("ts", "ws", "centres", "offsets", "kernel_row", "__weakref__")
+
+    def __init__(self, lo: float, hi: float, panels: int):
+        self.centres, self.offsets, self.ts, self.ws = _panel_rule(lo, hi, panels)
+        for arr in (self.ts, self.ws, self.centres, self.offsets):
+            arr.flags.writeable = False
+        self.kernel_row = None
+
+
+# The windows the cache holds, by the identity of their node arrays.  The
+# cache holds the only reference to a window, so a window it evicts leaves
+# this index too, and its node array is an ordinary array from then on.
+_CACHED_WINDOWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @functools.lru_cache(maxsize=16)
-def gauss_panel_nodes(lo: float, hi: float, nodes_per_unit: int):
-    """Gauss panels on [lo, hi] with average node density at least nodes_per_unit.
-
-    Panels have width at most 16/nodes_per_unit, and their count is even.
-    The arrays are cached and read-only: the eigenmodes of one Q_mu share
-    a window, so all but the first get it from the cache.
-    """
+def _cached_window(lo: float, hi: float, nodes_per_unit: int) -> _PanelWindow:
     width = 16.0 / float(nodes_per_unit)
     panels = max(1, int(math.ceil((hi - lo) / width)))
     # On a window [-T, T] an odd count centres a panel at t = 0, right
@@ -88,14 +117,38 @@ def gauss_panel_nodes(lo: float, hi: float, nodes_per_unit: int):
     # (compute_Qmu on a 4-mode diagonal model at mu = 0.5: 6.9e-12 relative
     # error).  An even count puts a panel edge there, where the pole lies
     # on a larger Bernstein ellipse of both neighbouring panels (4.9e-15).
-    ts, ws = gauss_panels(lo, hi, panels + panels % 2)
-    ts.flags.writeable = ws.flags.writeable = False
-    return ts, ws
+    window = _PanelWindow(lo, hi, panels + panels % 2)
+    _CACHED_WINDOWS[id(window.ts)] = window
+    return window
+
+
+def gauss_panel_nodes(lo: float, hi: float, nodes_per_unit: int):
+    """Gauss panels on [lo, hi] with average node density at least nodes_per_unit.
+
+    Panels have width at most 16/nodes_per_unit, and their count is even.
+    The arrays are cached and read-only: the eigenmodes of one Q_mu share
+    a window, so all but the first get it from the cache, along with the
+    panel factors and kernel row the window keeps (see _PanelWindow).  The
+    last 16 windows are kept.
+    """
+    window = _cached_window(lo, hi, nodes_per_unit)
+    return window.ts, window.ws
+
+
+def _panel_window_of(ts) -> _PanelWindow | None:
+    """The cached window whose node array is ts itself, else None.
+
+    A copy, a slice, a shifted line ts + i r and a window the cache has
+    evicted are not recognised, and take the per-node paths.
+    """
+    window = _CACHED_WINDOWS.get(id(ts))
+    return window if window is not None and window.ts is ts else None
 
 
 def _nodes(q: QuadratureSpec, T: float):
     """One truncation window [-T, T] of integrate_vector."""
-    return gauss_panel_nodes(-T, T, q.nodes_per_unit)
+    window = _cached_window(-T, T, q.nodes_per_unit)
+    return window.ts, window.ws
 
 
 def _window(truncation: float) -> float:
@@ -163,11 +216,12 @@ def integrate_vector(
 
     # conservative tail estimate: outermost panel magnitude decayed at
     # tail_rate on both sides, i.e. C*exp(-rate*T)/rate with C read off
-    # the edge samples directly
-    edge = np.abs(dens[_EDGE_ROWS]) * np.linalg.norm(vals[_EDGE_ROWS], axis=1)
-    tail_est = 2.0 * float(edge.max()) / tail_rate
+    # the edge samples directly; a scalar integrand needs no row norms
+    rows = vals[_EDGE_ROWS]
+    size = np.abs(rows[:, 0]) if rows.shape[1] == 1 else np.linalg.norm(rows, axis=1)
+    tail_est = 2.0 * float((np.abs(dens[_EDGE_ROWS]) * size).max()) / tail_rate
 
-    scale = float(np.linalg.norm(result))
+    scale = abs(result[0]) if result.size == 1 else float(np.linalg.norm(result))
     if scale_hint is not None:
         scale = max(scale, float(scale_hint))
     scale = max(scale, _TINY)

@@ -506,3 +506,43 @@ def test_run_fuzz_keeps_exit_code_contract(case):
         lines = err.getvalue().splitlines()
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith("config error:")
+
+
+FULL_SUITE = Path(__file__).resolve().parent.parent / "scripts" / "run_full_suite.py"
+
+
+def _compare_trees(new: Path, ref: Path):
+    return subprocess.run(
+        [sys.executable, str(FULL_SUITE), "--out", str(new), "--compare", str(ref)],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_full_suite_compare_lists_identical_and_changed_csvs(tmp_path):
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    for tree, last in ((new, "2.0000000000000004"), (ref, "2")):
+        (tree / "qmu").mkdir(parents=True)
+        (tree / "qmu" / "same.csv").write_text("a,b\n1,0\n")
+        (tree / "qmu" / "moved.csv").write_text(f"mu,err\n-4,1e-300\n{last},nan\n")
+    proc = _compare_trees(new, ref)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1] == "qmu/same.csv: identical"
+    # 2 ulps of 2 against the column's largest magnitude 4, and NaN against NaN
+    assert lines[0] == "qmu/moved.csv: differs, largest relative change per column: mu 1.1e-16, err 0.0e+00"
+
+
+def test_full_suite_compare_fails_on_a_missing_file_or_changed_header(tmp_path):
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    for tree in (new, ref):
+        tree.mkdir()
+        (tree / "kept.csv").write_text("a\n1\n")
+    (new / "kept.csv").write_text("b\n1\n")
+    (ref / "only_ref.csv").write_text("a\n1\n")
+    proc = _compare_trees(new, ref)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "kept.csv: header or row count changed",
+        f"only_ref.csv: missing under {new}",
+    ]

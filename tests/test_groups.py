@@ -26,6 +26,7 @@ from angen import (
     require_graph_vector,
 )
 from angen.group_models import H_MAX, OVERFLOW_GUARD, _check_overflow, as_state
+from angen.vecint import _panel_window_of, gauss_panel_nodes
 
 from conftest import random_unit
 
@@ -136,6 +137,25 @@ def test_batch_matches_scalar(diag4, herm4, rng):
         rows = apply_Uz_batch(g, zs, x)
         for z, row in zip(zs, rows):
             assert np.linalg.norm(row - apply_Uz(g, z, x)) <= 1e-12
+
+
+def test_batch_on_a_cached_window_matches_per_node_phases(diag4, herm4, rng):
+    # a cached window builds exp(i t h) from panel-centre and Gauss-offset
+    # factors; a writable copy of its nodes takes one exponential per node.
+    # The two differ by the rounding of the arguments t h, c_j h and d_m h,
+    # which for large |h| near t = 0 is set by |c_j| + |d_m| rather than |t|
+    ts, _ = gauss_panel_nodes(-40.0, 40.0, 10)
+    window = _panel_window_of(ts)
+    reach = (np.abs(window.centres)[:, None] + np.abs(window.offsets)[None, :]).ravel()
+    copy = np.array(ts)
+    eps = np.finfo(float).eps
+    wide = GroupModel.diagonal([-H_MAX, -3.3, 0.0, 7.1, H_MAX])
+    for g, arg in ((diag4, np.abs(ts)), (herm4, np.abs(ts)), (wide, reach)):
+        x = random_unit(rng, g.dim)
+        got, want = apply_Uz_batch(g, ts, x), apply_Uz_batch(g, copy, x)
+        bound = 8.0 * eps * (1.0 + arg * g.max_exponent)
+        assert np.all(np.abs(got - want) <= bound[:, None])
+        assert not np.array_equal(got, want)
 
 
 def test_model_kind_is_invisible_outside_group_models(rng, quad):

@@ -19,7 +19,13 @@ from angen import (
     eval_kernel_by_integral,
     pole_distance,
 )
-from angen.kernel import POLE_GUARD, SERIES_SWITCH_RADIUS, require_quadrature_clearance
+from angen.kernel import (
+    POLE_GUARD,
+    SERIES_SWITCH_RADIUS,
+    _over_double_sinh,
+    require_quadrature_clearance,
+)
+from angen.vecint import gauss_panel_nodes
 
 MU_POOL = [1.0, 2.0 + 1.0j, 0.4 - 0.8j, -1.0 + 1.0j, 0.05, 37.0 - 2.0j]
 
@@ -64,6 +70,22 @@ def test_array_evaluation_matches_scalar(rng):
     vals = eval_kernel_array(p, ts)
     for t, v in zip(ts, vals):
         assert abs(v - eval_kernel(p, t)) <= 1e-13 * (1.0 + abs(v))
+
+
+@pytest.mark.parametrize("mu", MU_POOL)
+def test_kernel_on_a_cached_window_is_the_per_node_value(mu):
+    # a cached window keeps its mu-independent row, series disc included;
+    # a writable copy of its nodes recomputes the row, to the same bits,
+    # and off the disc both are the one-exponent form's bits
+    ts, _ = gauss_panel_nodes(-25.0, 25.0, 20)
+    assert np.any(np.abs(ts) < SERIES_SWITCH_RADIUS)
+    p = KernelParam(mu)
+    for _ in range(2):
+        assert np.array_equal(eval_kernel_array(p, ts), eval_kernel_array(p, np.array(ts)))
+    far = np.abs(ts) >= SERIES_SWITCH_RADIUS
+    t, log_mu = ts[far], cmath.log(mu)
+    one_exponent = _over_double_sinh(t, t, t * (1j * log_mu) - log_mu)
+    assert np.array_equal(eval_kernel_array(p, ts)[far], one_exponent)
 
 
 @given(mu_strategy, st.floats(min_value=-6.0, max_value=6.0))

@@ -514,6 +514,24 @@ def test_decay_fit_validates_inputs(diag4, rng, quad):
         decay_bound_fit(diag4, x, 0.5, [-1.0, 10.0], quad)
 
 
+def test_decay_fit_rejects_the_zero_state(quad, monkeypatch):
+    # y(mu) vanishes for x = 0 and has no log-log slope; the state is
+    # rejected before any window is planned
+    planned = []
+    monkeypatch.setattr(reconstruction, "_quadrature_plan", lambda *a: planned.append(a))
+    g = GroupModel.diagonal([-0.7, 0.1, 0.9])
+    with pytest.raises(ValueError, match="x must be nonzero"):
+        decay_bound_fit(g, np.zeros(3), 0.5, np.logspace(1.0, 3.0, 9), quad)
+    assert planned == []
+
+
+def test_decay_fit_rejects_a_nan_fit_residual(diag4, rng, quad, monkeypatch):
+    # a residual that is not a number fails the fit instead of passing it
+    monkeypatch.setattr(np, "polyfit", lambda *a: (math.nan, math.nan))
+    with pytest.raises(FitUnstable):
+        decay_bound_fit(diag4, random_unit(rng, 4), 0.5, np.logspace(1.0, 3.0, 9), quad)
+
+
 def test_decay_fit_needs_three_top_decade_points(diag4, rng, quad):
     x = random_unit(rng, 4)
     with pytest.raises(FitUnstable):

@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from angen import (
+    GroupModel,
+    KernelParam,
     NonFiniteSample,
     QuadratureNonConvergence,
     QuadratureSpec,
+    apply_Uz,
+    apply_Uz_batch,
+    eval_kernel,
+    eval_kernel_array,
     integrate_vector,
 )
 from angen import vecint
-from angen.vecint import TRUNCATION_CAP, gauss_panel_nodes
+from angen.vecint import TRUNCATION_CAP, _panel_window_of, gauss_panel_nodes
 
 SQRT_PI = math.sqrt(math.pi)
 # even moments of exp(-t^2): Gamma(k + 1/2)
@@ -79,6 +85,31 @@ def test_panel_nodes_are_cached_and_read_only():
     for arr in (ts, ws):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_arrays_that_are_not_cached_windows_take_the_per_node_paths(rng):
+    # only a node array the window cache holds is a window: a slice, a
+    # shifted complex line and a window evicted by 16 newer ones are plain
+    # arrays, on which apply_Uz_batch and eval_kernel_array give the bits
+    # of a writable copy, and the exact values
+    ts, _ = gauss_panel_nodes(-9.0, 9.0, 8)
+    assert _panel_window_of(ts).ts is ts
+    g, p = GroupModel.diagonal([-1.4, 0.3, 2.2]), KernelParam(0.7 - 0.4j)
+    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    piece, line = ts[40:72], ts[::7] + 0.3j
+    for k in range(16):
+        gauss_panel_nodes(-10.0 - k, 10.0 + k, 8)
+    for zs in (piece, line, ts):
+        assert _panel_window_of(zs) is None
+        copy = np.array(zs)
+        rows = apply_Uz_batch(g, zs, x)
+        assert np.array_equal(rows, apply_Uz_batch(g, copy, x))
+        kernel = eval_kernel_array(p, zs)
+        assert np.array_equal(kernel, eval_kernel_array(p, copy))
+        for z, row, value in zip(zs, rows, kernel):
+            assert np.linalg.norm(row - apply_Uz(g, z, x)) <= 1e-12 * np.linalg.norm(x)
+            want = eval_kernel(p, z)
+            assert abs(value - want) <= 1e-13 * (1.0 + abs(want))
 
 
 def test_gaussian_moments():
