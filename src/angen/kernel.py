@@ -16,7 +16,7 @@ is one exponent, s*t*exp((i*t - 1)*Log mu - s*pi*t) / (-expm1(-2*s*pi*t))
 with s = sign(Re t), which overflows only where F itself does.  On real
 nodes it reads |t| * exp(i*t*Log mu - Log mu - pi*|t|) / (-expm1(-2*pi*|t|)),
 where only the exponential depends on mu; a cached quadrature window keeps
-the rest, its kernel row.
+the rest, its kernel row, and the values of the last mu it was asked for.
 
 Two independent routes to the same values exist: the closed form above
 and the Fourier-side representation
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,18 +154,36 @@ def _kernel_row(ts: np.ndarray):
     return pi_abs, abs_t, inv
 
 
+def _kernel_on_row(log_mu: complex, ts: np.ndarray, row) -> np.ndarray:
+    """F(mu, t) on real nodes ts from their row (pi|t|, |t|, inv) of _kernel_row."""
+    pi_abs, abs_t, inv = row
+    return abs_t * np.exp(ts * (1j * log_mu) - log_mu - pi_abs) * inv
+
+
 def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
     """Vectorized closed-form kernel on an array of (real or complex) points.
 
     Intended for quadrature nodes; callers are responsible for staying off
     the poles (real-line nodes always are).  Real nodes take one complex
-    exponential each times the mu-independent row of _kernel_row; a window
-    of gauss_panel_nodes keeps its row, so the row is computed once per
-    window, however many mu and modes sample it.  Complex points take the
+    exponential each times the mu-independent row of _kernel_row.  A
+    window of gauss_panel_nodes keeps its row, computed once however many
+    mu and modes sample it, and the values of the last mu, keyed by the
+    exact bits of mu (1+0j and 1-0j are two keys): the modes of one Q_mu
+    then take the exponentials once, and get one read-only array, the
+    same bits the per-node path gives.  Complex points take the
     one-exponent form, and those inside the series disc around 0 are
     taken out of it and overwritten.
     """
     window = _panel_window_of(ts)
+    if window is not None:
+        key = struct.pack("<2d", p.mu.real, p.mu.imag)
+        if window.kernel_last is None or window.kernel_last[0] != key:
+            if window.kernel_row is None:
+                window.kernel_row = _kernel_row(ts)
+            vals = _kernel_on_row(cmath.log(p.mu), ts, window.kernel_row)
+            vals.flags.writeable = False
+            window.kernel_last = (key, vals)
+        return window.kernel_last[1]
     ts = np.asarray(ts)
     log_mu = cmath.log(p.mu)
     if np.iscomplexobj(ts):
@@ -177,13 +196,7 @@ def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
         series = np.polynomial.polynomial.polyval((math.pi * near) ** 2, _X_OVER_SINH)
         out[small] = series / (2.0 * math.pi) * np.exp(near * (1j * log_mu) - log_mu)
         return out
-    if window is None:
-        pi_abs, abs_t, inv = _kernel_row(ts)
-    else:
-        if window.kernel_row is None:
-            window.kernel_row = _kernel_row(ts)
-        pi_abs, abs_t, inv = window.kernel_row
-    return abs_t * np.exp(ts * (1j * log_mu) - log_mu - pi_abs) * inv
+    return _kernel_on_row(log_mu, ts, _kernel_row(ts))
 
 
 def eval_kernel_by_integral(p: KernelParam, t: float, q: QuadratureSpec) -> complex:

@@ -7,7 +7,8 @@ The smoothing operator is the kernel-weighted group average
 computed by the line quadrature of vecint in the model's eigenbasis: one
 quadrature per eigenmode integrates the phase exp(i t h_k) to a factor
 q_k, and the matrix is mapped back as V diag(q) V*.  Each window is sized
-in advance from the kernel's decay envelope (_kernel_floor) and sampled
+in advance from the kernel's decay envelope (_kernel_floor), rounded up
+to whole panels so that neighbouring mu share it (_qmu_plan), and sampled
 once.  The modes share the phase matrix exp(i t h) of a window
 (_phase_memo), and decay_bound_fit integrates Q_mu w as that matrix
 times the coordinates V* w.  Its spectral
@@ -104,6 +105,21 @@ def _kernel_floor(p: KernelParam, q: QuadratureSpec, npu: int, ratio: float) -> 
     return _truncation_for_edge(edge, npu)
 
 
+def _qmu_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
+    """Truncation estimate and node density of compute_Qmu's quadratures.
+
+    The estimate of _quadrature_plan is raised to _kernel_floor at ratio
+    1 and then rounded up to a whole number of panel widths 16/npu, so
+    that neighbouring mu of a scan, whose estimates differ by less than a
+    panel, map to one cached window (with its phase factors and kernel
+    row).  Rounding only lengthens the window, so the floor still holds.
+    """
+    T, npu = _quadrature_plan(g, p, q)
+    T = max(T, _kernel_floor(p, q, npu, 1.0))
+    width = 16.0 / npu
+    return max(T, math.ceil(T / width) * width), npu
+
+
 def _phase_memo(twin: GroupModel, size: int = 1):
     """phases(ts): the matrix exp(i t h) of a node array, one row per node.
 
@@ -130,14 +146,15 @@ def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
     """The matrix V diag(q) V* of Q_mu, one scalar line quadrature per eigenmode.
 
     Mode k integrates its phase exp(i t h_k), q_k = integral F(mu, t)
-    exp(i t h_k) dt.  The modes share one window, one kernel density and
-    the phase matrix exp(i t h) of that window.  Each phase has unit
-    modulus and the tail gate is relative to at least 1, so the window is
-    the plan raised to _kernel_floor at ratio 1.
+    exp(i t h_k) dt.  The modes share one window, the kernel values the
+    window keeps for this mu, and the phase matrix exp(i t h) of that
+    window.  Each phase has unit modulus and the tail gate is relative to
+    at least 1, so the window is the plan raised to _kernel_floor at
+    ratio 1, rounded up to whole panels so that neighbouring mu share it
+    (_qmu_plan).
     """
     require_quadrature_clearance(p)
-    T, npu = _quadrature_plan(g, p, q)
-    T = max(T, _kernel_floor(p, q, npu, 1.0))
+    T, npu = _qmu_plan(g, p, q)
     qp, density = replace(q, nodes_per_unit=npu), partial(eval_kernel_array, p)
     phases = _phase_memo(_eigen_twin(g))
     coords = [

@@ -16,11 +16,13 @@ being widened.
 
 The windows are cached (gauss_panel_nodes), and a cached window keeps
 what its nodes' integrands share: the panel centres c_j and the scaled
-Gauss offsets d_m, whose sums are the nodes, and a slot for the
-mu-independent row of the kernel.  _panel_window_of recognises a cached
-node array by identity, so apply_Uz_batch can take its phases exp(i t h)
-as exp(i c_j h) * exp(i d_m h) and eval_kernel_array can reuse the row;
-every other array takes the per-node paths.
+Gauss offsets d_m, whose sums are the nodes, slots for the
+mu-independent row of the kernel and for the kernel values of the last
+mu.  _panel_window_of recognises a cached node array by identity, so
+apply_Uz_batch can take its phases exp(i t h) as exp(i c_j h) *
+exp(i d_m h) and eval_kernel_array can reuse the row and the values;
+every other array takes the per-node paths.  compute_Qmu rounds its
+windows up to whole panels, so that neighbouring mu share one.
 """
 
 from __future__ import annotations
@@ -89,17 +91,18 @@ def gauss_panels(lo: float, hi: float, panels: int):
 
 class _PanelWindow:
     """One cached window: read-only nodes ts and weights ws, node ts[16 j + m]
-    being the sum centres[j] + offsets[m] as computed, and kernel_row, the
-    mu-independent part of the kernel on ts, which eval_kernel_array fills
-    on first use."""
+    being the sum centres[j] + offsets[m] as computed, and two slots that
+    eval_kernel_array fills: kernel_row, the mu-independent part of the
+    kernel on ts, and kernel_last, the pair (bits of mu, read-only kernel
+    values on ts) of the last mu it was asked for."""
 
-    __slots__ = ("ts", "ws", "centres", "offsets", "kernel_row", "__weakref__")
+    __slots__ = ("ts", "ws", "centres", "offsets", "kernel_row", "kernel_last", "__weakref__")
 
     def __init__(self, lo: float, hi: float, panels: int):
         self.centres, self.offsets, self.ts, self.ws = _panel_rule(lo, hi, panels)
         for arr in (self.ts, self.ws, self.centres, self.offsets):
             arr.flags.writeable = False
-        self.kernel_row = None
+        self.kernel_row = self.kernel_last = None
 
 
 # The windows the cache holds, by the identity of their node arrays.  The
@@ -128,8 +131,8 @@ def gauss_panel_nodes(lo: float, hi: float, nodes_per_unit: int):
     Panels have width at most 16/nodes_per_unit, and their count is even.
     The arrays are cached and read-only: the eigenmodes of one Q_mu share
     a window, so all but the first get it from the cache, along with the
-    panel factors and kernel row the window keeps (see _PanelWindow).  The
-    last 16 windows are kept.
+    panel factors and kernel values the window keeps (see _PanelWindow).
+    The last 16 windows are kept.
     """
     window = _cached_window(lo, hi, nodes_per_unit)
     return window.ts, window.ws

@@ -88,6 +88,29 @@ def test_kernel_on_a_cached_window_is_the_per_node_value(mu):
     assert np.array_equal(eval_kernel_array(p, ts)[far], one_exponent)
 
 
+def test_cached_window_keeps_the_last_mu_by_its_bits():
+    # a window keeps the values of the last mu: a repeated mu gets the kept
+    # array back, and a new mu, even one equal to it as a number (1+0j and
+    # 1-0j), gets values of its own.  Every value has the bits of the
+    # per-node path on a writable copy, and the kept array is read-only
+    ts, _ = gauss_panel_nodes(-23.0, 23.0, 12)
+    copy = np.array(ts)
+    mu = 0.7 + 0.3j
+    sequence = [mu, mu.conjugate(), complex(1.0, 0.0), complex(1.0, -0.0)] * 2 + [mu]
+    previous = None
+    for m in sequence:
+        p = KernelParam(m)
+        got = eval_kernel_array(p, ts)
+        assert got.tobytes() == eval_kernel_array(p, copy).tobytes()
+        assert not got.flags.writeable
+        assert got is not previous
+        assert eval_kernel_array(p, ts) is got
+        previous = got
+    # mu and its conjugate differ, so serving one for the other would show
+    a, b = (eval_kernel_array(KernelParam(m), copy) for m in sequence[:2])
+    assert not np.array_equal(a, b)
+
+
 @given(mu_strategy, st.floats(min_value=-6.0, max_value=6.0))
 def test_three_term_recurrence(mu, t):
     # the shifted arguments t - i, t - 2i sit at distance |t| from a pole

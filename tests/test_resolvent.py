@@ -30,8 +30,7 @@ from angen.resolvent import (
     MIN_ABS_MU,
     _compressed,
     _graph_basis,
-    _kernel_floor,
-    _quadrature_plan,
+    _qmu_plan,
 )
 
 from conftest import random_hermitian, random_unit
@@ -195,6 +194,27 @@ def test_qmu_takes_one_window_per_mode(diag4, herm4, quad, monkeypatch, mu):
         assert builds == [len(windows[0])]
 
 
+def test_scan_row_shares_whole_panel_windows(diag4, quad, monkeypatch):
+    # every Q_mu of a scan row (Re mu = 2.5, 41 points) plans a whole number
+    # of panel widths, so neighbouring mu land on one cached window: the row
+    # builds a few windows, where exact-width plans built 26
+    plans = []
+    integrate = resolvent.integrate_vector
+
+    def recording(f, density, q, tail_rate, truncation, *args):
+        plans.append((truncation, 16.0 / q.nodes_per_unit))
+        return integrate(f, density, q, tail_rate, truncation, *args)
+
+    monkeypatch.setattr(resolvent, "integrate_vector", recording)
+    row = [complex(2.5, -y) for y in np.linspace(-5.0, 5.0, 41)]
+    vecint._cached_window.cache_clear()
+    spectrum_scan(diag4, row, quad)
+    assert len(plans) == diag4.dim * len(row)
+    for T, width in plans:
+        assert T / width == pytest.approx(round(T / width), abs=1e-9)
+    assert vecint._cached_window.cache_info().misses <= len(row) // 8
+
+
 @pytest.mark.parametrize("mu", MU_POOL + [0.5])
 def test_qmu_is_mode_quadrature_bitwise(diag4, herm4, quad, mu):
     # Q_mu is V diag(q) V*, where q_k is one scalar quadrature of the
@@ -202,8 +222,7 @@ def test_qmu_is_mode_quadrature_bitwise(diag4, herm4, quad, mu):
     # bit for bit
     p = KernelParam(mu)
     for g in (diag4, herm4):
-        T, npu = _quadrature_plan(g, p, quad)
-        T = max(T, _kernel_floor(p, quad, npu, 1.0))
+        T, npu = _qmu_plan(g, p, quad)
         twin, ones = _eigen_twin(g), np.ones(g.dim)
         modes = [
             vecint.integrate_vector(
