@@ -111,7 +111,6 @@ _SCHEMA = {
     "samples": (8, 1, 1000),
     "quadrature": {
         "rel_tolerance": (1e-10, REL_TOLERANCE_MIN, REL_TOLERANCE_MAX),
-        "nodes_per_unit": (8, 1, 1000),
     },
     "tolerances": {key: (tol, 0.0, 1.0) for key, tol in DEFAULT_TOLERANCES.items()},
     "kernel": {

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchViolation, PoleProximity, QuadratureNonConvergence, ZeroArgument
-from .vecint import QuadratureSpec, _panel_window_of, gauss_panel_nodes
+from .vecint import QuadratureSpec, _panel_density, _panel_window_of, gauss_panel_nodes
 
 # switch to the Taylor series of t/(2 sinh(pi t)) inside this disc
 SERIES_SWITCH_RADIUS = 1e-2
@@ -213,11 +213,7 @@ def eval_kernel_by_integral(p: KernelParam, t: float, q: QuadratureSpec) -> comp
     tol = q.rel_tolerance
     center = math.log(abs(p.mu))
     T = math.log(1.0 / tol) + abs(center) + 4.0
-    npu = max(
-        q.nodes_per_unit,
-        int(math.ceil(10.0 / p.decay_rate)),
-        int(math.ceil(0.8 * abs(t))) + 4,
-    )
+    npu = max(_panel_density(tol, abs(t)), math.ceil(10.0 / p.decay_rate))
     Es, ws = gauss_panel_nodes(-T, T, npu)
     vals = np.exp(Es * (1.0 + 1j * t)) / (np.exp(Es) + p.mu) ** 2
     value = complex(np.sum(vals * ws) / (2.0 * math.pi))

@@ -73,7 +73,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -427,7 +427,7 @@ class DecayFitReport:
 def _shifted_line_plan(
     g: GroupModel, ps: list[KernelParam], q: QuadratureSpec, r: float, ratios: np.ndarray
 ):
-    """One plan (qp, T) of the shifted line for every parameter of a ray.
+    """One plan (T, npu) of the shifted line for every parameter of a ray.
 
     ps runs along the ray by magnitude.  The per-magnitude plan is taken at
     its longest (the smallest |mu|) and densest (an end of the ray), and
@@ -444,25 +444,26 @@ def _shifted_line_plan(
     rate = ps[0].decay_rate
     worst = float(np.max(np.abs([p.mu for p in ps]) ** -r * ratios))
     edge = max(1.0, math.log(2.0 * worst / (q.rel_tolerance * rate * _SINH_FLOOR)) / rate)
-    return replace(q, nodes_per_unit=npu), max(T0, _truncation_for_edge(edge, npu))
+    return max(T0, _truncation_for_edge(edge, npu)), npu
 
 
 def _shifted_line_coords(
-    p: KernelParam, qp: QuadratureSpec, T: float, phases, c: np.ndarray, r: float
+    p: KernelParam, q: QuadratureSpec, T: float, npu: int, phases, c: np.ndarray, r: float
 ) -> np.ndarray:
     """integral i mu^(i z) U_z x / (e^{pi z} - e^{-pi z}) dt along z = t + ir.
 
     The result is in eigenbasis coordinates.  c holds those of U_{ir} x, so
     the orbit U_z x = U_t U_{ir} x is sampled as phases(ts) times c, on the
-    window of the ray's plan (qp, T) from _shifted_line_plan.
+    window of the ray's plan (T, npu) from _shifted_line_plan.
     """
     log_mu = cmath.log(p.mu)
     return integrate_vector(
         lambda ts: phases(ts) * c,
         lambda ts: _over_double_sinh(1j, ts + 1j * r, 1j * (ts + 1j * r) * log_mu),
-        qp,
+        q,
         tail_rate=p.decay_rate,
         truncation=T,
+        nodes_per_unit=npu,
     )
 
 
@@ -515,7 +516,7 @@ def decay_bound_fit(
     # compares against at least this norm
     nus = generator_spectrum(g)
     y_least = np.linalg.norm(nus / (nus + np.array(mags)[:, None]) * c, axis=1)
-    qp_shift, T_shift = _shifted_line_plan(g, ps, q, r, np.linalg.norm(c_shift) / y_least)
+    T_shift, npu_shift = _shifted_line_plan(g, ps, q, r, np.linalg.norm(c_shift) / y_least)
     rows = []
     for m, p, least in zip(mags, ps, y_least):
         c_w = p.mu * c + c_ui
@@ -532,13 +533,14 @@ def decay_bound_fit(
         y = integrate_vector(
             lambda ts: phases(ts) * c_w,
             functools.partial(eval_kernel_array, p),
-            replace(q, nodes_per_unit=npu),
+            q,
             p.decay_rate,
             T,
+            npu,
         )
         y_direct = float(np.linalg.norm(y))
         y_shift = float(
-            np.linalg.norm(_shifted_line_coords(p, qp_shift, T_shift, phases, c_shift, r))
+            np.linalg.norm(_shifted_line_coords(p, q, T_shift, npu_shift, phases, c_shift, r))
         )
         rows.append((m, y_direct, y_shift))
 

@@ -36,7 +36,7 @@ distance 1/dist(-mu, {nu_k}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -53,7 +53,7 @@ from .group_models import (
     require_graph_vector,
 )
 from .kernel import KernelParam, eval_kernel_array, l1_norm, require_quadrature_clearance
-from .vecint import QuadratureSpec, _truncation_for_edge, integrate_vector
+from .vecint import QuadratureSpec, _panel_density, _truncation_for_edge, integrate_vector
 
 # the block resolvent contains 1/mu; degenerate parameters are rejected
 MIN_ABS_MU = 1e-6
@@ -75,11 +75,7 @@ def _quadrature_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     T = (
         math.log(1.0 / q.rel_tolerance) + math.log1p(hmax) + max(0.0, -log_mu)
     ) / p.decay_rate
-    npu = max(
-        q.nodes_per_unit,
-        int(math.ceil(0.8 * (hmax + abs(log_mu)))) + 4,
-    )
-    return T, npu
+    return T, _panel_density(q.rel_tolerance, hmax + abs(log_mu))
 
 
 # |2 sinh(pi t)| >= e^(pi |t|) (1 - e^(-2 pi)) for |t| >= 1
@@ -155,10 +151,9 @@ def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
     """
     require_quadrature_clearance(p)
     T, npu = _qmu_plan(g, p, q)
-    qp, density = replace(q, nodes_per_unit=npu), partial(eval_kernel_array, p)
-    phases = _phase_memo(_eigen_twin(g))
+    density, phases = partial(eval_kernel_array, p), _phase_memo(_eigen_twin(g))
     coords = [
-        integrate_vector(lambda ts, k=k: phases(ts)[:, k], density, qp, p.decay_rate, T, 1.0)
+        integrate_vector(lambda ts, k=k: phases(ts)[:, k], density, q, p.decay_rate, T, npu, 1.0)
         for k in range(g.dim)
     ]
     return _spectral_matrix(g, np.concatenate(coords))
@@ -246,6 +241,8 @@ def verify_resolvent_identities(
     lies in the domain of the squared generator).
     """
     samples = list(samples)
+    if not samples:
+        raise ValueError("samples must hold at least one graph pair")
     for v in samples:
         require_graph_vector(g, v)
     M = R.as_matrix()
@@ -257,14 +254,14 @@ def verify_resolvent_identities(
     for v in samples:
         w = v.stacked()
         nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            raise ValueError("graph pairs must be nonzero")
         after = max(after, float(np.linalg.norm(A @ (M @ w) - w)) / nw)
         before = max(before, float(np.linalg.norm(M @ (A @ w) - w)) / nw)
         out = M @ w
         top, bot = out[: g.dim], out[g.dim :]
         scale = max(float(np.linalg.norm(top)), 1e-30)
-        invariance = max(
-            invariance, float(np.linalg.norm(bot - Ui @ top)) / scale
-        )
+        invariance = max(invariance, float(np.linalg.norm(bot - Ui @ top)) / scale)
     return ResolventReport(after, before, invariance, len(samples))
 
 

@@ -20,7 +20,6 @@ hypothesis on sampled t, then measures ||A S x - S A x|| on sample vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .group_models import (
     as_state,
     group_matrix,
 )
-from .vecint import QuadratureSpec, _truncation_for_edge, integrate_vector
+from .vecint import QuadratureSpec, _panel_density, integrate_vector
 
 _T_PROBES = (0.37, -1.13, 2.41, -3.7)
 
@@ -51,22 +50,15 @@ def _mollify_coords(g: GroupModel, n: float, q: QuadratureSpec, f, scale_hint: f
     # tail rate n*T is the conservative linearization of the quadratic
     # decay.  integrate_vector starts one step past T.
     T = max(1.0, math.sqrt(math.log(1.0 / q.rel_tolerance) / n))
-    npu = max(
-        q.nodes_per_unit,
-        int(math.ceil(0.8 * g.max_exponent)) + 4,
-        int(math.ceil(8.0 * math.sqrt(n))),
-    )
-    # Panels wider than that margin step (npu < 8) would start the outer
-    # panel inside T; the window is raised so that it starts at T.  From
-    # there the gate's estimate is 2 tol / (sqrt(pi n) T) <= tol, since
-    # n T^2 >= log(1/tol) > 4/pi.
+    npu = max(_panel_density(q.rel_tolerance, g.max_exponent), math.ceil(8.0 * math.sqrt(n)))
     amp = math.sqrt(n / math.pi)
     return integrate_vector(
         f,
         lambda ts: amp * np.exp(-n * np.asarray(ts) ** 2),
-        replace(q, nodes_per_unit=npu),
+        q,
         tail_rate=n * T,
-        truncation=max(T, _truncation_for_edge(T, npu)),
+        truncation=T,
+        nodes_per_unit=npu,
         scale_hint=scale_hint,
     )
 
@@ -111,6 +103,9 @@ def commutation_check(g: GroupModel, A, S, samples) -> float:
     relative is verified on fixed probe times first and a violation raises
     instead of returning a vacuous number.
     """
+    samples = list(samples)
+    if not samples:
+        raise ValueError("samples must hold at least one vector")
     A = np.asarray(A, dtype=complex)
     S = np.asarray(S, dtype=complex)
     scale = max(float(np.linalg.norm(S, 2)), 1e-30)

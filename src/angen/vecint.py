@@ -9,10 +9,10 @@ exponential tail bound supplied by the caller; both take the whole array
 of nodes.  A line R + i*s is integrated by closures that evaluate at
 t + i*s.  The rule is composite 16-point Gauss-Legendre on one window,
 one margin step past the caller's truncation estimate and clamped to
-[1, TRUNCATION_CAP].  Callers size that estimate in advance, so that the
-analytic tail estimate read off the window's outer panels meets the
-requested relative tolerance; a window that misses it raises instead of
-being widened.
+[1, TRUNCATION_CAP], at least as dense as the tolerance needs
+(_panel_density).  Callers size both in advance, so that the analytic tail
+estimate read off the outer panels meets the requested relative
+tolerance; a window that misses it raises instead of being widened.
 
 The windows are cached (gauss_panel_nodes), and a cached window keeps
 what its nodes' integrands share: the panel centres c_j and the scaled
@@ -50,15 +50,9 @@ _EDGE_ROWS = np.r_[0:16, -16:0]
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Parameters of a line quadrature.
-
-    rel_tolerance drives both the starting truncation and the tail
-    acceptance gate; nodes_per_unit fixes the panel density (each panel
-    carries 16 Gauss nodes and spans 16/nodes_per_unit units of t).
-    """
+    """The relative tolerance of a line quadrature: it sets the window, density and tail gate."""
 
     rel_tolerance: float = 1e-10
-    nodes_per_unit: int = 8
 
     def __post_init__(self) -> None:
         if not (REL_TOLERANCE_MIN <= self.rel_tolerance <= REL_TOLERANCE_MAX):
@@ -66,8 +60,19 @@ class QuadratureSpec:
                 f"rel_tolerance must lie in [{REL_TOLERANCE_MIN}, {REL_TOLERANCE_MAX}], "
                 f"got {self.rel_tolerance}"
             )
-        if int(self.nodes_per_unit) < 1:
-            raise ValueError("nodes_per_unit must be a positive integer")
+
+
+def _panel_density(rel_tolerance: float, frequency: float) -> int:
+    """Gauss nodes per unit of t for oscillation at frequency and rel_tolerance.
+
+    Panels of 16/npu units put the kernel's poles t = +-i on the Bernstein
+    ellipse rho - 1/rho = npu/4, where the 16-node rule errs like rho^(-32)
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3):
+    rho = (10/tol)^(1/32) keeps a factor 10.  At least 8, so that no panel
+    is wider than the margin step of _window.
+    """
+    rho = (10.0 / rel_tolerance) ** (1.0 / 32.0)
+    return max(8, math.ceil(4.0 * (rho - 1.0 / rho)), math.ceil(0.8 * frequency) + 4)
 
 
 def _panel_rule(lo: float, hi: float, panels: int):
@@ -148,9 +153,9 @@ def _panel_window_of(ts) -> _PanelWindow | None:
     return window if window is not None and window.ts is ts else None
 
 
-def _nodes(q: QuadratureSpec, T: float):
+def _nodes(T: float, nodes_per_unit: int):
     """One truncation window [-T, T] of integrate_vector."""
-    window = _cached_window(-T, T, q.nodes_per_unit)
+    window = _cached_window(-T, T, nodes_per_unit)
     return window.ts, window.ws
 
 
@@ -191,6 +196,7 @@ def integrate_vector(
     q: QuadratureSpec,
     tail_rate: float,
     truncation: float,
+    nodes_per_unit: int,
     scale_hint: float | None = None,
 ) -> np.ndarray:
     """Quadrature of integral f(t) * density(t) dt over the real line.
@@ -201,7 +207,8 @@ def integrate_vector(
     beyond the truncation window.  truncation is the caller's estimate,
     sized in advance so that the decay bound has fallen to the tolerance
     at the inner edge of the window's outer panels; the one window sampled
-    is one margin step past it (see _window).  The tail gate reads the
+    is one margin step past it (see _window), at the caller's planned
+    panel density nodes_per_unit.  The tail gate reads the
     outer panel on each side: if its estimate exceeds q.rel_tolerance
     relative to max(result norm, scale_hint), the window was planned too
     short and the computation raises QuadratureNonConvergence.  The
@@ -210,8 +217,10 @@ def integrate_vector(
     """
     if not (tail_rate > 0.0 and math.isfinite(tail_rate)):
         raise ValueError(f"tail_rate must be positive and finite, got {tail_rate}")
+    if not nodes_per_unit >= 1:
+        raise ValueError(f"nodes_per_unit must be at least 1, got {nodes_per_unit}")
     T = _window(float(truncation))
-    ts, ws = _nodes(q, T)
+    ts, ws = _nodes(T, nodes_per_unit)
     vals, dens = _sample(f, density, ts)
     if not (np.isfinite(vals).all() and np.isfinite(dens).all()):
         raise NonFiniteSample("integrand produced non-finite samples")

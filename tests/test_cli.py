@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from angen import ConfigError
-from angen.cli import _SCHEMA, SUBCOMMANDS, CheckSheet, Experiment, main
+from angen.cli import _SCHEMA, SUBCOMMANDS, CheckSheet, Experiment, load_experiment, main
 
 NAN, INF = math.nan, math.inf
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -165,6 +165,25 @@ def test_unknown_nested_key_exits_two(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_load(path):
+    raw = json.loads(path.read_text())
+    assert load_experiment(str(path)).quadrature.rel_tolerance == raw["quadrature"]["rel_tolerance"]
+
+
+def test_config_setting_nodes_per_unit_exits_two(tmp_path, capsys):
+    # the panel density is worked out from rel_tolerance, so a config
+    # written for the key that used to set it is rejected, naming the key
+    raw = json.loads((CONFIG_DIR / "identity.json").read_text())
+    raw["quadrature"]["nodes_per_unit"] = 10
+    cfg = tmp_path / "identity.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(["qmu", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "nodes_per_unit" in err
+
+
 def test_mu_on_branch_cut_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, mu_list=[[-1.0, 0.0]])
     assert run(["qmu", "--config", cfg]) == 2
@@ -198,8 +217,8 @@ def test_malformed_complex_exits_two(tmp_path, capsys):
         ("bound-fit", {"bound_fit": {"num_magnitudes": 0}}),
         ("qmu", {"tolerances": {"qmu_oracle": -1.0}}),
         ("qmu", {"tolerances": {"qmu_oracle": NAN}}),
-        ("qmu", {"quadrature": {"nodes_per_unit": 8.7}}),
-        ("qmu", {"quadrature": {"nodes_per_unit": True}}),
+        ("reconstruct", {"reconstruct": {"panels": 8.7}}),
+        ("reconstruct", {"reconstruct": {"panels": True}}),
         ("qmu", {"quadrature": {"rel_tolerance": "1e-10"}}),
         ("qmu", {"model": {"kind": "diagonal", "exponents": [NAN]}}),
         ("qmu", {"model": {"kind": "hermitian", "generator": [[[1.0, 0.0], [0.0, 0.0]]]}}),
@@ -231,8 +250,8 @@ def test_malformed_complex_exits_two(tmp_path, capsys):
         "bound-fit-num-magnitudes",
         "tolerance-negative",
         "tolerance-nan",
-        "nodes-per-unit-fraction",
-        "nodes-per-unit-bool",
+        "reconstruct-panels-fraction",
+        "reconstruct-panels-bool",
         "rel-tolerance-string",
         "exponents-nan",
         "generator-not-square",

@@ -556,8 +556,8 @@ def _count_fit_quadratures(monkeypatch):
     direct, shifted, builds, inside = [], [], [], []
     nodes, shifted_line = vecint._nodes, reconstruction._shifted_line_coords
 
-    def counting_nodes(q, T):
-        ts, ws = nodes(q, T)
+    def counting_nodes(T, npu):
+        ts, ws = nodes(T, npu)
         (shifted if inside else direct).append(ts)
         return ts, ws
 
@@ -636,7 +636,7 @@ def decay_fit_rows_reference(g, x, r, mags, q, arg_mu):
     nus = np.exp(-g.exponents)
     least = np.linalg.norm(nus / (nus + np.array(mags)[:, None]) * c, axis=1)
     c_shift = np.exp(-r * g.exponents) * c
-    qp_shift, T_shift = _shifted_line_plan(g, ps, q, r, np.linalg.norm(c_shift) / least)
+    T_shift, npu_shift = _shifted_line_plan(g, ps, q, r, np.linalg.norm(c_shift) / least)
     rows = []
     for m, p, y_least in zip(mags, ps, least):
         mu = p.mu
@@ -645,19 +645,21 @@ def decay_fit_rows_reference(g, x, r, mags, q, arg_mu):
         direct = vecint.integrate_vector(
             lambda ts: apply_Uz_batch(twin, ts, c_w),
             lambda ts: eval_kernel_array(p, ts),
-            replace(q, nodes_per_unit=npu),
+            q,
             p.decay_rate,
             max(
                 T + math.log1p(m) / p.decay_rate,
                 _kernel_floor(p, q, npu, np.linalg.norm(c_w) / y_least),
             ),
+            npu,
         )
         shift = vecint.integrate_vector(
             lambda ts: apply_Uz_batch(twin, ts + 1j * r, c),
             lambda ts: _over_double_sinh(1j, ts + 1j * r, 1j * (ts + 1j * r) * cmath.log(mu)),
-            qp_shift,
+            q,
             p.decay_rate,
             T_shift,
+            npu_shift,
         )
         rows.append((m, np.linalg.norm(direct), np.linalg.norm(shift)))
     return np.array(rows)

@@ -135,6 +135,30 @@ def test_qmu_matches_spectral_oracle(diag4, herm4, quad, mu, rtol):
         assert np.linalg.norm(Q - S, 2) <= rtol * np.linalg.norm(S, 2)
 
 
+TOLERANCE_MODELS = [(0.0, 0.0, 0.0), (0.3, -0.3, 0.1), (-1.5, -0.6, 0.4, 1.2), (5.0, -3.0)]
+TOLERANCE_MUS = [
+    cmath.rect(r, a)
+    for r in (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
+    for a in (0.0, math.pi / 2, -math.pi / 2, 3 * math.pi / 4, -3 * math.pi / 4)
+]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13])
+def test_qmu_meets_rel_tolerance(tol):
+    # rel_tolerance holds from |mu| = 0.01 to 30 on either side of the real
+    # axis, within a factor 10 for the rounding of the mode factors
+    q = QuadratureSpec(rel_tolerance=tol)
+    worst = 0.0
+    for h in TOLERANCE_MODELS:
+        g = GroupModel.diagonal(h)
+        for mu in TOLERANCE_MUS:
+            p = KernelParam(mu)
+            S = qmu_spectral_oracle(g, p)
+            err = np.linalg.norm(compute_Qmu(g, p, q) - S, 2) / np.linalg.norm(S, 2)
+            worst = max(worst, err / tol)
+    assert worst <= 10.0
+
+
 def test_identity_model_quarter(identity3, quad):
     # nu = 1, mu = 1: the factor is 1/(1+1)^2
     Q = compute_Qmu(identity3, KernelParam(1.0), quad)
@@ -167,8 +191,8 @@ def _count_phase_builds(monkeypatch):
     windows, builds = [], []
     nodes = vecint._nodes
 
-    def counting_nodes(q, T):
-        ts, ws = nodes(q, T)
+    def counting_nodes(T, npu):
+        ts, ws = nodes(T, npu)
         windows.append(ts)
         return ts, ws
 
@@ -201,9 +225,9 @@ def test_scan_row_shares_whole_panel_windows(diag4, quad, monkeypatch):
     plans = []
     integrate = resolvent.integrate_vector
 
-    def recording(f, density, q, tail_rate, truncation, *args):
-        plans.append((truncation, 16.0 / q.nodes_per_unit))
-        return integrate(f, density, q, tail_rate, truncation, *args)
+    def recording(f, density, q, tail_rate, truncation, nodes_per_unit, *args):
+        plans.append((truncation, 16.0 / nodes_per_unit))
+        return integrate(f, density, q, tail_rate, truncation, nodes_per_unit, *args)
 
     monkeypatch.setattr(resolvent, "integrate_vector", recording)
     row = [complex(2.5, -y) for y in np.linspace(-5.0, 5.0, 41)]
@@ -228,9 +252,10 @@ def test_qmu_is_mode_quadrature_bitwise(diag4, herm4, quad, mu):
             vecint.integrate_vector(
                 lambda ts, k=k: apply_Uz_batch(twin, ts, ones)[:, k],
                 lambda ts: eval_kernel_array(p, ts),
-                vecint.QuadratureSpec(quad.rel_tolerance, npu),
+                quad,
                 tail_rate=p.decay_rate,
                 truncation=T,
+                nodes_per_unit=npu,
                 scale_hint=1.0,
             )
             for k in range(g.dim)
@@ -313,6 +338,16 @@ def test_resolvent_inverse_identities(diag4, herm4, rng, quad, mu):
         assert rep.apply_before_residual <= 1e-8
         assert rep.graph_invariance_residual <= 1e-8
         assert rep.num_samples == 4
+
+
+def test_resolvent_identities_reject_vacuous_samples(diag4, rng, quad):
+    # a zero pair has no relative residual and an empty list checks nothing
+    p = KernelParam(1.0)
+    R = build_Rmu(diag4, p, quad)
+    good = make_graph_vector(diag4, random_unit(rng, 4))
+    for samples in ([], [good, make_graph_vector(diag4, np.zeros(4))]):
+        with pytest.raises(ValueError):
+            verify_resolvent_identities(diag4, p, R, samples)
 
 
 @pytest.mark.parametrize("mu", MU_POOL)

@@ -86,6 +86,12 @@ def test_operator_commutes_with_group(diag4, rng, quad):
         assert np.linalg.norm(A @ U - U @ A, 2) <= 1e-9
 
 
+def test_commutation_check_rejects_no_samples(diag4, quad):
+    A = mollify_operator(diag4, 3.0, quad)
+    with pytest.raises(ValueError, match="samples"):
+        commutation_check(diag4, A, np.eye(4), [])
+
+
 def test_commutation_check_rejects_bad_hypothesis(diag4, rng, quad):
     A = mollify_operator(diag4, 3.0, quad)
     S = rng.standard_normal((4, 4))  # generically does not commute

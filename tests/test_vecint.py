@@ -19,8 +19,10 @@ from angen import (
     integrate_vector,
 )
 from angen import vecint
-from angen.vecint import TRUNCATION_CAP, _panel_window_of, gauss_panel_nodes
+from angen.vecint import TRUNCATION_CAP, _panel_density, _panel_window_of, gauss_panel_nodes
 
+# the panel density of the engine tests, the one rel_tolerance needs down to 1e-11
+NPU = 8
 SQRT_PI = math.sqrt(math.pi)
 # even moments of exp(-t^2): Gamma(k + 1/2)
 GAUSS_MOMENTS = [SQRT_PI, SQRT_PI / 2.0, 3.0 * SQRT_PI / 4.0, 15.0 * SQRT_PI / 8.0]
@@ -43,7 +45,7 @@ def pairing_consistency_check(
     mismatch over the probes.
     """
     T = max(1.0, math.log(1.0 / q.rel_tolerance) / tail_rate)
-    y = integrate_vector(f, density, q, tail_rate, T)
+    y = integrate_vector(f, density, q, tail_rate, T, NPU)
     T = min(1.5 * T + 2.0, TRUNCATION_CAP)
 
     worst = 0.0
@@ -68,8 +70,21 @@ def test_spec_validation():
         QuadratureSpec(rel_tolerance=1e-1)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tolerance=1e-16)
-    with pytest.raises(ValueError):
-        QuadratureSpec(nodes_per_unit=0)
+
+
+def test_panel_density_follows_the_tolerance_and_the_frequency():
+    # 4 (rho - 1/rho) with rho = (10/tol)^(1/32), never below 8, and
+    # 0.8 frequency + 4 for an oscillating integrand
+    assert [_panel_density(10.0**-k, 0.0) for k in range(2, 15)] == [8] * 10 + [9, 10, 11]
+    assert _panel_density(1e-10, 10.0) == 12 and _panel_density(1e-14, 10.0) == 12
+
+
+def test_bad_panel_density_rejected():
+    q = QuadratureSpec()
+    for npu in (0, -3, math.nan):
+        with pytest.raises(ValueError, match="nodes_per_unit"):
+            integrate_vector(np.ones_like, np.exp, q, tail_rate=1.0, truncation=5.0,
+                             nodes_per_unit=npu)
 
 
 def test_panel_nodes_are_ascending_and_weights_sum():
@@ -120,6 +135,7 @@ def test_gaussian_moments():
         q,
         tail_rate=2.0,
         truncation=9.0,
+        nodes_per_unit=NPU,
     )
     assert np.allclose(got, GAUSS_MOMENTS, rtol=1e-12)
 
@@ -133,6 +149,7 @@ def test_gaussian_polynomial_pairing(coeffs):
         q,
         tail_rate=2.0,
         truncation=9.0,
+        nodes_per_unit=NPU,
     )
     want = sum(c * GAUSS_MOMENTS[k] for k, c in enumerate(coeffs))
     assert abs(got[0] - want) <= 1e-11 * (1.0 + abs(want))
@@ -141,7 +158,8 @@ def test_gaussian_polynomial_pairing(coeffs):
 def test_sech_integral():
     q = QuadratureSpec(rel_tolerance=1e-11)
     got = integrate_vector(
-        np.ones_like, lambda t: 1.0 / np.cosh(t), q, tail_rate=1.0, truncation=25.0
+        np.ones_like, lambda t: 1.0 / np.cosh(t), q, tail_rate=1.0, truncation=25.0,
+        nodes_per_unit=NPU,
     )
     assert got[0] == pytest.approx(math.pi, rel=1e-11)
 
@@ -153,6 +171,7 @@ def test_shifted_line():
     got = integrate_vector(
         np.ones_like, lambda t: np.exp(-((t + 0.5j) ** 2)), q, tail_rate=2.0,
         truncation=9.0,
+        nodes_per_unit=NPU,
     )
     assert got[0] == pytest.approx(SQRT_PI, rel=1e-12)
 
@@ -163,9 +182,9 @@ def test_short_truncation_raises_after_one_window(monkeypatch):
     windows = []
     nodes = vecint._nodes
 
-    def counting_nodes(q, T):
+    def counting_nodes(T, npu):
         windows.append(T)
-        return nodes(q, T)
+        return nodes(T, npu)
 
     monkeypatch.setattr(vecint, "_nodes", counting_nodes)
     q = QuadratureSpec(rel_tolerance=1e-10)
@@ -176,6 +195,7 @@ def test_short_truncation_raises_after_one_window(monkeypatch):
             q,
             tail_rate=0.2,
             truncation=5.0,  # deliberately far too narrow
+            nodes_per_unit=NPU,
         )
     assert windows == [7.0]
 
@@ -191,6 +211,7 @@ def test_cap_reached_raises():
             q,
             tail_rate=0.05,
             truncation=50.0,
+            nodes_per_unit=NPU,
         )
 
 
@@ -203,22 +224,24 @@ def test_non_finite_sample_raises():
             q,
             tail_rate=1.0,
             truncation=25.0,
+            nodes_per_unit=NPU,
         )
 
 
 def test_bad_tail_rate_rejected():
     q = QuadratureSpec()
     with pytest.raises(ValueError):
-        integrate_vector(np.ones_like, np.zeros_like, q, tail_rate=0.0, truncation=1.0)
+        integrate_vector(np.ones_like, np.zeros_like, q, tail_rate=0.0, truncation=1.0,
+                         nodes_per_unit=NPU)
 
 
 def test_wrong_shape_rejected():
     # one row of f and one density value per node, or a ValueError
     q = QuadratureSpec()
     with pytest.raises(ValueError, match="unexpected shape"):
-        integrate_vector(lambda t: np.ones((3, 2)), np.exp, q, tail_rate=1.0, truncation=5.0)
+        integrate_vector(lambda t: np.ones((3, 2)), np.exp, q, 1.0, 5.0, NPU)
     with pytest.raises(ValueError, match="unexpected shape"):
-        integrate_vector(np.ones_like, lambda t: np.ones(3), q, tail_rate=1.0, truncation=5.0)
+        integrate_vector(np.ones_like, lambda t: np.ones(3), q, 1.0, 5.0, NPU)
 
 
 def test_repeat_calls_are_bit_identical():
@@ -230,8 +253,8 @@ def test_repeat_calls_are_bit_identical():
     def d(t):
         return 1.0 / np.cosh(t)
 
-    a = integrate_vector(f, d, q, tail_rate=1.0, truncation=25.0)
-    b = integrate_vector(f, d, q, tail_rate=1.0, truncation=25.0)
+    a = integrate_vector(f, d, q, tail_rate=1.0, truncation=25.0, nodes_per_unit=NPU)
+    b = integrate_vector(f, d, q, tail_rate=1.0, truncation=25.0, nodes_per_unit=NPU)
     assert np.array_equal(a, b)
 
 
