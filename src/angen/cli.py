@@ -266,6 +266,12 @@ class Experiment:
         self.mu_list = _build_mu_list(raw)
         self.quadrature = QuadratureSpec(**_section(raw, "quadrature"))
         self.tolerances = _section(raw, "tolerances")
+        if "qmu_oracle" not in raw.get("tolerances", {}):
+            # unset, the Q_mu check follows the quadrature's own tolerance
+            # (with the 10x margin of the tests), never looser than the default
+            self.tolerances["qmu_oracle"] = min(
+                DEFAULT_TOLERANCES["qmu_oracle"], 10.0 * self.quadrature.rel_tolerance
+            )
         self.samples = _section(raw, "samples")
         self.kernel = _section(raw, "kernel")
         self.scan = _section(raw, "scan")

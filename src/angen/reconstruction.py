@@ -89,7 +89,7 @@ from .group_models import (
     make_graph_vector,
 )
 from .kernel import KernelParam, _over_double_sinh, eval_kernel_array, require_quadrature_clearance
-from .resolvent import _SINH_FLOOR, _kernel_floor, _phase_memo, _quadrature_plan, ampliation
+from .resolvent import _SINH_FLOOR, _PhaseMemo, _kernel_floor, _quadrature_plan, ampliation
 from .vecint import QuadratureSpec, _truncation_for_edge, gauss_panels, integrate_vector
 
 MU_MIN_DEFAULT = 1e-6
@@ -506,7 +506,7 @@ def decay_bound_fit(
     # and U_t (V* U_ir x) shifted, so they share the phase matrix of a window;
     # V is unitary, so the norms are taken in the eigenbasis
     twin = _eigen_twin(g)
-    phases = _phase_memo(twin, size=2)
+    phases = _PhaseMemo(twin, size=2)
     c = _to_eigen(g, x)
     c_ui = _to_eigen(g, analytic_generator(g) @ x)
     c_shift = apply_Uz(twin, 1j * r, c)

@@ -10,8 +10,10 @@ q_k, and the matrix is mapped back as V diag(q) V*.  Each window is sized
 in advance from the kernel's decay envelope (_kernel_floor), rounded up
 to whole panels so that neighbouring mu share it (_qmu_plan), and sampled
 once.  The modes share the phase matrix exp(i t h) of a window
-(_phase_memo), and decay_bound_fit integrates Q_mu w as that matrix
-times the coordinates V* w.  Its spectral
+(_PhaseMemo), and decay_bound_fit integrates Q_mu w as that matrix
+times the coordinates V* w.  A memo lives for one call: one Q_mu, one
+fit, or one spectrum_scan, which visits its mu in window order so that
+each window's phase matrix is built once per scan.  Its spectral
 closed form on a model with generator eigenvalues nu_k is diagonal (in
 the eigenbasis) with entries nu_k / (nu_k + mu)**2, i.e.
 Q_mu = U_i * (U_i + mu)**(-2); the test suite first re-derives that closed
@@ -116,29 +118,36 @@ def _qmu_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
     return max(T, math.ceil(T / width) * width), npu
 
 
-def _phase_memo(twin: GroupModel, size: int = 1):
-    """phases(ts): the matrix exp(i t h) of a node array, one row per node.
+class _PhaseMemo:
+    """phases(ts): the matrix exp(i t h) of a node array, one row per node,
+    for the exponents h of one model (its eigen twin).
 
     The matrices of the last size distinct node arrays are kept, so every
     integrand sampled on a kept window shares one build.  Cached windows
     come back as the same array object, which is checked before content.
+    A memo lives only as long as its caller: the matrices are never kept
+    on the cached windows.
     """
-    ones = np.ones(twin.dim)
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def phases(ts):
+    def __init__(self, twin: GroupModel, size: int = 1):
+        self.exponents = twin.exponents
+        self._twin, self._ones, self._size = twin, np.ones(twin.dim), size
+        self._kept: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def __call__(self, ts) -> np.ndarray:
+        kept = self._kept
         for i, (seen, P) in enumerate(kept):
             if ts is seen or np.array_equal(ts, seen):
                 kept.append(kept.pop(i))
                 return P
-        kept.append((ts, apply_Uz_batch(twin, ts, ones)))
-        del kept[:-size]
+        kept.append((ts, apply_Uz_batch(self._twin, ts, self._ones)))
+        del kept[: -self._size]
         return kept[-1][1]
 
-    return phases
 
-
-def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
+def compute_Qmu(
+    g: GroupModel, p: KernelParam, q: QuadratureSpec, *, phase_memo: _PhaseMemo | None = None
+) -> np.ndarray:
     """The matrix V diag(q) V* of Q_mu, one scalar line quadrature per eigenmode.
 
     Mode k integrates its phase exp(i t h_k), q_k = integral F(mu, t)
@@ -147,13 +156,23 @@ def compute_Qmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> np.ndarray:
     window.  Each phase has unit modulus and the tail gate is relative to
     at least 1, so the window is the plan raised to _kernel_floor at
     ratio 1, rounded up to whole panels so that neighbouring mu share it
-    (_qmu_plan).
+    (_qmu_plan).  phase_memo, a _PhaseMemo of g's exponents, lets calls on
+    one window share its phase matrix too (spectrum_scan passes one per
+    scan); by default each call takes a fresh one.
     """
     require_quadrature_clearance(p)
+    if phase_memo is None:
+        phase_memo = _PhaseMemo(_eigen_twin(g))
+    elif phase_memo.exponents is not g.exponents and not np.array_equal(
+        phase_memo.exponents, g.exponents
+    ):
+        raise ValueError("phase_memo was made for a model with other exponents")
     T, npu = _qmu_plan(g, p, q)
-    density, phases = partial(eval_kernel_array, p), _phase_memo(_eigen_twin(g))
+    density = partial(eval_kernel_array, p)
     coords = [
-        integrate_vector(lambda ts, k=k: phases(ts)[:, k], density, q, p.decay_rate, T, npu, 1.0)
+        integrate_vector(
+            lambda ts, k=k: phase_memo(ts)[:, k], density, q, p.decay_rate, T, npu, 1.0
+        )
         for k in range(g.dim)
     ]
     return _spectral_matrix(g, np.concatenate(coords))
@@ -178,7 +197,11 @@ def check_central_identity(g: GroupModel, p: KernelParam, Q: np.ndarray, x) -> f
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """A 2x2 block operator on pairs from C^n x C^n."""
+    """A 2x2 block operator on pairs from C^n x C^n.
+
+    The blocks may also be stacks (N, n, n) of such blocks, one operator
+    per leading index; as_matrix then returns the stack of matrices.
+    """
 
     a11: np.ndarray
     a12: np.ndarray
@@ -186,10 +209,12 @@ class BlockOperator:
     a22: np.ndarray
 
     def as_matrix(self) -> np.ndarray:
-        n, m = self.a11.shape
+        *stack, n, m = self.a11.shape
         blocks = (self.a11, self.a12, self.a21, self.a22)
-        M = np.empty((n + self.a21.shape[0], m + self.a12.shape[1]), np.result_type(*blocks))
-        M[:n, :m], M[:n, m:], M[n:, :m], M[n:, m:] = blocks
+        M = np.empty(
+            (*stack, n + self.a21.shape[-2], m + self.a12.shape[-1]), np.result_type(*blocks)
+        )
+        M[..., :n, :m], M[..., :n, m:], M[..., n:, :m], M[..., n:, m:] = blocks
         return M
 
 
@@ -200,15 +225,24 @@ def ampliation(g: GroupModel) -> BlockOperator:
     return BlockOperator(Ui, zero, zero, Ui)
 
 
-def build_Rmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> BlockOperator:
-    """The block resolvent candidate built from Q_mu."""
+def _require_invertible_blocks(p: KernelParam) -> None:
     if abs(p.mu) < MIN_ABS_MU:
         raise ValueError(
             f"|mu| = {abs(p.mu):.2e} below {MIN_ABS_MU:.0e}; the blocks contain 1/mu"
         )
-    Q = compute_Qmu(g, p, q)
-    eye = np.eye(g.dim, dtype=complex)
-    return BlockOperator(-Q + eye / p.mu, -Q / p.mu, p.mu * Q, Q)
+
+
+def _resolvent_blocks(Q: np.ndarray, mu) -> BlockOperator:
+    """R_mu = [[-Q + I/mu, -Q/mu], [mu Q, Q]] for Q = Q_mu, or for a stack
+    of them (N, n, n) with mu of shape (N, 1, 1)."""
+    eye = np.eye(Q.shape[-1], dtype=complex)
+    return BlockOperator(-Q + eye / mu, -Q / mu, mu * Q, Q)
+
+
+def build_Rmu(g: GroupModel, p: KernelParam, q: QuadratureSpec) -> BlockOperator:
+    """The block resolvent candidate built from Q_mu."""
+    _require_invertible_blocks(p)
+    return _resolvent_blocks(compute_Qmu(g, p, q), p.mu)
 
 
 def graph_action_matrices(g: GroupModel, R: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +319,7 @@ def _graph_basis(g: GroupModel) -> np.ndarray:
 
 
 def _compressed(R: BlockOperator, P: np.ndarray) -> np.ndarray:
-    """P* M P, the matrix of R compressed to the range of P."""
+    """P* M P, the matrix of R compressed to the range of P (a stack for a stacked R)."""
     return P.conj().T @ R.as_matrix() @ P
 
 
@@ -308,17 +342,30 @@ def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
     SVD; the oracle distance is dist(-mu, {nu_k}) and the flag records the
     lower bound norm >= 1/dist (up to 1e-6 slack).  A second flag records
     the paper's upper bound norm <= B(mu) (same slack), see _block_bounds.
+
+    Every mu is checked before any quadrature runs.  The Q_mu are then
+    computed in the stable order of their plans (_qmu_plan), so that the mu
+    on one window come one after another and share one phase matrix
+    through the scan's _PhaseMemo, which is dropped when the scan returns.
+    The blocks of every R_mu are formed as one stack and compressed to the
+    graph in one batched product; the visiting order does not change a bit.
     """
     mus = [complex(m) for m in mu_grid]
     params = [KernelParam(m) for m in mus]  # raises BranchViolation on the cut
     for p in params:
         require_quadrature_clearance(p)
+        _require_invertible_blocks(p)
     if not params:
         return []
-    P = _graph_basis(g)
-    stack = np.stack([_compressed(build_Rmu(g, p, q), P) for p in params])
-    norms = np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
-    dists = np.min(np.abs(np.array(mus)[:, None] + generator_spectrum(g)), axis=1).tolist()
+    plans = [_qmu_plan(g, p, q) for p in params]
+    phase_memo = _PhaseMemo(_eigen_twin(g))
+    Q = np.empty((len(params), g.dim, g.dim), dtype=complex)
+    for i in sorted(range(len(params)), key=plans.__getitem__):
+        Q[i] = compute_Qmu(g, params[i], q, phase_memo=phase_memo)
+    grid = np.array(mus)
+    R = _resolvent_blocks(Q, grid[:, None, None])
+    norms = np.linalg.svd(_compressed(R, _graph_basis(g)), compute_uv=False)[:, 0].tolist()
+    dists = np.min(np.abs(grid[:, None] + generator_spectrum(g)), axis=1).tolist()
     bounds = _block_bounds(params).tolist()
     return [
         ScanPoint(mu, nrm, dist, nrm >= (1.0 / dist) * (1.0 - 1e-6), nrm <= b * (1.0 + 1e-6))

@@ -171,6 +171,28 @@ def test_shipped_configs_load(path):
     assert load_experiment(str(path)).quadrature.rel_tolerance == raw["quadrature"]["rel_tolerance"]
 
 
+def test_qmu_oracle_follows_the_quadrature_tolerance(tmp_path, capsys, monkeypatch):
+    # a Q_mu far off the config's rel_tolerance (1e-12) fails the oracle
+    # check unless the config itself sets a looser qmu_oracle
+    import angen.resolvent as resolvent
+
+    monkeypatch.setattr(resolvent, "_panel_density", lambda tol, frequency: 2)
+    cfg = CONFIG_DIR / "identity.json"
+    assert run(["qmu", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    assert "FAIL qmu_oracle" in capsys.readouterr().out
+    raw = json.loads(cfg.read_text())
+    raw["tolerances"] = {"qmu_oracle": 1e-6}
+    loose = tmp_path / "identity.json"
+    loose.write_text(json.dumps(raw))
+    assert run(["qmu", "--config", loose, "--out", tmp_path / "out"]) == 0
+
+
+def test_qmu_oracle_default_is_never_looser_than_before(tmp_path):
+    for tol, want in [(1e-12, 1e-11), (1e-10, 1e-9), (1e-6, 1e-6), (1e-2, 1e-6)]:
+        cfg = write_config(tmp_path, quadrature={"rel_tolerance": tol})
+        assert load_experiment(str(cfg)).tolerances["qmu_oracle"] == pytest.approx(want)
+
+
 def test_config_setting_nodes_per_unit_exits_two(tmp_path, capsys):
     # the panel density is worked out from rel_tolerance, so a config
     # written for the key that used to set it is rejected, naming the key

@@ -239,6 +239,45 @@ def test_scan_row_shares_whole_panel_windows(diag4, quad, monkeypatch):
     assert vecint._cached_window.cache_info().misses <= len(row) // 8
 
 
+def test_scan_builds_one_phase_matrix_per_window(diag4, quad, monkeypatch):
+    # the scan visits its mu in window order and shares one phase memo, so
+    # a 41-point row (Re mu = 2.5) builds one phase matrix per distinct
+    # planned window, where one build per mu made 41; the order of the
+    # grid does not change a bit of the norms
+    row = [complex(2.5, -y) for y in np.linspace(-5.0, 5.0, 41)]
+    planned = {_qmu_plan(diag4, KernelParam(mu), quad) for mu in row}
+    windows, builds = _count_phase_builds(monkeypatch)
+    forward = [pt.resolvent_norm for pt in spectrum_scan(diag4, row, quad)]
+    assert len(windows) == diag4.dim * len(row)
+    assert len(builds) == len(planned) <= len(row) // 8
+    backward = [pt.resolvent_norm for pt in spectrum_scan(diag4, row[::-1], quad)]
+    assert np.array_equal(forward, backward[::-1])
+
+
+def test_spectrum_scan_rejects_small_mu_before_any_quadrature(diag4, quad, monkeypatch):
+    calls = []
+    integrate = resolvent.integrate_vector
+
+    def counting(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(resolvent, "integrate_vector", counting)
+    with pytest.raises(ValueError, match="the blocks contain 1/mu"):
+        spectrum_scan(diag4, [1.0, 2.0 + 1.0j, 0.5 * MIN_ABS_MU], quad)
+    assert calls == []
+
+
+def test_qmu_rejects_a_phase_memo_of_another_model(diag4, herm4, quad):
+    p = KernelParam(2.0 + 1.0j)
+    memo = resolvent._PhaseMemo(_eigen_twin(herm4))
+    with pytest.raises(ValueError, match="other exponents"):
+        compute_Qmu(diag4, p, quad, phase_memo=memo)
+    # a memo of the model's own exponents gives the bits of a fresh one
+    shared = compute_Qmu(herm4, p, quad, phase_memo=memo)
+    assert np.array_equal(shared, compute_Qmu(herm4, p, quad))
+
+
 @pytest.mark.parametrize("mu", MU_POOL + [0.5])
 def test_qmu_is_mode_quadrature_bitwise(diag4, herm4, quad, mu):
     # Q_mu is V diag(q) V*, where q_k is one scalar quadrature of the
