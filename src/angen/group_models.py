@@ -122,7 +122,7 @@ def apply_Uz(g: GroupModel, z: complex, x) -> np.ndarray:
 def apply_Uz_batch(g: GroupModel, zs, x) -> np.ndarray:
     """U_z x for an array of (possibly complex) times; rows follow zs.
 
-    On a window of gauss_panel_nodes, whose node 16 j + m is the sum of a
+    On a cached window of vecint._nodes, whose node 16 j + m is the sum of a
     panel centre c_j and a Gauss offset d_m, the phases exp(i t h) are the
     products exp(i c_j h) * exp(i d_m h): panels + 16 exponentials per
     mode instead of one per node.  They differ from the per-node phases by

@@ -15,8 +15,8 @@ Taylor series inside a small disc to avoid 0/0 cancellation.  Elsewhere F
 is one exponent, s*t*exp((i*t - 1)*Log mu - s*pi*t) / (-expm1(-2*s*pi*t))
 with s = sign(Re t), which overflows only where F itself does.  On real
 nodes it reads |t| * exp(i*t*Log mu - Log mu - pi*|t|) / (-expm1(-2*pi*|t|)),
-where only the exponential depends on mu; a cached quadrature window keeps
-the rest, its kernel row, and the values of the last mu it was asked for.
+where only the exponential depends on mu; a cached window of vecint._nodes
+keeps the rest, its kernel row, and the values of the last mu it was asked for.
 
 Two independent routes to the same values exist: the closed form above
 and the Fourier-side representation
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchViolation, PoleProximity, QuadratureNonConvergence, ZeroArgument
-from .vecint import QuadratureSpec, _panel_density, _panel_window_of, gauss_panel_nodes
+from .vecint import QuadratureSpec, _nodes, _panel_density, _panel_window_of
 
 # switch to the Taylor series of t/(2 sinh(pi t)) inside this disc
 SERIES_SWITCH_RADIUS = 1e-2
@@ -166,7 +166,7 @@ def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
     Intended for quadrature nodes; callers are responsible for staying off
     the poles (real-line nodes always are).  Real nodes take one complex
     exponential each times the mu-independent row of _kernel_row.  A
-    window of gauss_panel_nodes keeps its row, computed once however many
+    window of vecint._nodes keeps its row, computed once however many
     mu and modes sample it, and the values of the last mu, keyed by the
     exact bits of mu (1+0j and 1-0j are two keys): the modes of one Q_mu
     then take the exponentials once, and get one read-only array, the
@@ -203,10 +203,10 @@ def eval_kernel_by_integral(p: KernelParam, t: float, q: QuadratureSpec) -> comp
     """Independent oracle for F(mu, t), real t.
 
     Evaluates (1/(2*pi)) * integral exp(E*(1+i*t)) / (exp(E) + mu)**2 dE by
-    composite Gauss panels over E.  The integrand decays like exp(-|E|) at
-    both ends; its poles sit at E = log|mu| + i*(arg mu +/- pi), a distance
-    decay_rate from the real axis, so the node density scales with
-    1/decay_rate.
+    composite Gauss panels over E, on a cached window [-T, T] of
+    vecint._nodes.  The integrand decays like exp(-|E|) at both ends; its
+    poles sit at E = log|mu| + i*(arg mu +/- pi), a distance decay_rate
+    from the real axis, so the node density scales with 1/decay_rate.
     """
     t = float(t)
     require_quadrature_clearance(p)
@@ -214,7 +214,7 @@ def eval_kernel_by_integral(p: KernelParam, t: float, q: QuadratureSpec) -> comp
     center = math.log(abs(p.mu))
     T = math.log(1.0 / tol) + abs(center) + 4.0
     npu = max(_panel_density(tol, abs(t)), math.ceil(10.0 / p.decay_rate))
-    Es, ws = gauss_panel_nodes(-T, T, npu)
+    Es, ws = _nodes(T, npu)
     vals = np.exp(Es * (1.0 + 1j * t)) / (np.exp(Es) + p.mu) ** 2
     value = complex(np.sum(vals * ws) / (2.0 * math.pi))
 

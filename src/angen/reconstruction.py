@@ -20,12 +20,10 @@ the upper half plane.  The 2n x 2n system on the pair is solved as it
 stands, never through the spectral shortcut: D is brought to real
 tridiagonal form by a unitary similarity (Householder reflections, no
 eigenvalues), and one Thomas sweep then solves the shifted systems at every
-radial node together.  The reduction depends on the matrix alone, so it is
-kept in a small cache keyed on the matrix's content and computed once per
-distinct matrix, however many calls solve with it.  The sweep's samples
-depend on the matrix, the right-hand side and the nodes alone, never on z,
-so each cache entry also keeps the latest samples taken with its
-reduction: calls at other z (or alpha, or t) on the same state run no sweep.
+radial node together.  The samples depend on the matrix, the right-hand
+side and the nodes alone, never on z, so the last four sample sets are
+kept in a cache keyed on that content: calls at other z (or alpha, or t)
+on the same state run neither the reduction nor the sweep.
 
 Route two (scalar power form) evaluates, for 0 < Re alpha < 1,
 
@@ -64,8 +62,9 @@ shifted-line representation
 obtained by moving the integration line of Q_mu (mu + U_i) to Im z = r;
 the factor mu**(i*z) = mu**(i*t) * mu**(-r) carries the mu**(-r) envelope.
 Both lines integrate orbits of the model's diagonal twin, the direct one
-U_t (V* w) and the shifted one U_t (V* U_ir x), so they share the phase
-matrix exp(i t h) of each window.
+U_t (V* w) and the shifted one U_t (V* U_ir x), from the phase matrix
+exp(i t h) of their windows, one memo per line: the shifted line's one
+window is built once per fit, the direct line's once per magnitude.
 """
 
 from __future__ import annotations
@@ -155,24 +154,6 @@ def _tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return Q, np.diagonal(T).real.copy(), e
 
 
-def _reduction_entry(A: np.ndarray):
-    """A's cache entry (Q, d, e, kept): its reduction and the samples kept with it.
-
-    The key is A's shape, dtype and bytes, so equal content shares one
-    entry and any changed entry is reduced afresh.  kept maps the key of
-    the latest radial samples taken with the reduction to those samples;
-    _shifted_solves fills it, and it never holds more than one set.
-    """
-    return _reduction_of(A.shape, A.dtype.str, A.tobytes())
-
-
-@functools.lru_cache(maxsize=4)
-def _reduction_of(shape: tuple[int, ...], dtype: str, data: bytes):
-    Q, d, e = _tridiagonalize(np.frombuffer(data, dtype=dtype).reshape(shape))
-    Q.flags.writeable = d.flags.writeable = e.flags.writeable = False
-    return Q, d, e, {}
-
-
 def _sweep(
     Q: np.ndarray, d: np.ndarray, e: np.ndarray, b: np.ndarray, mus: np.ndarray
 ) -> np.ndarray:
@@ -207,21 +188,23 @@ def _shifted_solves(
     and B is the first rows rows of the unitary reduction Q.  Nothing is
     mapped back here: a caller that weights the columns maps the weighted
     sums back with B, once each.  A must be Hermitian positive definite and
-    every mu > 0 (see _sweep).  A's reduction comes from a small cache keyed
-    on its content, so each distinct A is reduced once per process.  The
-    samples depend on A, b, the nodes and rows alone, so the cache entry
-    keeps the latest (B, Y) beside the reduction: a repeated call skips the
-    sweep and returns the same read-only arrays, bit for bit what a sweep
-    would give.
+    every mu > 0 (see _sweep).  The last four sample sets are cached by the
+    content of (A, b, mus, rows), in either memory order: a repeated call
+    returns the same read-only arrays without reducing or sweeping, bit for
+    bit what a fresh computation gives.
     """
-    Q, d, e, kept = _reduction_entry(A)
-    key = (b.dtype.str, b.tobytes(), mus.dtype.str, mus.tobytes(), rows)
-    if key not in kept:
-        Y = _sweep(Q, d, e, b, mus)
-        Y.flags.writeable = False
-        kept.clear()
-        kept[key] = Q[:rows], Y
-    return kept[key]
+    keys = tuple((a.shape, a.dtype.str, a.tobytes()) for a in (A, b, mus))
+    return _cached_samples(keys, rows)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_samples(keys: tuple, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (B, Y) of _shifted_solves for the (shape, dtype, bytes) keys of A, b, mus."""
+    A, b, mus = (np.frombuffer(data, dtype).reshape(shape) for shape, dtype, data in keys)
+    Q, d, e = _tridiagonalize(A)
+    B, Y = Q[:rows], _sweep(Q, d, e, b, mus)
+    B.flags.writeable = Y.flags.writeable = False
+    return B, Y
 
 
 def _radial_integral(
@@ -320,9 +303,8 @@ def reconstruct_Ut_delta(
     solves (D + mu)^(-1) D on the stacked pair (x, U_i x), one per radial
     node and shared by the whole sequence, and equals U_z x to quadrature
     accuracy.  The solves go through a unitary tridiagonal reduction of
-    D, computed once per distinct D and kept in a small cache, and a
-    Thomas sweep over all nodes, whose samples the cache keeps for the
-    latest pair; no eigenvalues are computed.
+    D and a Thomas sweep over all nodes, whose samples a small cache
+    keeps for each recent pair; no eigenvalues are computed.
     The reported error is against the exact
     oracle U_t x, so at z = t + i d it is the limit gap
     ||(e^(-dH) - I) x|| <= (e^(d max|h|) - 1) ||x||, of order d: it
@@ -503,10 +485,10 @@ def decay_bound_fit(
     require_quadrature_clearance(KernelParam(cmath.exp(1j * arg_mu)))
 
     # both lines integrate orbits of the diagonal twin, U_t (V* w) directly
-    # and U_t (V* U_ir x) shifted, so they share the phase matrix of a window;
+    # and U_t (V* U_ir x) shifted, each from the phase matrix of its window;
     # V is unitary, so the norms are taken in the eigenbasis
     twin = _eigen_twin(g)
-    phases = _PhaseMemo(twin, size=2)
+    phases, shifted = _PhaseMemo(twin), _PhaseMemo(twin)
     c = _to_eigen(g, x)
     c_ui = _to_eigen(g, analytic_generator(g) @ x)
     c_shift = apply_Uz(twin, 1j * r, c)
@@ -540,7 +522,7 @@ def decay_bound_fit(
         )
         y_direct = float(np.linalg.norm(y))
         y_shift = float(
-            np.linalg.norm(_shifted_line_coords(p, q, T_shift, npu_shift, phases, c_shift, r))
+            np.linalg.norm(_shifted_line_coords(p, q, T_shift, npu_shift, shifted, c_shift, r))
         )
         rows.append((m, y_direct, y_shift))
 

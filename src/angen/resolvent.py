@@ -11,11 +11,11 @@ in advance from the kernel's decay envelope (_kernel_floor), rounded up
 to whole panels so that neighbouring mu share it (_qmu_plan), and sampled
 once.  The modes share the phase matrix exp(i t h) of a window
 (_PhaseMemo), and decay_bound_fit integrates Q_mu w as that matrix
-times the coordinates V* w.  A memo lives for one call: one Q_mu, one
-fit, or one spectrum_scan, which visits its mu in window order so that
-each window's phase matrix is built once per scan.  Its spectral
-closed form on a model with generator eigenvalues nu_k is diagonal (in
-the eigenbasis) with entries nu_k / (nu_k + mu)**2, i.e.
+times the coordinates V* w.  A memo keeps one matrix for one call: one
+Q_mu, one line of a fit, or one spectrum_scan, which visits its mu in
+window order so that each window's phase matrix is built once per scan.
+The spectral closed form of Q_mu on a model with generator eigenvalues
+nu_k is diagonal (in the eigenbasis) with entries nu_k / (nu_k + mu)**2, i.e.
 Q_mu = U_i * (U_i + mu)**(-2); the test suite first re-derives that closed
 form by brute-force scalar quadrature before using it as an oracle.
 
@@ -122,27 +122,22 @@ class _PhaseMemo:
     """phases(ts): the matrix exp(i t h) of a node array, one row per node,
     for the exponents h of one model (its eigen twin).
 
-    The matrices of the last size distinct node arrays are kept, so every
-    integrand sampled on a kept window shares one build.  Cached windows
-    come back as the same array object, which is checked before content.
-    A memo lives only as long as its caller: the matrices are never kept
-    on the cached windows.
+    The matrix of the last node array is kept and served again while the
+    same array object comes back, as a cached window does, so the
+    integrands sampled on one window share one build; any other array,
+    an equal copy included, builds afresh.  A memo lives only as long as
+    its caller: the matrices are never kept on the cached windows.
     """
 
-    def __init__(self, twin: GroupModel, size: int = 1):
+    def __init__(self, twin: GroupModel):
         self.exponents = twin.exponents
-        self._twin, self._ones, self._size = twin, np.ones(twin.dim), size
-        self._kept: list[tuple[np.ndarray, np.ndarray]] = []
+        self._twin, self._ones = twin, np.ones(twin.dim)
+        self._ts = self._phases = None
 
     def __call__(self, ts) -> np.ndarray:
-        kept = self._kept
-        for i, (seen, P) in enumerate(kept):
-            if ts is seen or np.array_equal(ts, seen):
-                kept.append(kept.pop(i))
-                return P
-        kept.append((ts, apply_Uz_batch(self._twin, ts, self._ones)))
-        del kept[: -self._size]
-        return kept[-1][1]
+        if ts is not self._ts:
+            self._ts, self._phases = ts, apply_Uz_batch(self._twin, ts, self._ones)
+        return self._phases
 
 
 def compute_Qmu(
@@ -290,9 +285,9 @@ def verify_resolvent_identities(
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             raise ValueError("graph pairs must be nonzero")
-        after = max(after, float(np.linalg.norm(A @ (M @ w) - w)) / nw)
-        before = max(before, float(np.linalg.norm(M @ (A @ w) - w)) / nw)
         out = M @ w
+        after = max(after, float(np.linalg.norm(A @ out - w)) / nw)
+        before = max(before, float(np.linalg.norm(M @ (A @ w) - w)) / nw)
         top, bot = out[: g.dim], out[g.dim :]
         scale = max(float(np.linalg.norm(top)), 1e-30)
         invariance = max(invariance, float(np.linalg.norm(bot - Ui @ top)) / scale)

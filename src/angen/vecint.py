@@ -14,9 +14,9 @@ one margin step past the caller's truncation estimate and clamped to
 estimate read off the outer panels meets the requested relative
 tolerance; a window that misses it raises instead of being widened.
 
-The windows are cached (gauss_panel_nodes), and a cached window keeps
-what its nodes' integrands share: the panel centres c_j and the scaled
-Gauss offsets d_m, whose sums are the nodes, slots for the
+The last 16 windows [-T, T] are cached (_nodes), and a cached window
+keeps what its nodes' integrands share: the panel centres c_j and the
+scaled Gauss offsets d_m, whose sums are the nodes, slots for the
 mu-independent row of the kernel and for the kernel values of the last
 mu.  _panel_window_of recognises a cached node array by identity, so
 apply_Uz_batch can take its phases exp(i t h) as exp(i c_j h) *
@@ -95,16 +95,16 @@ def gauss_panels(lo: float, hi: float, panels: int):
 
 
 class _PanelWindow:
-    """One cached window: read-only nodes ts and weights ws, node ts[16 j + m]
-    being the sum centres[j] + offsets[m] as computed, and two slots that
-    eval_kernel_array fills: kernel_row, the mu-independent part of the
-    kernel on ts, and kernel_last, the pair (bits of mu, read-only kernel
-    values on ts) of the last mu it was asked for."""
+    """One cached window [-T, T]: read-only nodes ts and weights ws, node
+    ts[16 j + m] being the sum centres[j] + offsets[m] as computed, and two
+    slots that eval_kernel_array fills: kernel_row, the mu-independent part
+    of the kernel on ts, and kernel_last, the pair (bits of mu, read-only
+    kernel values on ts) of the last mu it was asked for."""
 
     __slots__ = ("ts", "ws", "centres", "offsets", "kernel_row", "kernel_last", "__weakref__")
 
-    def __init__(self, lo: float, hi: float, panels: int):
-        self.centres, self.offsets, self.ts, self.ws = _panel_rule(lo, hi, panels)
+    def __init__(self, T: float, panels: int):
+        self.centres, self.offsets, self.ts, self.ws = _panel_rule(-T, T, panels)
         for arr in (self.ts, self.ws, self.centres, self.offsets):
             arr.flags.writeable = False
         self.kernel_row = self.kernel_last = None
@@ -117,30 +117,17 @@ _CACHED_WINDOWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_window(lo: float, hi: float, nodes_per_unit: int) -> _PanelWindow:
+def _cached_window(T: float, nodes_per_unit: int) -> _PanelWindow:
     width = 16.0 / float(nodes_per_unit)
-    panels = max(1, int(math.ceil((hi - lo) / width)))
-    # On a window [-T, T] an odd count centres a panel at t = 0, right
-    # under the kernel's poles at t = +-i, and that panel's error dominates
-    # (compute_Qmu on a 4-mode diagonal model at mu = 0.5: 6.9e-12 relative
-    # error).  An even count puts a panel edge there, where the pole lies
-    # on a larger Bernstein ellipse of both neighbouring panels (4.9e-15).
-    window = _PanelWindow(lo, hi, panels + panels % 2)
+    panels = max(1, int(math.ceil(2.0 * T / width)))
+    # An odd count centres a panel at t = 0, right under the kernel's poles
+    # at t = +-i, and that panel's error dominates (compute_Qmu on a 4-mode
+    # diagonal model at mu = 0.5: 6.9e-12 relative error).  An even count
+    # puts a panel edge there, where the pole lies on a larger Bernstein
+    # ellipse of both neighbouring panels (4.9e-15).
+    window = _PanelWindow(T, panels + panels % 2)
     _CACHED_WINDOWS[id(window.ts)] = window
     return window
-
-
-def gauss_panel_nodes(lo: float, hi: float, nodes_per_unit: int):
-    """Gauss panels on [lo, hi] with average node density at least nodes_per_unit.
-
-    Panels have width at most 16/nodes_per_unit, and their count is even.
-    The arrays are cached and read-only: the eigenmodes of one Q_mu share
-    a window, so all but the first get it from the cache, along with the
-    panel factors and kernel values the window keeps (see _PanelWindow).
-    The last 16 windows are kept.
-    """
-    window = _cached_window(lo, hi, nodes_per_unit)
-    return window.ts, window.ws
 
 
 def _panel_window_of(ts) -> _PanelWindow | None:
@@ -154,8 +141,9 @@ def _panel_window_of(ts) -> _PanelWindow | None:
 
 
 def _nodes(T: float, nodes_per_unit: int):
-    """One truncation window [-T, T] of integrate_vector."""
-    window = _cached_window(-T, T, nodes_per_unit)
+    """The cached, read-only nodes and weights of an even count of Gauss panels
+    on [-T, T], each at most 16/nodes_per_unit wide (see _PanelWindow)."""
+    window = _cached_window(T, nodes_per_unit)
     return window.ts, window.ws
 
 

@@ -16,10 +16,10 @@ settings.load_profile("ci")
 
 
 @pytest.fixture(autouse=True)
-def cold_reduction_cache():
-    # every test starts without cached tridiagonal reductions, so none
+def cold_sample_cache():
+    # every test starts without cached radial sample sets, so none
     # depends on which tests ran before it
-    reconstruction._reduction_of.cache_clear()
+    reconstruction._cached_samples.cache_clear()
 
 
 @pytest.fixture

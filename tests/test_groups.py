@@ -26,7 +26,7 @@ from angen import (
     require_graph_vector,
 )
 from angen.group_models import H_MAX, OVERFLOW_GUARD, _check_overflow, as_state
-from angen.vecint import _panel_window_of, gauss_panel_nodes
+from angen.vecint import _nodes, _panel_window_of
 
 from conftest import random_unit
 
@@ -144,7 +144,7 @@ def test_batch_on_a_cached_window_matches_per_node_phases(diag4, herm4, rng):
     # factors; a writable copy of its nodes takes one exponential per node.
     # The two differ by the rounding of the arguments t h, c_j h and d_m h,
     # which for large |h| near t = 0 is set by |c_j| + |d_m| rather than |t|
-    ts, _ = gauss_panel_nodes(-40.0, 40.0, 10)
+    ts, _ = _nodes(40.0, 10)
     window = _panel_window_of(ts)
     reach = (np.abs(window.centres)[:, None] + np.abs(window.offsets)[None, :]).ravel()
     copy = np.array(ts)

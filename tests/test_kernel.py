@@ -25,7 +25,7 @@ from angen.kernel import (
     _over_double_sinh,
     require_quadrature_clearance,
 )
-from angen.vecint import gauss_panel_nodes
+from angen.vecint import _nodes
 
 MU_POOL = [1.0, 2.0 + 1.0j, 0.4 - 0.8j, -1.0 + 1.0j, 0.05, 37.0 - 2.0j]
 
@@ -77,7 +77,7 @@ def test_kernel_on_a_cached_window_is_the_per_node_value(mu):
     # a cached window keeps its mu-independent row, series disc included;
     # a writable copy of its nodes recomputes the row, to the same bits,
     # and off the disc both are the one-exponent form's bits
-    ts, _ = gauss_panel_nodes(-25.0, 25.0, 20)
+    ts, _ = _nodes(25.0, 20)
     assert np.any(np.abs(ts) < SERIES_SWITCH_RADIUS)
     p = KernelParam(mu)
     for _ in range(2):
@@ -93,7 +93,7 @@ def test_cached_window_keeps_the_last_mu_by_its_bits():
     # array back, and a new mu, even one equal to it as a number (1+0j and
     # 1-0j), gets values of its own.  Every value has the bits of the
     # per-node path on a writable copy, and the kept array is read-only
-    ts, _ = gauss_panel_nodes(-23.0, 23.0, 12)
+    ts, _ = _nodes(23.0, 12)
     copy = np.array(ts)
     mu = 0.7 + 0.3j
     sequence = [mu, mu.conjugate(), complex(1.0, 0.0), complex(1.0, -0.0)] * 2 + [mu]

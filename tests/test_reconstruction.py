@@ -34,6 +34,7 @@ from angen.reconstruction import (
     PANELS_DEFAULT,
     _shifted_line_plan,
     _shifted_solves,
+    _sweep,
     _tridiagonalize,
 )
 from angen.resolvent import _kernel_floor, _quadrature_plan
@@ -160,13 +161,13 @@ def test_narrow_window_truncation_dominates(diag4, rng, quad):
 def test_far_time_raises_typed_error(diag4, rng, quad, monkeypatch, t, error, route):
     # at t = 1000, sin(pi alpha) ~ e^(pi t) overflows a double; the guard
     # must refuse before any resolvent sample: the power-series solves, the
-    # reduction behind the node samples and its cached entry point are all
+    # reduction behind the node samples and the sample cache are all
     # disabled here, so a warm cache cannot hide a guard that fires late
     x = random_unit(rng, 4)
     if error is OverflowRisk:
         monkeypatch.setattr(np.linalg, "solve", None)
         monkeypatch.setattr(reconstruction, "_tridiagonalize", None)
-        monkeypatch.setattr(reconstruction, "_reduction_entry", None)
+        monkeypatch.setattr(reconstruction, "_cached_samples", None)
     with pytest.raises(error):
         if route == "graph_pair":
             reconstruct_Ut_delta(diag4, t, x, [t + 0.1j], quad)
@@ -218,7 +219,7 @@ def test_sequence_shares_radial_samples(diag4, herm4, rng, quad, monkeypatch, ro
     # resolvent samples: the sequence matches one call per element.  The
     # count is of reductions computed, not looked up: the first single
     # reduces the model's matrix, the other singles and the sequence reuse
-    # it, and each call still makes its own power-series solves
+    # its samples, and each call still makes its own power-series solves
     t = 0.7
     offsets = (0.3, 0.1, 0.03)
     if route == "graph_pair":
@@ -342,33 +343,41 @@ def test_shifted_solve_is_backward_stable(h, log_mu, seed):
     residual = np.linalg.norm((Ui + mu * np.eye(n)) @ y - b)
     eps = np.finfo(float).eps
     assert residual <= 100.0 * eps * (np.linalg.norm(Ui, 2) + mu) * np.linalg.norm(y)
-    # the cache is cleared once per test, so it sees every example's matrix
-    # and must stay bounded, with one sample set beside each reduction
-    info = reconstruction._reduction_of.cache_info()
+    # the cache is cleared once per test, so it sees every example's sample
+    # set and must stay bounded, and it holds the latest one
+    info = reconstruction._cached_samples.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
-    *_, kept = reconstruction._reduction_entry(Ui)
-    ((kept_B, kept_Y),) = kept.values()
+    kept_B, kept_Y = _shifted_solves(Ui, b, np.array([mu]), n)
     assert kept_B is B and kept_Y is Y
 
 
-def test_reduction_is_cached_by_content(herm4, rng, quad):
+def test_sample_sets_are_cached_by_content(herm4, rng, quad):
     Ui = analytic_generator(herm4)
-    Q, d, e = reconstruction._reduction_entry(Ui)[:3]
-    for a in (Q, d, e):
-        assert not a.flags.writeable
-    want = _tridiagonalize(Ui)
-    assert all(np.array_equal(a, b) for a, b in zip((Q, d, e), want))
-    # equal content in another array, in either memory order, is a hit
-    assert reconstruction._reduction_entry(Ui.copy())[0] is Q
-    assert reconstruction._reduction_entry(np.asfortranarray(Ui))[0] is Q
-    assert reconstruction._reduction_of.cache_info().misses == 1
-    # one diagonal entry moved by one ulp (still Hermitian) is reduced afresh
-    moved = Ui.copy()
-    moved[0, 0] = np.nextafter(moved[0, 0].real, np.inf)
-    Q2, d2, e2 = reconstruction._reduction_entry(moved)[:3]
-    assert reconstruction._reduction_of.cache_info().misses == 2
-    assert d2[0] != d[0]
-    assert all(np.array_equal(a, b) for a, b in zip((Q2, d2, e2), _tridiagonalize(moved)))
+    n = herm4.dim
+    b = Ui @ random_unit(rng, n)
+    mus = np.logspace(-2.0, 2.0, 5)
+    B, Y = _shifted_solves(Ui, b, mus, n)
+    Q, d, e = _tridiagonalize(Ui)
+    assert np.array_equal(B, Q[:n]) and np.array_equal(Y, _sweep(Q, d, e, b, mus))
+    # equal content in other arrays, A in either memory order, is a hit
+    for A in (Ui.copy(), np.asfortranarray(Ui)):
+        again = _shifted_solves(A, b.copy(), mus.copy(), n)
+        assert again[0] is B and again[1] is Y
+    assert reconstruction._cached_samples.cache_info().misses == 1
+    # one bit moved in A (a diagonal entry, so still Hermitian), in b or in
+    # a node is a new sample set, reduced and swept afresh
+    moved_A, moved_b, moved_mus = Ui.copy(), b.copy(), mus.copy()
+    moved_A[0, 0] = np.nextafter(moved_A[0, 0].real, np.inf)
+    moved_b[0] = complex(np.nextafter(b[0].real, np.inf), b[0].imag)
+    moved_mus[2] = np.nextafter(mus[2], np.inf)
+    for misses, (A, rhs, nodes) in enumerate(
+        ((moved_A, b, mus), (Ui, moved_b, mus), (Ui, b, moved_mus)), start=2
+    ):
+        B2, Y2 = _shifted_solves(A, rhs, nodes, n)
+        assert reconstruction._cached_samples.cache_info().misses == misses
+        Q2, d2, e2 = _tridiagonalize(A)
+        assert np.array_equal(B2, Q2[:n]) and np.array_equal(Y2, _sweep(Q2, d2, e2, rhs, nodes))
+        assert not np.array_equal(Y2, Y)
 
     # cold and warm reports of both routes are bit-identical
     t = 0.7
@@ -378,10 +387,10 @@ def test_reduction_is_cached_by_content(herm4, rng, quad):
         (reconstruct_Ut_cz, [0.1 + 1j * t, 0.03 + 1j * t]),
     )
     for reconstruct, seq in routes:
-        reconstruction._reduction_of.cache_clear()
+        reconstruction._cached_samples.cache_clear()
         cold = reconstruct(herm4, t, x, seq, quad)
         warm = reconstruct(herm4, t, x, seq, quad)
-        info = reconstruction._reduction_of.cache_info()
+        info = reconstruction._cached_samples.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert np.array_equal(cold.approximation, warm.approximation)
         assert replace(cold, approximation=None) == replace(warm, approximation=None)
@@ -421,7 +430,7 @@ def test_radial_samples_are_swept_once_across_times(herm4, rng, quad, monkeypatc
         warm.append(reconstruct(herm4, t, x, seq, quad))
     assert len(sweeps) == 1
     for t, w in zip(times, warm):
-        reconstruction._reduction_of.cache_clear()
+        reconstruction._cached_samples.cache_clear()
         reconstruct, seq = route_sequence(route, t)
         cold = reconstruct(herm4, t, x, seq, quad)
         assert np.array_equal(cold.approximation, w.approximation)
@@ -432,8 +441,16 @@ def test_radial_samples_are_swept_once_across_times(herm4, rng, quad, monkeypatc
 @pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
 def test_moved_state_or_other_panels_sweep_again(herm4, rng, quad, monkeypatch, route):
     # x moved by one ulp changes the right-hand side, and other panels
-    # change the nodes: either runs a new sweep on the one kept reduction
+    # change the nodes: either is a new sample set, which reduces the
+    # matrix again and runs a new sweep
     sweeps = counted_sweeps(monkeypatch)
+    tridiagonalize, reductions = reconstruction._tridiagonalize, []
+
+    def counted_reduction(A):
+        reductions.append(1)
+        return tridiagonalize(A)
+
+    monkeypatch.setattr(reconstruction, "_tridiagonalize", counted_reduction)
     reconstruct, seq = route_sequence(route, 0.7)
     x = random_unit(rng, herm4.dim)
     moved = x.copy()
@@ -447,14 +464,13 @@ def test_moved_state_or_other_panels_sweep_again(herm4, rng, quad, monkeypatch, 
     )
     for state, panels, total in runs:
         reconstruct(herm4, 0.7, state, seq, quad, panels=panels)
-        assert len(sweeps) == total
-    assert reconstruction._reduction_of.cache_info().misses == 1
+        assert len(sweeps) == len(reductions) == total
 
 
 def test_shifted_solves_keep_the_latest_samples(herm4, rng, monkeypatch):
     # equal (A, b, nodes, rows) content returns the kept read-only arrays
     # without a sweep; b or one node moved by one ulp, or other rows, sweep
-    # again, and only the latest samples stay beside the reduction
+    # again, and the first samples stay among the latest four sets
     sweeps = counted_sweeps(monkeypatch)
     Ui = analytic_generator(herm4)
     n = herm4.dim
@@ -471,20 +487,33 @@ def test_shifted_solves_keep_the_latest_samples(herm4, rng, monkeypatch):
     b_moved[0] = complex(np.nextafter(b[0].real, np.inf), b[0].imag)
     mus_moved = mus.copy()
     mus_moved[2] = np.nextafter(mus[2], np.inf)
-    for args, total in (
-        ((b_moved, mus, n), 2),
-        ((b, mus_moved, n), 3),
-        ((b, mus, n - 1), 4),
-        ((b, mus, n), 5),
-    ):
+    for args, total in (((b_moved, mus, n), 2), ((b, mus_moved, n), 3), ((b, mus, n - 1), 4)):
         _shifted_solves(Ui, *args)
-        assert len(sweeps) == total
-        *_, kept = reconstruction._reduction_entry(Ui)
-        assert len(kept) == 1
-    # the first samples had been replaced, so they were swept afresh, to the bit
-    B5, Y5 = _shifted_solves(Ui, b, mus, n)
-    assert Y5 is not Y and np.array_equal(Y5, Y) and np.array_equal(B5, B)
-    assert reconstruction._reduction_of.cache_info().misses == 1
+        assert len(sweeps) == reconstruction._cached_samples.cache_info().currsize == total
+    B4, Y4 = _shifted_solves(Ui, b, mus, n)
+    assert B4 is B and Y4 is Y and len(sweeps) == 4
+
+
+def test_sample_cache_holds_four_sets(herm4, rng, monkeypatch):
+    # a fifth sample set evicts the least recently used one, which comes
+    # back swept afresh, to the bit; the other sets stay kept
+    sweeps = counted_sweeps(monkeypatch)
+    Ui = analytic_generator(herm4)
+    n = herm4.dim
+    b = Ui @ random_unit(rng, n)
+    grids = [np.logspace(-2.0, 2.0, 5 + k) for k in range(5)]
+    first = [_shifted_solves(Ui, b, mus, n) for mus in grids[:4]]
+    assert len(sweeps) == reconstruction._cached_samples.cache_info().currsize == 4
+    _shifted_solves(Ui, b, grids[4], n)
+    assert len(sweeps) == 5 and reconstruction._cached_samples.cache_info().currsize == 4
+    for mus, (B, Y) in zip(grids[1:4], first[1:]):
+        kept = _shifted_solves(Ui, b, mus, n)
+        assert kept[0] is B and kept[1] is Y
+    assert len(sweeps) == 5
+    B0, Y0 = _shifted_solves(Ui, b, grids[0], n)
+    assert len(sweeps) == 6
+    assert Y0 is not first[0][1] and np.array_equal(Y0, first[0][1])
+    assert np.array_equal(B0, first[0][0])
 
 
 def test_decay_fit_slope_minus_one(diag4, rng, quad):

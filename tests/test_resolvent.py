@@ -278,6 +278,21 @@ def test_qmu_rejects_a_phase_memo_of_another_model(diag4, herm4, quad):
     assert np.array_equal(shared, compute_Qmu(herm4, p, quad))
 
 
+def test_phase_memo_keeps_one_matrix_by_identity(herm4, monkeypatch):
+    # the memo serves its matrix again only for the same node array: an
+    # equal copy builds afresh, and two arrays in turn build on every call
+    _, builds = _count_phase_builds(monkeypatch)
+    memo = resolvent._PhaseMemo(_eigen_twin(herm4))
+    a, _ = vecint._nodes(7.0, 8)
+    b, _ = vecint._nodes(9.0, 8)
+    P = memo(a)
+    assert memo(a) is P and len(builds) == 1
+    assert memo(np.array(a)) is not P and len(builds) == 2
+    for k, ts in enumerate((a, b, a, b), start=3):
+        memo(ts)
+        assert len(builds) == k
+
+
 @pytest.mark.parametrize("mu", MU_POOL + [0.5])
 def test_qmu_is_mode_quadrature_bitwise(diag4, herm4, quad, mu):
     # Q_mu is V diag(q) V*, where q_k is one scalar quadrature of the

@@ -19,7 +19,7 @@ from angen import (
     integrate_vector,
 )
 from angen import vecint
-from angen.vecint import TRUNCATION_CAP, _panel_density, _panel_window_of, gauss_panel_nodes
+from angen.vecint import TRUNCATION_CAP, _nodes, _panel_density, _panel_window_of
 
 # the panel density of the engine tests, the one rel_tolerance needs down to 1e-11
 NPU = 8
@@ -88,14 +88,14 @@ def test_bad_panel_density_rejected():
 
 
 def test_panel_nodes_are_ascending_and_weights_sum():
-    ts, ws = gauss_panel_nodes(-7.0, 7.0, 8)
+    ts, ws = _nodes(7.0, 8)
     assert np.all(np.diff(ts) > 0)
     assert np.sum(ws) == pytest.approx(14.0, rel=1e-13)
 
 
 def test_panel_nodes_are_cached_and_read_only():
-    ts, ws = gauss_panel_nodes(-7.0, 7.0, 8)
-    again = gauss_panel_nodes(-7.0, 7.0, 8)
+    ts, ws = _nodes(7.0, 8)
+    again = _nodes(7.0, 8)
     assert again[0] is ts and again[1] is ws
     for arr in (ts, ws):
         with pytest.raises(ValueError):
@@ -107,13 +107,13 @@ def test_arrays_that_are_not_cached_windows_take_the_per_node_paths(rng):
     # shifted complex line and a window evicted by 16 newer ones are plain
     # arrays, on which apply_Uz_batch and eval_kernel_array give the bits
     # of a writable copy, and the exact values
-    ts, _ = gauss_panel_nodes(-9.0, 9.0, 8)
+    ts, _ = _nodes(9.0, 8)
     assert _panel_window_of(ts).ts is ts
     g, p = GroupModel.diagonal([-1.4, 0.3, 2.2]), KernelParam(0.7 - 0.4j)
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     piece, line = ts[40:72], ts[::7] + 0.3j
     for k in range(16):
-        gauss_panel_nodes(-10.0 - k, 10.0 + k, 8)
+        _nodes(10.0 + k, 8)
     for zs in (piece, line, ts):
         assert _panel_window_of(zs) is None
         copy = np.array(zs)
