@@ -48,7 +48,9 @@ the resolvent power series,
     (U_i+mu)^(-1) U_i = sum_k (-mu)^k U_i^(-k)            (mu below the spectrum)
     (U_i+mu)^(-1) U_i = sum_k (-1)^(k+1) mu^(-k) U_i^k    (mu above the spectrum),
 
-integrated term by term.  Three terms per end put the truncation error at
+integrated term by term.  The powers U_i^(-k) x are products with the
+exact inverse U_{-i}, built from the model like U_i itself, so the tails
+solve no system.  Three terms per end put the truncation error at
 machine level for the default [1e-6, 1e6] window; the first omitted term
 is monitored and TruncationDominates is raised if it is not negligible.
 
@@ -63,8 +65,8 @@ obtained by moving the integration line of Q_mu (mu + U_i) to Im z = r;
 the factor mu**(i*z) = mu**(i*t) * mu**(-r) carries the mu**(-r) envelope.
 Both lines integrate orbits of the model's diagonal twin, the direct one
 U_t (V* w) and the shifted one U_t (V* U_ir x), from the phase matrix
-exp(i t h) of their windows, one memo per line: the shifted line's one
-window is built once per fit, the direct line's once per magnitude.
+exp(i t h) of their windows, one memo per line.  Each line takes one
+window for the whole ray, so a fit builds two phase matrices.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ from .group_models import (
     apply_Uz,
     as_state,
     generator_spectrum,
+    group_matrix,
     make_graph_vector,
 )
 from .kernel import KernelParam, _over_double_sinh, eval_kernel_array, require_quadrature_clearance
@@ -202,13 +205,15 @@ def _cached_samples(keys: tuple, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only (B, Y) of _shifted_solves for the (shape, dtype, bytes) keys of A, b, mus."""
     A, b, mus = (np.frombuffer(data, dtype).reshape(shape) for shape, dtype, data in keys)
     Q, d, e = _tridiagonalize(A)
-    B, Y = Q[:rows], _sweep(Q, d, e, b, mus)
+    # a copy, so that the kept B does not hold the rest of Q alive
+    B, Y = Q[:rows].copy(), _sweep(Q, d, e, b, mus)
     B.flags.writeable = Y.flags.writeable = False
     return B, Y
 
 
 def _radial_integral(
     Ui: np.ndarray,
+    U_minus_i: np.ndarray,
     alphas: np.ndarray,
     sampler,
     x: np.ndarray,
@@ -225,7 +230,9 @@ def _radial_integral(
     once.  Every row is a weighted sum of the same samples, formed in the
     sampler's reduced basis and mapped back with B once per exponent.  The
     tails below mu_min and above mu_max are restored from the power series
-    of r, which only needs powers of the exact generator Ui applied to x.
+    of r, which only needs the powers U_i^k x and U_i^(-k) x: products with
+    Ui and with its exact inverse U_minus_i = U_{-i}, so no system is solved
+    (a solve against Ui would meet its condition number e^(2 max|h|)).
     """
     im_max = float(np.max(np.abs(alphas.imag)))
     if math.pi * im_max > _LOG_MAX_DOUBLE:
@@ -233,7 +240,7 @@ def _radial_integral(
     K = CORRECTION_TERMS
     low_vecs, high_vecs = [x], [Ui @ x]
     for _ in range(K):
-        low_vecs.append(np.linalg.solve(Ui, low_vecs[-1]))
+        low_vecs.append(U_minus_i @ low_vecs[-1])
         high_vecs.append(Ui @ high_vecs[-1])
 
     # term k of each series, k = 0..K below mu_min and k + 1 above mu_max;
@@ -304,7 +311,9 @@ def reconstruct_Ut_delta(
     node and shared by the whole sequence, and equals U_z x to quadrature
     accuracy.  The solves go through a unitary tridiagonal reduction of
     D and a Thomas sweep over all nodes, whose samples a small cache
-    keeps for each recent pair; no eigenvalues are computed.
+    keeps for each recent pair; no eigenvalues are computed.  The
+    analytic tails take powers of U_i and of U_{-i}, its exact inverse,
+    built from the model as U_i is, so no system is solved for them.
     The reported error is against the exact
     oracle U_t x, so at z = t + i d it is the limit gap
     ||(e^(-dH) - I) x|| <= (e^(d max|h|) - 1) ||x||, of order d: it
@@ -323,6 +332,7 @@ def reconstruct_Ut_delta(
     D = amp.as_matrix()
     rows = _radial_integral(
         amp.a11,  # D = diag(U_i, U_i)
+        group_matrix(g, -1j),
         -1j * np.array(zs),
         lambda mus: _shifted_solves(D, D @ pair, mus, n),
         x,
@@ -368,6 +378,9 @@ def reconstruct_Ut_cz(
     the better match is reported as the resolved orientation; under this
     package's convention the spectral value nu**(i t) = exp(-i t h) matches
     U_{-t} x, and the report makes that measurable rather than assumed.
+    The resolvent samples come from one reduction of U_i and one sweep,
+    cached as in reconstruct_Ut_delta; the analytic tails take powers of
+    U_i and of its exact inverse U_{-i}, so no system is solved for them.
     """
     t = float(t)
     x = as_state(g, x)
@@ -378,6 +391,7 @@ def reconstruct_Ut_cz(
     Ui = analytic_generator(g)
     rows = _radial_integral(
         Ui,
+        group_matrix(g, -1j),
         np.array(alphas),
         lambda lams: _shifted_solves(Ui, Ui @ x, lams, g.dim),
         x,
@@ -404,6 +418,26 @@ class DecayFitReport:
     fit_residual: float
     shift_max_rel_diff: float
     rows: tuple[tuple[float, float, float], ...]  # (|mu|, y_direct, y_shifted)
+
+
+def _direct_line_plan(g: GroupModel, ps: list[KernelParam], q: QuadratureSpec, ratios):
+    """One plan (T, npu) of the direct line for every parameter of a ray.
+
+    y(mu) = ||Q_mu w|| is about ||x|| nu/|mu|, while the integrand
+    F(mu, t) U_t w is about ||x||: the two halves of w = mu x + U_i x nearly
+    cancel under Q_mu.  The gate tracks the result, not the input, so each
+    magnitude's plan is lengthened by that dynamic range, 1 + |mu|, and
+    raised to _kernel_floor at ratios[j], a bound on the integrand over the
+    result at ps[j].  The ray takes the longest truncation and the largest
+    density of these plans: a longer, denser window only moves the inner
+    edge of its outer panels outwards, so every gate still passes a priori.
+    """
+    T_ray, npu_ray = 0.0, 1
+    for p, ratio in zip(ps, ratios):
+        T, npu = _quadrature_plan(g, p, q)
+        T = max(T + math.log1p(abs(p.mu)) / p.decay_rate, _kernel_floor(p, q, npu, ratio))
+        T_ray, npu_ray = max(T_ray, T), max(npu_ray, npu)
+    return T_ray, npu_ray
 
 
 def _shifted_line_plan(
@@ -466,11 +500,12 @@ def decay_bound_fit(
     offset r.  C_r is only an estimate sup y(mu) * mu^r, it is reported,
     not asserted against anything.
 
-    Every window is sized before it is sampled and sampled once: the
-    direct line's per magnitude, the shifted line's once for the whole ray
-    (_shifted_line_plan).  Both are raised to where the tail gate passes a
-    priori, from the kernel's envelope and a bound on the integrand over
-    the result taken from the coordinates of x.
+    Each line takes one window for the whole ray (_direct_line_plan,
+    _shifted_line_plan), sized before it is sampled and sampled once, so a
+    fit builds two phase matrices exp(i t h).  Both windows are raised to
+    where every magnitude's tail gate passes a priori, from the kernel's
+    envelope and a bound on the integrand over the result taken from the
+    coordinates of x.
     """
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
@@ -498,20 +533,11 @@ def decay_bound_fit(
     # compares against at least this norm
     nus = generator_spectrum(g)
     y_least = np.linalg.norm(nus / (nus + np.array(mags)[:, None]) * c, axis=1)
+    c_ws = np.array([p.mu for p in ps])[:, None] * c + c_ui
+    T, npu = _direct_line_plan(g, ps, q, np.linalg.norm(c_ws, axis=1) / y_least)
     T_shift, npu_shift = _shifted_line_plan(g, ps, q, r, np.linalg.norm(c_shift) / y_least)
     rows = []
-    for m, p, least in zip(mags, ps, y_least):
-        c_w = p.mu * c + c_ui
-        # y(mu) = ||Q_mu w|| is about ||x|| nu/|mu|, while the integrand
-        # F(mu, t) U_t w is about ||x||: the two halves of w nearly cancel
-        # under Q_mu.  The gate tracks the result, not the input, so the
-        # window is lengthened by that dynamic range, 1 + |mu|, and raised
-        # to where the bound ||c_w|| / least on that ratio needs it
-        T, npu = _quadrature_plan(g, p, q)
-        T = max(
-            T + math.log(1.0 + m) / p.decay_rate,
-            _kernel_floor(p, q, npu, float(np.linalg.norm(c_w)) / least),
-        )
+    for m, p, c_w in zip(mags, ps, c_ws):
         y = integrate_vector(
             lambda ts: phases(ts) * c_w,
             functools.partial(eval_kernel_array, p),

@@ -160,9 +160,9 @@ def test_narrow_window_truncation_dominates(diag4, rng, quad):
 @pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
 def test_far_time_raises_typed_error(diag4, rng, quad, monkeypatch, t, error, route):
     # at t = 1000, sin(pi alpha) ~ e^(pi t) overflows a double; the guard
-    # must refuse before any resolvent sample: the power-series solves, the
-    # reduction behind the node samples and the sample cache are all
-    # disabled here, so a warm cache cannot hide a guard that fires late
+    # must refuse before any resolvent sample: dense solves, the reduction
+    # behind the node samples and the sample cache are all disabled here,
+    # so a warm cache cannot hide a guard that fires late
     x = random_unit(rng, 4)
     if error is OverflowRisk:
         monkeypatch.setattr(np.linalg, "solve", None)
@@ -219,7 +219,8 @@ def test_sequence_shares_radial_samples(diag4, herm4, rng, quad, monkeypatch, ro
     # resolvent samples: the sequence matches one call per element.  The
     # count is of reductions computed, not looked up: the first single
     # reduces the model's matrix, the other singles and the sequence reuse
-    # its samples, and each call still makes its own power-series solves
+    # its samples.  The power-series tails are products with U_i and
+    # U_{-i}, so no call solves a dense system
     t = 0.7
     offsets = (0.3, 0.1, 0.03)
     if route == "graph_pair":
@@ -244,11 +245,10 @@ def test_sequence_shares_radial_samples(diag4, herm4, rng, quad, monkeypatch, ro
         reductions.clear()
         singles = [reconstruct(g, t, x, [s], quad) for s in seq]
         assert len(reductions) == 1
-        solves.clear()
         reductions.clear()
         rep = reconstruct(g, t, x, seq, quad)
         assert not reductions
-        assert len(solves) == CORRECTION_TERMS
+        assert not solves
 
         tol = 1e-13 * np.linalg.norm(x)
         steps = np.array([astuple(s) for s in rep.steps])
@@ -256,6 +256,40 @@ def test_sequence_shares_radial_samples(diag4, herm4, rng, quad, monkeypatch, ro
         assert steps.shape == want.shape
         assert np.max(np.abs(steps - want)) <= tol
         assert np.linalg.norm(rep.approximation - singles[-1].approximation) <= tol
+
+
+@pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
+def test_tails_from_the_inverse_generator_on_a_wide_spectrum(rng, quad, monkeypatch, route):
+    # at max|h| = 8, cond(U_i) = e^16: the tail vectors U_{-i}^k x agree with
+    # k dense solves against U_i to within k cond(U_i) eps, and the route's
+    # approximant stays at the quadrature tolerance of U_z x (the radial
+    # window is widened so that the analytic tails pass their gate)
+    V, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    g = GroupModel.hermitian((V * np.linspace(-8.0, 8.0, 16)) @ V.conj().T)
+    x = random_unit(rng, g.dim)
+    t = 0.7
+    reconstruct, seq = route_sequence(route, t)
+    radial_integral, calls = reconstruction._radial_integral, []
+
+    def recorded(Ui, U_minus_i, alphas, sampler, x, *rest):
+        calls.append((Ui, U_minus_i, x))
+        return radial_integral(Ui, U_minus_i, alphas, sampler, x, *rest)
+
+    monkeypatch.setattr(reconstruction, "_radial_integral", recorded)
+    rep = reconstruct(g, t, x, seq, quad, mu_min=1e-9, mu_max=1e9)
+    [(Ui, U_minus_i, x_used)] = calls
+    assert np.array_equal(x_used, x)
+    cond = np.linalg.cond(Ui)
+    assert cond >= math.exp(16.0) * (1.0 - 1e-9)
+    eps = np.finfo(float).eps
+    by_product = by_solve = x
+    for k in range(1, CORRECTION_TERMS + 1):
+        by_product, by_solve = U_minus_i @ by_product, np.linalg.solve(Ui, by_solve)
+        gap = np.linalg.norm(by_product - by_solve)
+        assert gap <= k * cond * eps * np.linalg.norm(by_product)
+    z = seq[-1] if route == "graph_pair" else 1j * seq[-1]
+    want = apply_Uz(g, z, x)
+    assert np.linalg.norm(rep.approximation - want) <= 10.0 * quad.rel_tolerance * np.linalg.norm(x)
 
 
 def test_shifted_solves_match_dense_block_solves(diag4, herm4, rng):
@@ -349,6 +383,22 @@ def test_shifted_solve_is_backward_stable(h, log_mu, seed):
     assert info.maxsize is not None and info.currsize <= info.maxsize
     kept_B, kept_Y = _shifted_solves(Ui, b, np.array([mu]), n)
     assert kept_B is B and kept_Y is Y
+
+
+def test_kept_samples_do_not_hold_the_whole_reduction(herm4, rng):
+    # on the graph pair system B needs n of the 2n rows of Q: the kept B is
+    # a read-only array of its own, not a view that keeps all of Q alive,
+    # and the samples are bit for bit a direct reduction and sweep
+    n = herm4.dim
+    D = ampliation(herm4).as_matrix()
+    b = D @ make_graph_vector(herm4, random_unit(rng, n)).stacked()
+    mus = np.logspace(-2.0, 2.0, 5)
+    B, Y = _shifted_solves(D, b, mus, n)
+    assert B.shape == (n, 2 * n)
+    assert B.base is None or B.base.shape != (2 * n, 2 * n)
+    assert not B.flags.writeable and not Y.flags.writeable
+    Q, d, e = _tridiagonalize(D)
+    assert np.array_equal(B, Q[:n]) and np.array_equal(Y, _sweep(Q, d, e, b, mus))
 
 
 def test_sample_sets_are_cached_by_content(herm4, rng, quad):
@@ -634,9 +684,9 @@ def test_decay_fit_direct_line_takes_one_window(
 def test_decay_fit_builds_one_phase_matrix_per_window(
     diag4, herm4, rng, quad, monkeypatch, mags, arg_mu
 ):
-    # both lines sample orbits of the diagonal twin, so every distinct node
-    # array of the fit costs one phase matrix exp(i t h), shared by the
-    # lines and kept across magnitudes
+    # both lines sample orbits of the diagonal twin, and each line takes one
+    # window for the whole ray, so a fit builds two phase matrices
+    # exp(i t h), one per line, each kept across magnitudes
     direct, shifted, builds = _count_fit_quadratures(monkeypatch)
     for g in (diag4, herm4):
         direct.clear()
@@ -647,7 +697,7 @@ def test_decay_fit_builds_one_phase_matrix_per_window(
         for ts in direct + shifted:
             if not any(np.array_equal(ts, seen) for seen in distinct):
                 distinct.append(ts)
-        assert len(builds) == len(distinct)
+        assert len(builds) == len(distinct) == 2
         assert all(any(np.array_equal(zs, ts) for ts in distinct) for zs in builds)
 
 
@@ -656,8 +706,10 @@ def decay_fit_rows_reference(g, x, r, mags, q, arg_mu):
 
     The direct line samples U_t (V* w) and the shifted line U_{t+ir} (V* x),
     each by its own apply_Uz_batch on the diagonal twin, over the same
-    windows as the library: the direct plan lengthened by log(1 + |mu|)/rate
-    and raised to _kernel_floor, and the shifted line's one plan for the ray.
+    windows as the library: the direct line's one plan for the ray, the
+    longest and densest of the per-magnitude plans lengthened by
+    log(1 + |mu|)/rate and raised to _kernel_floor, and the shifted line's
+    one plan for the ray.
     """
     twin, c = _eigen_twin(g), _to_eigen(g, x)
     c_ui = _to_eigen(g, analytic_generator(g) @ x)
@@ -666,21 +718,25 @@ def decay_fit_rows_reference(g, x, r, mags, q, arg_mu):
     least = np.linalg.norm(nus / (nus + np.array(mags)[:, None]) * c, axis=1)
     c_shift = np.exp(-r * g.exponents) * c
     T_shift, npu_shift = _shifted_line_plan(g, ps, q, r, np.linalg.norm(c_shift) / least)
-    rows = []
+    plans = []
     for m, p, y_least in zip(mags, ps, least):
-        mu = p.mu
         T, npu = _quadrature_plan(g, p, q)
+        c_w = p.mu * c + c_ui
+        floor = _kernel_floor(p, q, npu, np.linalg.norm(c_w) / y_least)
+        plans.append((max(T + math.log1p(m) / p.decay_rate, floor), npu))
+    T_direct = max(T for T, _ in plans)
+    npu_direct = max(npu for _, npu in plans)
+    rows = []
+    for m, p in zip(mags, ps):
+        mu = p.mu
         c_w = mu * c + c_ui
         direct = vecint.integrate_vector(
             lambda ts: apply_Uz_batch(twin, ts, c_w),
             lambda ts: eval_kernel_array(p, ts),
             q,
             p.decay_rate,
-            max(
-                T + math.log1p(m) / p.decay_rate,
-                _kernel_floor(p, q, npu, np.linalg.norm(c_w) / y_least),
-            ),
-            npu,
+            T_direct,
+            npu_direct,
         )
         shift = vecint.integrate_vector(
             lambda ts: apply_Uz_batch(twin, ts + 1j * r, c),
