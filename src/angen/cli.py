@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -636,7 +637,9 @@ def _parse_seed(raw: str) -> int:
     return seed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The angen argument parser, built once per process: main only reads it."""
     parser = argparse.ArgumentParser(
         prog="angen",
         description="verification experiments for the analytic generator toolkit",

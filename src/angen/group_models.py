@@ -21,7 +21,7 @@ collapse and identities can be tested against closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,15 +42,24 @@ _HERMITICITY_TOL = 1e-12
 class GroupModel:
     """A one-parameter isometry group on C^n with exact U_z evaluation.
 
-    exponents holds the real eigenvalues h_k of the Hamiltonian; basis is
-    the eigenvector matrix V (None for a Diagonal model, where V = I);
-    generator_matrix keeps the original H of a Hermitian model.
+    exponents holds the real eigenvalues h_k of the Hamiltonian, as a
+    read-only copy taken at construction; basis is the eigenvector matrix
+    V (None for a Diagonal model, where V = I); generator_matrix keeps the
+    original H of a Hermitian model.  max_exponent = max |h_k| is taken
+    once, which the read-only exponents keep valid.
     """
 
     kind: str
     exponents: np.ndarray
     basis: np.ndarray | None = None
     generator_matrix: np.ndarray | None = None
+    max_exponent: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        h = np.array(self.exponents, dtype=float)
+        h.flags.writeable = False
+        object.__setattr__(self, "exponents", h)
+        object.__setattr__(self, "max_exponent", float(np.max(np.abs(h), initial=0.0)))
 
     @staticmethod
     def diagonal(exponents) -> "GroupModel":
@@ -87,10 +96,6 @@ class GroupModel:
     @property
     def dim(self) -> int:
         return int(self.exponents.size)
-
-    @property
-    def max_exponent(self) -> float:
-        return float(np.max(np.abs(self.exponents)))
 
 
 def as_state(g: GroupModel, x) -> np.ndarray:

@@ -17,6 +17,10 @@ with s = sign(Re t), which overflows only where F itself does.  On real
 nodes it reads |t| * exp(i*t*Log mu - Log mu - pi*|t|) / (-expm1(-2*pi*|t|)),
 where only the exponential depends on mu; a cached window of vecint._nodes
 keeps the rest, its kernel row, and the values of the last mu it was asked for.
+On a window, whose nodes are sums c_j + d_m of panel centres and Gauss
+offsets, the exponential splits into a real envelope, one real exponential
+per node, and the oscillation exp(i*c_j*log|mu|) * exp(i*d_m*log|mu|), one
+complex exponential per centre and per offset.
 
 Two independent routes to the same values exist: the closed form above
 and the Fourier-side representation
@@ -137,8 +141,9 @@ def _kernel_row(ts: np.ndarray):
     F(mu, t) = |t| * exp(i t Log mu - Log mu - pi|t|) * inv, with inv =
     1/(-expm1(-2 pi |t|)) = sign(t) e^{pi |t|} / (e^{pi t} - e^{-pi t}), the
     value of _over_double_sinh at log_scale pi|t|, whose exponential is
-    then exp(0) = 1.  Taken in this order, the operations are those of the
-    one-exponent form on t + 0i, so real nodes get its values bit for bit.
+    then exp(0) = 1.  _kernel_on_row takes the operations in the order of
+    the one-exponent form on t + 0i; a cached window keeps |t| inv as one
+    factor and splits the oscillation by panel (_kernel_on_window).
     Inside the series disc around 0, |t| is replaced by the series of
     t / (2 sinh(pi t)), and pi|t| by 0 and inv by 1.
     """
@@ -160,6 +165,36 @@ def _kernel_on_row(log_mu: complex, ts: np.ndarray, row) -> np.ndarray:
     return abs_t * np.exp(ts * (1j * log_mu) - log_mu - pi_abs) * inv
 
 
+def _kernel_on_window(log_mu: complex, window) -> np.ndarray:
+    """F(mu, t) on the nodes of a cached window, with the oscillation factored by panel.
+
+    F(mu, t) = amp(t) * exp(-t arg mu - log|mu| - pi|t|) * e^(-i arg mu) *
+    exp(i t log|mu|), with amp = |t| inv the window's kept row.  The real
+    envelope takes one real exponential per node, with the real part of the
+    per-node exponent as its argument, so it has the per-node path's range.
+    The oscillation, exp(i t log|mu|) with t = c_j + d_m, is the product
+    exp(i c_j log|mu|) * exp(i d_m log|mu|), one exponential per panel centre
+    and one per Gauss offset, as apply_Uz_batch takes its phases; e^(-i arg mu)
+    rides on the centre factors.  The values differ from the per-node ones
+    by the rounding of the arguments, a few units of
+    eps * (1 + (|c_j| + |d_m|) |log|mu||).
+    """
+    pi_abs, amp, points = window.kernel_row
+    log_abs, arg = log_mu.real, log_mu.imag
+    envelope = window.ts * -arg
+    envelope -= log_abs
+    envelope -= pi_abs
+    np.exp(envelope, out=envelope)
+    envelope *= amp
+    panels = window.centres.size
+    angles = points * log_abs
+    angles[:panels] -= arg
+    factors = np.exp(1j * angles)
+    vals = factors[:panels, None] * factors[None, panels:]
+    vals *= envelope.reshape(vals.shape)
+    return vals.ravel()
+
+
 def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
     """Vectorized closed-form kernel on an array of (real or complex) points.
 
@@ -169,8 +204,10 @@ def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
     window of vecint._nodes keeps its row, computed once however many
     mu and modes sample it, and the values of the last mu, keyed by the
     exact bits of mu (1+0j and 1-0j are two keys): the modes of one Q_mu
-    then take the exponentials once, and get one read-only array, the
-    same bits the per-node path gives.  Complex points take the
+    then share one read-only array.  On a window the values take one real
+    exponential per node and one complex exponential per panel centre and
+    per Gauss offset (_kernel_on_window); they agree with the per-node
+    values to the rounding of the phase arguments.  Complex points take the
     one-exponent form, and those inside the series disc around 0 are
     taken out of it and overwritten.
     """
@@ -179,8 +216,10 @@ def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
         key = struct.pack("<2d", p.mu.real, p.mu.imag)
         if window.kernel_last is None or window.kernel_last[0] != key:
             if window.kernel_row is None:
-                window.kernel_row = _kernel_row(ts)
-            vals = _kernel_on_row(cmath.log(p.mu), ts, window.kernel_row)
+                pi_abs, abs_t, inv = _kernel_row(ts)
+                points = np.concatenate((window.centres, window.offsets))
+                window.kernel_row = (pi_abs, abs_t * inv, points)
+            vals = _kernel_on_window(cmath.log(p.mu), window)
             vals.flags.writeable = False
             window.kernel_last = (key, vals)
         return window.kernel_last[1]

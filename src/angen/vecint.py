@@ -13,6 +13,8 @@ one margin step past the caller's truncation estimate and clamped to
 (_panel_density).  Callers size both in advance, so that the analytic tail
 estimate read off the outer panels meets the requested relative
 tolerance; a window that misses it raises instead of being widened.
+The weighted sum is one BLAS product, and the samples are scanned for
+non-finite values only when that sum is not finite or a weight is 0.
 
 The last 16 windows [-T, T] are cached (_nodes), and a cached window
 keeps what its nodes' integrands share: the panel centres c_j and the
@@ -20,9 +22,10 @@ scaled Gauss offsets d_m, whose sums are the nodes, slots for the
 mu-independent row of the kernel and for the kernel values of the last
 mu.  _panel_window_of recognises a cached node array by identity, so
 apply_Uz_batch can take its phases exp(i t h) as exp(i c_j h) *
-exp(i d_m h) and eval_kernel_array can reuse the row and the values;
-every other array takes the per-node paths.  compute_Qmu rounds its
-windows up to whole panels, so that neighbouring mu share one.
+exp(i d_m h), and eval_kernel_array its oscillation exp(i t log|mu|) the
+same way, reusing the row and the values; every other array takes the
+per-node paths.  compute_Qmu rounds its windows up to whole panels, so
+that neighbouring mu share one.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ TRUNCATION_CAP = 200.0
 REL_TOLERANCE_MIN, REL_TOLERANCE_MAX = 1e-14, 1e-2
 
 _TINY = 1e-300
-# the outermost panel on each side, read by the tail gate (a window has two or more)
-_EDGE_ROWS = np.r_[0:16, -16:0]
 
 
 @dataclass(frozen=True)
@@ -95,16 +96,20 @@ def gauss_panels(lo: float, hi: float, panels: int):
 
 
 class _PanelWindow:
-    """One cached window [-T, T]: read-only nodes ts and weights ws, node
+    """One cached window [-T, T]: read-only nodes ts and (complex) weights ws, node
     ts[16 j + m] being the sum centres[j] + offsets[m] as computed, and two
     slots that eval_kernel_array fills: kernel_row, the mu-independent part
-    of the kernel on ts, and kernel_last, the pair (bits of mu, read-only
-    kernel values on ts) of the last mu it was asked for."""
+    of the kernel on ts (with the centres and offsets its phase factors
+    take), and kernel_last, the pair (bits of mu, read-only kernel values
+    on ts) of the last mu it was asked for."""
 
     __slots__ = ("ts", "ws", "centres", "offsets", "kernel_row", "kernel_last", "__weakref__")
 
     def __init__(self, T: float, panels: int):
-        self.centres, self.offsets, self.ts, self.ws = _panel_rule(-T, T, panels)
+        self.centres, self.offsets, self.ts, ws = _panel_rule(-T, T, panels)
+        # complex, so that weighting complex samples casts nothing: w and
+        # w + 0j give the same products, as numpy casts w to w + 0j anyway
+        self.ws = ws.astype(complex)
         for arr in (self.ts, self.ws, self.centres, self.offsets):
             arr.flags.writeable = False
         self.kernel_row = self.kernel_last = None
@@ -141,8 +146,9 @@ def _panel_window_of(ts) -> _PanelWindow | None:
 
 
 def _nodes(T: float, nodes_per_unit: int):
-    """The cached, read-only nodes and weights of an even count of Gauss panels
-    on [-T, T], each at most 16/nodes_per_unit wide (see _PanelWindow)."""
+    """The cached, read-only nodes and weights (complex, with zero imaginary
+    parts) of an even count of Gauss panels on [-T, T], each at most
+    16/nodes_per_unit wide (see _PanelWindow)."""
     window = _cached_window(T, nodes_per_unit)
     return window.ts, window.ws
 
@@ -178,6 +184,17 @@ def _sample(f, density, ts):
     return vals, dens
 
 
+@np.errstate(invalid="ignore")
+def _weighted_sum(dens, ws, vals):
+    """The weights dens * ws and the one BLAS product weights @ vals.
+
+    A non-finite sample sets the "invalid" flag here; integrate_vector
+    reports it as NonFiniteSample, so numpy does not warn of it.
+    """
+    weights = dens * ws
+    return weights, weights @ vals
+
+
 def integrate_vector(
     f,
     density,
@@ -202,6 +219,15 @@ def integrate_vector(
     short and the computation raises QuadratureNonConvergence.  The
     weighted sum over nodes is one BLAS product, so repeated calls are
     bit-identical.
+
+    A non-finite sample raises NonFiniteSample.  The samples are scanned
+    only when the weighted sum is not finite or some weight density * w
+    is exactly 0, and the test is exact: under IEEE arithmetic a nan or
+    inf sample at a nonzero weight makes the sum non-finite (inf times a
+    nonzero finite number is inf, and inf - inf and nan are nan), and the
+    one product a BLAS may skip is one with a zero multiplier, which the
+    scan covers.  A sum that overflows from finite samples is scanned and
+    returned as it is.
     """
     if not (tail_rate > 0.0 and math.isfinite(tail_rate)):
         raise ValueError(f"tail_rate must be positive and finite, got {tail_rate}")
@@ -210,22 +236,25 @@ def integrate_vector(
     T = _window(float(truncation))
     ts, ws = _nodes(T, nodes_per_unit)
     vals, dens = _sample(f, density, ts)
-    if not (np.isfinite(vals).all() and np.isfinite(dens).all()):
-        raise NonFiniteSample("integrand produced non-finite samples")
-    result = (dens * ws) @ vals
+    weights, result = _weighted_sum(dens, ws, vals)
+    norm = abs(result[0]) if result.size == 1 else float(np.linalg.norm(result))
+    if not math.isfinite(norm) or np.count_nonzero(weights) < weights.size:
+        if not (np.isfinite(vals).all() and np.isfinite(dens).all()):
+            raise NonFiniteSample("integrand produced non-finite samples")
 
     # conservative tail estimate: outermost panel magnitude decayed at
     # tail_rate on both sides, i.e. C*exp(-rate*T)/rate with C read off
-    # the edge samples directly; a scalar integrand needs no row norms
-    rows = vals[_EDGE_ROWS]
-    size = np.abs(rows[:, 0]) if rows.shape[1] == 1 else np.linalg.norm(rows, axis=1)
-    tail_est = 2.0 * float((np.abs(dens[_EDGE_ROWS]) * size).max()) / tail_rate
+    # the edge samples directly: the first and the last panel of 16 rows,
+    # taken as views; a scalar integrand needs no row norms
+    last = ts.size // 16 - 1
+    edge = dens.reshape(-1, 16)[::last, :, None] * vals.reshape(last + 1, 16, vals.shape[1])[::last]
+    size = np.abs(edge) if edge.shape[2] == 1 else np.linalg.norm(edge, axis=2)
+    tail_est = 2.0 * float(size.max()) / tail_rate
 
-    scale = abs(result[0]) if result.size == 1 else float(np.linalg.norm(result))
-    if scale_hint is not None:
-        scale = max(scale, float(scale_hint))
+    scale = norm if scale_hint is None else max(norm, float(scale_hint))
     scale = max(scale, _TINY)
-    if tail_est > q.rel_tolerance * scale:
+    # "not <=" so that a tail estimate that is not a number fails the gate
+    if not tail_est <= q.rel_tolerance * scale:
         raise QuadratureNonConvergence(
             f"tail estimate {tail_est:.3e} exceeds "
             f"{q.rel_tolerance:.1e} * {scale:.3e} at the planned window {T:.1f}"

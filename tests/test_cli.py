@@ -307,6 +307,29 @@ def test_bad_seed_exits_two(tmp_path):
     assert run(["qmu", "--config", cfg, "--seed", str(2**64)]) == 2
 
 
+def test_calls_in_a_row_share_one_parser_and_keep_every_exit_code(tmp_path, capsys):
+    # the parser is built once per process; a parse that fails (an unknown
+    # subcommand, a bad seed) or a run that fails a check leaves nothing on
+    # it that changes the next call's exit code
+    import angen.cli as cli
+
+    good = write_config(tmp_path)
+    failing = write_config(tmp_path, name="failing.json", tolerances={"qmu_oracle": 1e-30})
+    calls = [
+        (["kernel-check", "--config", good, "--out", tmp_path / "a"], 0),
+        (["qmu", "--config", failing, "--out", tmp_path / "b"], 1),
+        (["no-such-command", "--config", good], 2),
+        (["qmu", "--config", good, "--seed", "abc"], 2),
+        (["qmu", "--config", good, "--out", tmp_path / "c"], 0),
+        (["qmu", "--config", failing, "--out", tmp_path / "d"], 1),
+        (["spectrum-scan", "--config", good, "--out", tmp_path / "e"], 0),
+    ]
+    for argv, code in calls:
+        assert run(argv) == code, argv
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+
+
 def test_out_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, output_dir="from_config")
     override = tmp_path / "override"

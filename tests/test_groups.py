@@ -97,6 +97,20 @@ def test_hermitian_constructor_validates():
         GroupModel.hermitian(np.diag([0.0, 25.0]))
 
 
+def test_exponents_are_a_read_only_copy_and_max_exponent_stays_valid():
+    # max|h| is taken once at construction, so the exponents it was taken
+    # from must not change afterwards: the model keeps its own read-only copy
+    h = np.array([0.5, -1.25, 0.75])
+    for g in (GroupModel.diagonal(h), GroupModel.hermitian(np.diag(h))):
+        h_before = g.exponents.copy()
+        h[1] = -7.0
+        assert np.array_equal(g.exponents, h_before)
+        assert g.max_exponent == 1.25
+        with pytest.raises(ValueError):
+            g.exponents[0] = 3.0
+        h[1] = -1.25
+
+
 def test_unitarity_on_real_times(diag4, herm4, rng):
     for g in (diag4, herm4):
         x = random_unit(rng, g.dim)

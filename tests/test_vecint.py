@@ -228,6 +228,50 @@ def test_non_finite_sample_raises():
         )
 
 
+def _at(t, k, value, elsewhere):
+    """elsewhere, with node k of the node array t set to value."""
+    return np.where(np.arange(t.size) == k, value, elsewhere)
+
+
+def _gauss(t):
+    return np.exp(-(t**2))
+
+
+@pytest.mark.parametrize(
+    "f, density",
+    [
+        # nan in one column of a multi-column integrand
+        (lambda t: np.stack([_gauss(t), _at(t, 40, np.nan, 1.0)], axis=1), np.ones_like),
+        # inf in the density only
+        (np.ones_like, lambda t: _at(t, 40, np.inf, _gauss(t))),
+        # nan at a node where the density is exactly 0: the weight is 0
+        (lambda t: _at(t, 40, np.nan, 1.0), lambda t: _at(t, 40, 0.0, _gauss(t))),
+        # a cancelling +-inf pair at equal weights
+        (lambda t: _at(t, 40, np.inf, _at(t, t.size - 41, -np.inf, 1.0)), lambda t: 1.0 / np.cosh(t)),
+    ],
+    ids=["nan-in-one-column", "inf-density", "nan-at-zero-weight", "cancelling-inf-pair"],
+)
+def test_every_non_finite_sample_raises(f, density):
+    # the samples are scanned only when the weighted sum is not finite or a
+    # weight is 0; each of these must still raise the typed error, and no
+    # RuntimeWarning (which the test configuration turns into an error)
+    q = QuadratureSpec(rel_tolerance=1e-10)
+    with pytest.raises(NonFiniteSample):
+        integrate_vector(f, density, q, tail_rate=1.0, truncation=25.0, nodes_per_unit=NPU)
+
+
+def test_overflowing_sum_of_finite_samples_is_not_a_non_finite_sample():
+    # finite samples whose weighted sum overflows are returned as they are,
+    # with numpy's overflow warning, as before the samples were scanned lazily
+    q = QuadratureSpec(rel_tolerance=1e-10)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        got = integrate_vector(
+            lambda t: np.full(t.size, 1.5e308), _gauss, q, tail_rate=1.0, truncation=25.0,
+            nodes_per_unit=NPU,
+        )
+    assert np.isinf(got.real).all()
+
+
 def test_bad_tail_rate_rejected():
     q = QuadratureSpec()
     with pytest.raises(ValueError):
