@@ -11,7 +11,10 @@ for every quadrature-based construction in this package.
 
 The analytic generator is U at z = i, a positive definite matrix with
 eigenvalues nu_k = exp(-h_k).  Pairs (x, U_i x) form its graph; the block
-constructions downstream act on such pairs.
+constructions downstream act on such pairs.  The operators that depend on
+the model alone (U_i, U_{-i}, the doubled generator D = diag(U_i, U_i) and
+an orthonormal basis of the graph) are built once per model, on first use,
+and kept on it read-only.
 
 Every vector here is an entire analytic vector: in finite dimension the
 orbit z -> U_z x is entire, so the domain subtleties of the general theory
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,11 +46,14 @@ _HERMITICITY_TOL = 1e-12
 class GroupModel:
     """A one-parameter isometry group on C^n with exact U_z evaluation.
 
-    exponents holds the real eigenvalues h_k of the Hamiltonian, as a
-    read-only copy taken at construction; basis is the eigenvector matrix
-    V (None for a Diagonal model, where V = I); generator_matrix keeps the
-    original H of a Hermitian model.  max_exponent = max |h_k| is taken
-    once, which the read-only exponents keep valid.
+    exponents holds the real eigenvalues h_k of the Hamiltonian; basis is
+    the eigenvector matrix V (None for a Diagonal model, where V = I);
+    generator_matrix keeps the original H of a Hermitian model.  All three
+    are read-only copies taken at construction, so what the model derives
+    from them cannot go stale: max_exponent = max |h_k|, and the read-only
+    operators built on first use and kept until the model is freed.  These
+    are bit for bit what group_matrix and ampliation build, but through
+    the private _group_matrix, so they count as no U_t rows computed.
     """
 
     kind: str
@@ -60,6 +67,48 @@ class GroupModel:
         h.flags.writeable = False
         object.__setattr__(self, "exponents", h)
         object.__setattr__(self, "max_exponent", float(np.max(np.abs(h), initial=0.0)))
+        for name in ("basis", "generator_matrix"):
+            if getattr(self, name) is not None:
+                a = np.array(getattr(self, name))
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
+
+    @cached_property
+    def _U_i_key(self) -> tuple:
+        """The content key (shape, dtype, bytes) of U_i, whose bytes back _U_i."""
+        return _content_key(_group_matrix(self, 1j))
+
+    @cached_property
+    def _U_i(self) -> np.ndarray:
+        """U_i = exp(-H), read-only."""
+        return _from_key(self._U_i_key)
+
+    @cached_property
+    def _U_minus_i(self) -> np.ndarray:
+        """U_{-i} = exp(H), the exact inverse of U_i, read-only."""
+        m = _group_matrix(self, -1j)
+        m.flags.writeable = False
+        return m
+
+    @cached_property
+    def _doubled_key(self) -> tuple:
+        """The content key of D = diag(U_i, U_i), whose bytes back _doubled."""
+        n = self.dim
+        D = np.zeros((2 * n, 2 * n), dtype=complex)
+        D[:n, :n] = D[n:, n:] = self._U_i
+        return _content_key(D)
+
+    @cached_property
+    def _doubled(self) -> np.ndarray:
+        """D = diag(U_i, U_i), the graph ampliation of U_i on pairs, read-only."""
+        return _from_key(self._doubled_key)
+
+    @cached_property
+    def _graph_basis(self) -> np.ndarray:
+        """An orthonormal basis of the graph {(x, U_i x)} in C^{2n}, read-only."""
+        P, _ = np.linalg.qr(np.vstack([np.eye(self.dim, dtype=complex), self._U_i]))
+        P.flags.writeable = False
+        return P
 
     @staticmethod
     def diagonal(exponents) -> "GroupModel":
@@ -182,16 +231,39 @@ def _spectral_matrix(g: GroupModel, vals: np.ndarray) -> np.ndarray:
     return (g.basis * vals[None, :]) @ g.basis.conj().T
 
 
-def group_matrix(g: GroupModel, z: complex) -> np.ndarray:
-    """The matrix of U_z."""
+def _group_matrix(g: GroupModel, z: complex) -> np.ndarray:
     z = complex(z)
     _check_overflow(z)
     return _spectral_matrix(g, np.exp(1j * z * g.exponents))
 
 
+def group_matrix(g: GroupModel, z: complex) -> np.ndarray:
+    """The matrix of U_z."""
+    return _group_matrix(g, z)
+
+
 def analytic_generator(g: GroupModel) -> np.ndarray:
-    """The matrix of U_i = exp(-H); positive definite with eigenvalues exp(-h_k)."""
-    return group_matrix(g, 1j)
+    """The matrix of U_i = exp(-H); positive definite with eigenvalues exp(-h_k).
+
+    It is the model's kept operator, built once and read-only; copy it to
+    change it.
+    """
+    return g._U_i
+
+
+def _content_key(a: np.ndarray) -> tuple:
+    """(shape, dtype, bytes): equal for arrays of equal content in any memory order.
+
+    Python hashes a bytes object once, so a key kept and passed again is
+    looked up without copying or hashing the array a second time.
+    """
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+def _from_key(key: tuple) -> np.ndarray:
+    """The read-only array a content key describes, backed by the key's bytes."""
+    shape, dtype, data = key
+    return np.frombuffer(data, dtype).reshape(shape)
 
 
 def generator_spectrum(g: GroupModel) -> np.ndarray:

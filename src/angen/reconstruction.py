@@ -23,7 +23,11 @@ eigenvalues), and one Thomas sweep then solves the shifted systems at every
 radial node together.  The samples depend on the matrix, the right-hand
 side and the nodes alone, never on z, so the last four sample sets are
 kept in a cache keyed on that content: calls at other z (or alpha, or t)
-on the same state run neither the reduction nor the sweep.
+on the same state run neither the reduction nor the sweep.  U_i, U_{-i}
+and D are the model's kept operators (GroupModel), built once per model,
+and the log-Gauss grid is kept per window (_radial_grid); the routes pass
+the cache the kept content keys of D or U_i and of the nodes, so a warm
+call builds no matrix and copies or hashes only its right-hand side.
 
 Route two (scalar power form) evaluates, for 0 < Re alpha < 1,
 
@@ -81,17 +85,18 @@ import numpy as np
 from .errors import FitUnstable, OverflowRisk, TruncationDominates
 from .group_models import (
     GroupModel,
+    _content_key,
     _eigen_twin,
+    _from_key,
     _to_eigen,
     analytic_generator,
     apply_Uz,
     as_state,
     generator_spectrum,
-    group_matrix,
     make_graph_vector,
 )
 from .kernel import KernelParam, _over_double_sinh, eval_kernel_array, require_quadrature_clearance
-from .resolvent import _SINH_FLOOR, _PhaseMemo, _kernel_floor, _quadrature_plan, ampliation
+from .resolvent import _SINH_FLOOR, _PhaseMemo, _kernel_floor, _quadrature_plan
 from .vecint import QuadratureSpec, _truncation_for_edge, gauss_panels, integrate_vector
 
 MU_MIN_DEFAULT = 1e-6
@@ -194,21 +199,33 @@ def _shifted_solves(
     every mu > 0 (see _sweep).  The last four sample sets are cached by the
     content of (A, b, mus, rows), in either memory order: a repeated call
     returns the same read-only arrays without reducing or sweeping, bit for
-    bit what a fresh computation gives.
+    bit what a fresh computation gives.  Any of A, b and mus may be passed
+    as its content key (group_models._content_key) instead, as the routes
+    pass the model's kept key of A and the radial grid's key of the nodes:
+    a kept key is neither copied nor hashed again.
     """
-    keys = tuple((a.shape, a.dtype.str, a.tobytes()) for a in (A, b, mus))
+    keys = tuple(a if isinstance(a, tuple) else _content_key(a) for a in (A, b, mus))
     return _cached_samples(keys, rows)
 
 
 @functools.lru_cache(maxsize=4)
 def _cached_samples(keys: tuple, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only (B, Y) of _shifted_solves for the (shape, dtype, bytes) keys of A, b, mus."""
-    A, b, mus = (np.frombuffer(data, dtype).reshape(shape) for shape, dtype, data in keys)
+    A, b, mus = (_from_key(key) for key in keys)
     Q, d, e = _tridiagonalize(A)
     # a copy, so that the kept B does not hold the rest of Q alive
     B, Y = Q[:rows].copy(), _sweep(Q, d, e, b, mus)
     B.flags.writeable = Y.flags.writeable = False
     return B, Y
+
+
+@functools.lru_cache(maxsize=4)
+def _radial_grid(mu_min: float, mu_max: float, panels: int):
+    """The read-only log-Gauss grid (us, ws) on [log mu_min, log mu_max] and the
+    content key of its nodes mu = e^u; the last four windows are kept."""
+    us, ws = gauss_panels(math.log(mu_min), math.log(mu_max), panels)
+    us.flags.writeable = ws.flags.writeable = False
+    return us, ws, _content_key(np.exp(us))
 
 
 def _radial_integral(
@@ -227,7 +244,8 @@ def _radial_integral(
     Returns one row per exponent a of alphas.  sampler(mus) must return a
     pair (B, Y) with r(mu_j) = (U_i + mu_j)^(-1) U_i x = B @ Y[:, j] at each
     node mu_j, by whatever route the caller wants tested; it is called
-    once.  Every row is a weighted sum of the same samples, formed in the
+    once, with the content key of the nodes that _radial_grid keeps.
+    Every row is a weighted sum of the same samples, formed in the
     sampler's reduced basis and mapped back with B once per exponent.  The
     tails below mu_min and above mu_max are restored from the power series
     of r, which only needs the powers U_i^k x and U_i^(-k) x: products with
@@ -262,8 +280,8 @@ def _radial_integral(
             f"exceeds {tol:.1e} * ||x||; widen [mu_min, mu_max]"
         )
 
-    us, ws = gauss_panels(log_lo, log_hi, panels)
-    B, Y = sampler(np.exp(us))
+    us, ws, mus_key = _radial_grid(mu_min, mu_max, panels)
+    B, Y = sampler(mus_key)
     # substitution mu = e^u turns mu^(a-1) dmu into e^(a u) du
     total = (
         ((ws * np.exp(a * us)) @ Y.T) @ B.T
@@ -313,7 +331,9 @@ def reconstruct_Ut_delta(
     D and a Thomas sweep over all nodes, whose samples a small cache
     keeps for each recent pair; no eigenvalues are computed.  The
     analytic tails take powers of U_i and of U_{-i}, its exact inverse,
-    built from the model as U_i is, so no system is solved for them.
+    so no system is solved for them.  U_i, U_{-i} and D are the model's
+    kept operators, and the cache is handed D's kept content key, so
+    only the first call on a model builds them or hashes D.
     The reported error is against the exact
     oracle U_t x, so at z = t + i d it is the limit gap
     ||(e^(-dH) - I) x|| <= (e^(d max|h|) - 1) ||x||, of order d: it
@@ -328,13 +348,11 @@ def reconstruct_Ut_delta(
     _check_window(g, mu_min, mu_max)
     pair = make_graph_vector(g, x).stacked()
     n = g.dim
-    amp = ampliation(g)
-    D = amp.as_matrix()
     rows = _radial_integral(
-        amp.a11,  # D = diag(U_i, U_i)
-        group_matrix(g, -1j),
+        g._U_i,  # D = diag(U_i, U_i)
+        g._U_minus_i,
         -1j * np.array(zs),
-        lambda mus: _shifted_solves(D, D @ pair, mus, n),
+        lambda mus: _shifted_solves(g._doubled_key, g._doubled @ pair, mus, n),
         x,
         mu_min,
         mu_max,
@@ -381,6 +399,7 @@ def reconstruct_Ut_cz(
     The resolvent samples come from one reduction of U_i and one sweep,
     cached as in reconstruct_Ut_delta; the analytic tails take powers of
     U_i and of its exact inverse U_{-i}, so no system is solved for them.
+    U_i, its content key and U_{-i} are the model's kept operators.
     """
     t = float(t)
     x = as_state(g, x)
@@ -391,9 +410,9 @@ def reconstruct_Ut_cz(
     Ui = analytic_generator(g)
     rows = _radial_integral(
         Ui,
-        group_matrix(g, -1j),
+        g._U_minus_i,
         np.array(alphas),
-        lambda lams: _shifted_solves(Ui, Ui @ x, lams, g.dim),
+        lambda lams: _shifted_solves(g._U_i_key, Ui @ x, lams, g.dim),
         x,
         mu_min,
         mu_max,

@@ -214,7 +214,10 @@ class BlockOperator:
 
 
 def ampliation(g: GroupModel) -> BlockOperator:
-    """The doubled generator diag(U_i, U_i) acting on pairs."""
+    """The doubled generator diag(U_i, U_i) acting on pairs, from the model's kept U_i.
+
+    Its as_matrix() is bit for bit the model's kept D (GroupModel._doubled).
+    """
     Ui = analytic_generator(g)
     zero = np.zeros_like(Ui)
     return BlockOperator(Ui, zero, zero, Ui)
@@ -275,8 +278,7 @@ def verify_resolvent_identities(
     for v in samples:
         require_graph_vector(g, v)
     M = R.as_matrix()
-    D = ampliation(g).as_matrix()
-    A = D + p.mu * np.eye(2 * g.dim)
+    A = g._doubled + p.mu * np.eye(2 * g.dim)
     Ui = analytic_generator(g)
 
     after = before = invariance = 0.0
@@ -303,14 +305,6 @@ class ScanPoint:
     oracle_distance: float
     lower_bound_ok: bool
     upper_bound_ok: bool
-
-
-def _graph_basis(g: GroupModel) -> np.ndarray:
-    """Orthonormal basis of the graph subspace {(x, U_i x)} in C^{2n}."""
-    Ui = analytic_generator(g)
-    M = np.vstack([np.eye(g.dim, dtype=complex), Ui])
-    P, _ = np.linalg.qr(M)
-    return P
 
 
 def _compressed(R: BlockOperator, P: np.ndarray) -> np.ndarray:
@@ -343,7 +337,8 @@ def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
     on one window come one after another and share one phase matrix
     through the scan's _PhaseMemo, which is dropped when the scan returns.
     The blocks of every R_mu are formed as one stack and compressed to the
-    graph in one batched product; the visiting order does not change a bit.
+    graph in one batched product, on the graph basis the model keeps; the
+    visiting order does not change a bit.
     """
     mus = [complex(m) for m in mu_grid]
     params = [KernelParam(m) for m in mus]  # raises BranchViolation on the cut
@@ -359,7 +354,7 @@ def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
         Q[i] = compute_Qmu(g, params[i], q, phase_memo=phase_memo)
     grid = np.array(mus)
     R = _resolvent_blocks(Q, grid[:, None, None])
-    norms = np.linalg.svd(_compressed(R, _graph_basis(g)), compute_uv=False)[:, 0].tolist()
+    norms = np.linalg.svd(_compressed(R, g._graph_basis), compute_uv=False)[:, 0].tolist()
     dists = np.min(np.abs(grid[:, None] + generator_spectrum(g)), axis=1).tolist()
     bounds = _block_bounds(params).tolist()
     return [

@@ -47,7 +47,7 @@ from angen import (
 )
 from angen.cli import main as cli_main
 from angen.kernel import DELTA_MIN
-from angen.resolvent import MIN_ABS_MU, _compressed, _graph_basis
+from angen.resolvent import MIN_ABS_MU, _compressed
 
 QUAD = QuadratureSpec(rel_tolerance=1e-10)
 
@@ -191,7 +191,7 @@ def test_criterion_05_resolvent_identities():
 def test_criterion_06_spectrum_location():
     g = GroupModel.diagonal([-1.5, -0.6, 0.4, 1.2])
     nus = generator_spectrum(g)
-    P = _graph_basis(g)
+    P = g._graph_basis
     with budget(6):
         worst_eq = 0.0
         grid = np.linspace(-5.0, 5.0, 41)

@@ -12,6 +12,7 @@ from angen import (
     GroupModel,
     KernelParam,
     OverflowRisk,
+    ampliation,
     analytic_generator,
     apply_Uz,
     apply_Uz_batch,
@@ -25,7 +26,7 @@ from angen import (
     qmu_spectral_oracle,
     require_graph_vector,
 )
-from angen.group_models import H_MAX, OVERFLOW_GUARD, _check_overflow, as_state
+from angen.group_models import H_MAX, OVERFLOW_GUARD, _check_overflow, _from_key, as_state
 from angen.vecint import _nodes, _panel_window_of
 
 from conftest import random_unit
@@ -109,6 +110,49 @@ def test_exponents_are_a_read_only_copy_and_max_exponent_stays_valid():
         with pytest.raises(ValueError):
             g.exponents[0] = 3.0
         h[1] = -1.25
+
+
+def test_generator_and_basis_are_read_only_copies():
+    # a complex H is not kept by reference: changing the caller's matrix
+    # leaves the model, and every operator it keeps, as they were
+    H = np.array([[0.9, 0.3 + 0.2j], [0.3 - 0.2j, -0.5]])
+    g = GroupModel.hermitian(H)
+    kept = g.generator_matrix.copy(), g.basis.copy(), analytic_generator(g).copy()
+    H[0, 0] = 7.0
+    assert g.generator_matrix is not H
+    assert np.array_equal(g.generator_matrix, kept[0])
+    assert np.array_equal(g.basis, kept[1])
+    assert np.array_equal(analytic_generator(g), kept[2])
+    with pytest.raises(ValueError):
+        g.basis[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.generator_matrix[0, 0] = 1.0
+
+
+def test_kept_operators_are_read_only_and_equal_fresh_builds(diag4, herm4, rng):
+    # U_i, U_{-i}, D and the graph basis are built once per model through a
+    # private path, bit for bit what the public builders give, and the
+    # content keys of U_i and D describe the kept matrices
+    for g in (diag4, herm4, GroupModel.hermitian(np.diag(rng.uniform(-2.0, 2.0, 5)))):
+        fresh = np.vstack([np.eye(g.dim, dtype=complex), group_matrix(g, 1j)])
+        want = {
+            "_U_i": group_matrix(g, 1j),
+            "_U_minus_i": group_matrix(g, -1j),
+            "_doubled": ampliation(g).as_matrix(),
+            "_graph_basis": np.linalg.qr(fresh)[0],
+        }
+        for name, matrix in want.items():
+            kept = getattr(g, name)
+            assert getattr(g, name) is kept
+            assert not kept.flags.writeable
+            assert kept.dtype == matrix.dtype and np.array_equal(kept, matrix)
+            with pytest.raises(ValueError):
+                kept[0, 0] = 0.0
+        assert analytic_generator(g) is g._U_i
+        for name in ("_U_i", "_doubled"):
+            key = getattr(g, f"{name}_key")
+            assert key == (want[name].shape, want[name].dtype.str, want[name].tobytes())
+            assert np.array_equal(_from_key(key), getattr(g, name))
 
 
 def test_unitarity_on_real_times(diag4, herm4, rng):

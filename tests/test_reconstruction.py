@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -18,14 +19,19 @@ from angen import (
     ampliation,
     analytic_generator,
     apply_Uz,
+    build_Rmu,
     decay_bound_fit,
+    generator_spectrum,
+    group_models,
     make_graph_vector,
     qmu_spectral_oracle,
     reconstruct_Ut_cz,
     reconstruct_Ut_delta,
     reconstruction,
     resolvent,
+    spectrum_scan,
     vecint,
+    verify_resolvent_identities,
 )
 from angen.group_models import H_MAX, _eigen_twin, _to_eigen, apply_Uz_batch
 from angen.kernel import _over_double_sinh, eval_kernel_array
@@ -444,6 +450,85 @@ def test_sample_sets_are_cached_by_content(herm4, rng, quad):
         assert (info.misses, info.hits) == (1, 1)
         assert np.array_equal(cold.approximation, warm.approximation)
         assert replace(cold, approximation=None) == replace(warm, approximation=None)
+
+
+def test_one_model_builds_its_fixed_operators_once(herm4, rng, quad, monkeypatch):
+    # U_i, U_{-i}, D and the graph basis depend on the model alone: three
+    # delta calls, three cz calls, a decay fit, a resolvent check and a scan
+    # on one model build each of them once, and both routes hand the sample
+    # cache the model's kept key of their matrix and the grid's kept key of
+    # the nodes, so no warm call copies or hashes either again
+    built = Counter()
+    nus = generator_spectrum(herm4)
+    spectral, content_key, qr = (
+        group_models._spectral_matrix, group_models._content_key, np.linalg.qr
+    )
+
+    def counted_spectral(g, vals):
+        for name, want in (("U_i", nus), ("U_minus_i", 1.0 / nus)):
+            if np.allclose(vals, want, rtol=1e-12, atol=0.0):
+                built[name] += 1
+        return spectral(g, vals)
+
+    def counted_key(a):
+        built[f"key{a.shape}"] += 1
+        return content_key(a)
+
+    def counted_qr(a, *args, **kwargs):
+        built["qr"] += 1
+        return qr(a, *args, **kwargs)
+
+    solves, keys = reconstruction._shifted_solves, []
+
+    def recorded(A, b, mus, rows):
+        keys.append((A, mus))
+        return solves(A, b, mus, rows)
+
+    monkeypatch.setattr(group_models, "_spectral_matrix", counted_spectral)
+    monkeypatch.setattr(group_models, "_content_key", counted_key)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(reconstruction, "_shifted_solves", recorded)
+    n = herm4.dim
+    x = random_unit(rng, n)
+    for t in (0.4, 0.7, 1.3):
+        reconstruct_Ut_delta(herm4, t, x, [t + 0.1j], quad)
+        reconstruct_Ut_cz(herm4, t, x, [0.1 + 1j * t], quad)
+    decay_bound_fit(herm4, x, 0.5, np.logspace(1.0, 3.0, 7), quad)
+    p = KernelParam(1.5 + 0.5j)
+    verify_resolvent_identities(herm4, p, build_Rmu(herm4, p, quad), [make_graph_vector(herm4, x)])
+    ampliation(herm4)
+    spectrum_scan(herm4, [0.5 + 0.9j, 1.5 - 0.4j, 3.0], quad)
+    assert built == {"U_i": 1, "U_minus_i": 1, f"key{(n, n)}": 1, f"key{(2 * n, 2 * n)}": 1, "qr": 1}
+    assert len(keys) == 6
+    assert all(A is herm4._doubled_key for A, _ in keys[::2])
+    assert all(A is herm4._U_i_key for A, _ in keys[1::2])
+    assert all(mus is keys[0][1] for _, mus in keys)
+
+
+def test_kept_operators_give_the_reports_of_a_fresh_model(rng, quad):
+    # a 64-dim model whose operators are kept and warm gives, bit for bit,
+    # the reports of a fresh model with the same content from cold caches
+    H = hermitian_model(rng, 64, 2.0).generator_matrix
+    x = random_unit(rng, 64)
+    t = 0.7
+
+    def reports(g):
+        return (
+            reconstruct_Ut_delta(g, t, x, [t + 0.1j, t + 0.03j], quad),
+            reconstruct_Ut_cz(g, t, x, [0.1 + 1j * t, 0.03 + 1j * t], quad),
+            decay_bound_fit(g, x, 0.5, np.logspace(1.0, 4.0, 13), quad),
+        )
+
+    kept = GroupModel.hermitian(H)
+    reports(kept)
+    warm = reports(kept)
+    reconstruction._cached_samples.cache_clear()
+    reconstruction._radial_grid.cache_clear()
+    cold = reports(GroupModel.hermitian(H))
+    for w, c in zip(warm[:2], cold[:2]):
+        assert np.array_equal(w.approximation, c.approximation)
+        assert replace(w, approximation=None) == replace(c, approximation=None)
+    assert warm[2] == cold[2]
 
 
 def route_sequence(route, t):

@@ -29,7 +29,6 @@ from angen.kernel import DELTA_MIN, eval_kernel_array, l1_norm
 from angen.resolvent import (
     MIN_ABS_MU,
     _compressed,
-    _graph_basis,
     _qmu_plan,
 )
 
@@ -429,7 +428,7 @@ def test_ampliation_blocks(diag4):
 
 def test_graph_basis_is_orthonormal(diag4, herm4):
     for g in (diag4, herm4):
-        P = _graph_basis(g)
+        P = g._graph_basis
         assert P.shape == (2 * g.dim, g.dim)
         assert np.linalg.norm(P.conj().T @ P - np.eye(g.dim), 2) <= 1e-13
 
@@ -445,7 +444,7 @@ def test_restricted_norm_equals_inverse_distance(diag4, herm4, quad, mu):
 
         nus = generator_spectrum(g)
         R = build_Rmu(g, p, quad)
-        nrm = float(np.linalg.norm(_compressed(R, _graph_basis(g)), 2))
+        nrm = float(np.linalg.norm(_compressed(R, g._graph_basis), 2))
         dist = float(np.min(np.abs(mu + nus)))
         assert nrm * dist == pytest.approx(1.0, rel=1e-7)
 
@@ -468,7 +467,7 @@ def test_spectrum_scan_norms_match_per_point_norms(diag4, herm4, quad, size):
         assert [pt.mu for pt in pts] == grid
         for pt in pts:
             R = build_Rmu(g, KernelParam(pt.mu), quad)
-            want = float(np.linalg.norm(_compressed(R, _graph_basis(g)), 2))
+            want = float(np.linalg.norm(_compressed(R, g._graph_basis), 2))
             assert abs(pt.resolvent_norm - want) <= 1e-13 * want
 
 
