@@ -558,7 +558,7 @@ def _run_reconstruct(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> N
     cfg = exp.reconstruct
     window = {key: cfg[key] for key in ("mu_min", "mu_max", "panels")}
     try:
-        _check_window(g, cfg["mu_min"], cfg["mu_max"])
+        _check_window(g, cfg["mu_min"], cfg["mu_max"], cfg["panels"])
     except ValueError as exc:
         raise ConfigError(f"reconstruct: {exc}") from exc
     x = _random_state(rng, g.dim)

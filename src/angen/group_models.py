@@ -12,9 +12,8 @@ for every quadrature-based construction in this package.
 The analytic generator is U at z = i, a positive definite matrix with
 eigenvalues nu_k = exp(-h_k).  Pairs (x, U_i x) form its graph; the block
 constructions downstream act on such pairs.  The operators that depend on
-the model alone (U_i, U_{-i}, the doubled generator D = diag(U_i, U_i) and
-an orthonormal basis of the graph) are built once per model, on first use,
-and kept on it read-only.
+the model alone (U_i, U_{-i} and an orthonormal basis of the graph) are
+built once per model, on first use, and kept on it read-only.
 
 Every vector here is an entire analytic vector: in finite dimension the
 orbit z -> U_z x is entire, so the domain subtleties of the general theory
@@ -23,7 +22,7 @@ collapse and identities can be tested against closed forms.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,8 +51,8 @@ class GroupModel:
     are read-only copies taken at construction, so what the model derives
     from them cannot go stale: max_exponent = max |h_k|, and the read-only
     operators built on first use and kept until the model is freed.  These
-    are bit for bit what group_matrix and ampliation build, but through
-    the private _group_matrix, so they count as no U_t rows computed.
+    are bit for bit what group_matrix builds, but through the private
+    _group_matrix, so they count as no U_t rows computed.
     """
 
     kind: str
@@ -89,19 +88,6 @@ class GroupModel:
         m = _group_matrix(self, -1j)
         m.flags.writeable = False
         return m
-
-    @cached_property
-    def _doubled_key(self) -> tuple:
-        """The content key of D = diag(U_i, U_i), whose bytes back _doubled."""
-        n = self.dim
-        D = np.zeros((2 * n, 2 * n), dtype=complex)
-        D[:n, :n] = D[n:, n:] = self._U_i
-        return _content_key(D)
-
-    @cached_property
-    def _doubled(self) -> np.ndarray:
-        """D = diag(U_i, U_i), the graph ampliation of U_i on pairs, read-only."""
-        return _from_key(self._doubled_key)
 
     @cached_property
     def _graph_basis(self) -> np.ndarray:
@@ -158,6 +144,8 @@ def as_state(g: GroupModel, x) -> np.ndarray:
 
 
 def _check_overflow(z: complex) -> None:
+    if not cmath.isfinite(z):
+        raise ValueError(f"time z must be finite, got {z}")
     if abs(complex(z).imag) * H_MAX > OVERFLOW_GUARD + 1e-12:
         raise OverflowRisk(
             f"|Im z| = {abs(complex(z).imag):.3f} exceeds "
@@ -173,28 +161,36 @@ def apply_Uz(g: GroupModel, z: complex, x) -> np.ndarray:
     return _from_eigen(g, phases * _to_eigen(g, as_state(g, x)))
 
 
-def apply_Uz_batch(g: GroupModel, zs, x) -> np.ndarray:
-    """U_z x for an array of (possibly complex) times; rows follow zs.
+def _phase_matrix(g: GroupModel, zs) -> np.ndarray:
+    """The phases exp(i z h) for an array of (possibly complex) times, one row per time.
 
     On a cached window of vecint._nodes, whose node 16 j + m is the sum of a
-    panel centre c_j and a Gauss offset d_m, the phases exp(i t h) are the
-    products exp(i c_j h) * exp(i d_m h): panels + 16 exponentials per
-    mode instead of one per node.  They differ from the per-node phases by
-    the rounding of the arguments, a few units of
-    eps * (1 + (|c_j| + |d_m|) max|h|).
+    panel centre c_j and a Gauss offset d_m, they are the products
+    exp(i c_j h) * exp(i d_m h): panels + 16 exponentials per mode instead
+    of one per node.  They differ from the per-node phases by the rounding
+    of the arguments, a few units of eps * (1 + (|c_j| + |d_m|) max|h|).
     """
+    h = g.exponents
     window = _panel_window_of(zs)
     if window is not None:
-        h = g.exponents
-        phases = (
+        return (
             np.exp(1j * np.multiply.outer(window.centres, h))[:, None, :]
             * np.exp(1j * np.multiply.outer(window.offsets, h))[None, :, :]
         ).reshape(zs.size, h.size)
-    else:
-        zs = np.asarray(zs, dtype=complex).ravel()
-        if zs.size:
-            _check_overflow(1j * float(np.max(np.abs(zs.imag))))
-        phases = np.exp(1j * np.multiply.outer(zs, g.exponents))
+    zs = np.asarray(zs, dtype=complex).ravel()
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("times z must be finite")
+    if zs.size:
+        _check_overflow(1j * float(np.max(np.abs(zs.imag))))
+    return np.exp(1j * np.multiply.outer(zs, h))
+
+
+def apply_Uz_batch(g: GroupModel, zs, x) -> np.ndarray:
+    """U_z x for an array of (possibly complex) times; rows follow zs.
+
+    The phases come from _phase_matrix, panel-factored on a cached window.
+    """
+    phases = _phase_matrix(g, zs)
     # one coordinate row per time: map the transpose, one column each
     return _from_eigen(g, (phases * _to_eigen(g, as_state(g, x))[None, :]).T).T
 

@@ -14,20 +14,21 @@ Route one (graph pair form) evaluates, for complex z with 0 < Im z < 1,
              * Pr1 (D + mu I)**(-1) D (x, U_i x) dmu,
 
 where D = diag(U_i, U_i) acts on graph pairs and Pr1 projects onto the
-first component.  Spectrally the integrand reduces to
-(U_i + mu)**(-1) U_i x and A(z) = U_z x, so A(z) -> U_t x as z -> t from
-the upper half plane.  The 2n x 2n system on the pair is solved as it
-stands, never through the spectral shortcut: D is brought to real
+first component.  D is block diagonal, so (D + mu)**(-1) D acts on each
+component alone, and the integrand is (U_i + mu)**(-1) U_i x by the block
+structure, with no eigenvalues involved; A(z) = U_z x, so A(z) -> U_t x as
+z -> t from the upper half plane.  This is the vector route two samples
+too, and both routes take it from one sampler: U_i is brought to real
 tridiagonal form by a unitary similarity (Householder reflections, no
 eigenvalues), and one Thomas sweep then solves the shifted systems at every
-radial node together.  The samples depend on the matrix, the right-hand
-side and the nodes alone, never on z, so the last four sample sets are
-kept in a cache keyed on that content: calls at other z (or alpha, or t)
-on the same state run neither the reduction nor the sweep.  U_i, U_{-i}
-and D are the model's kept operators (GroupModel), built once per model,
-and the log-Gauss grid is kept per window (_radial_grid); the routes pass
-the cache the kept content keys of D or U_i and of the nodes, so a warm
-call builds no matrix and copies or hashes only its right-hand side.
+radial node together.  The samples depend on U_i, U_i x and the nodes
+alone, never on z or alpha, so the last four sample sets are kept in a
+cache keyed on that content: calls of either route at other z (or alpha,
+or t) on the same state run neither the reduction nor the sweep.  U_i and
+U_{-i} are the model's kept operators (GroupModel), built once per model,
+and the log-Gauss grid is kept per window (_radial_grid); the cache is
+handed the kept content keys of U_i and of the nodes, so a warm call
+builds no matrix and copies or hashes only U_i x.
 
 Route two (scalar power form) evaluates, for 0 < Re alpha < 1,
 
@@ -93,7 +94,6 @@ from .group_models import (
     apply_Uz,
     as_state,
     generator_spectrum,
-    make_graph_vector,
 )
 from .kernel import KernelParam, _over_double_sinh, eval_kernel_array, require_quadrature_clearance
 from .resolvent import _SINH_FLOOR, _PhaseMemo, _kernel_floor, _quadrature_plan
@@ -108,10 +108,14 @@ CORRECTION_TERMS = 3
 _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 
 
-def _check_window(g: GroupModel, mu_min: float, mu_max: float) -> None:
+def _check_window(g: GroupModel, mu_min: float, mu_max: float, panels: int) -> None:
+    """Reject a radial window that is not finite or does not straddle the
+    spectrum, and panels that is not a positive int."""
+    if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)) or panels < 1:
+        raise ValueError(f"panels must be a positive int, got {panels!r}")
     nus = generator_spectrum(g)
-    if not (0.0 < mu_min < mu_max):
-        raise ValueError("need 0 < mu_min < mu_max")
+    if not (0.0 < mu_min < mu_max < math.inf):
+        raise ValueError("need finite 0 < mu_min < mu_max")
     if mu_min >= 0.5 * float(np.min(nus)) or mu_max <= 2.0 * float(np.max(nus)):
         raise ValueError(
             "the radial window [mu_min, mu_max] must straddle the generator "
@@ -187,36 +191,25 @@ def _sweep(
     return y
 
 
-def _shifted_solves(
-    A: np.ndarray, b: np.ndarray, mus: np.ndarray, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(B, Y) with B @ Y[:, j] the first rows entries of (A + mu_j I)^(-1) b.
+@functools.lru_cache(maxsize=4)
+def _cached_samples(A_key: tuple, b_key: tuple, mus_key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, Y) with Q @ Y[:, j] = (A + mu_j I)^(-1) b, for the content keys
+    (group_models._content_key) of A, b and the nodes mus.
 
     Column j of Y holds the solution at mu_j in the tridiagonal basis of A,
-    and B is the first rows rows of the unitary reduction Q.  Nothing is
-    mapped back here: a caller that weights the columns maps the weighted
-    sums back with B, once each.  A must be Hermitian positive definite and
-    every mu > 0 (see _sweep).  The last four sample sets are cached by the
-    content of (A, b, mus, rows), in either memory order: a repeated call
-    returns the same read-only arrays without reducing or sweeping, bit for
-    bit what a fresh computation gives.  Any of A, b and mus may be passed
-    as its content key (group_models._content_key) instead, as the routes
-    pass the model's kept key of A and the radial grid's key of the nodes:
-    a kept key is neither copied nor hashed again.
+    and Q is the unitary reduction.  Nothing is mapped back here: a caller
+    that weights the columns maps the weighted sums back with Q, once each.
+    A must be Hermitian positive definite and every mu > 0 (see _sweep).
+    The last four sample sets are kept, read-only: equal content, in any
+    memory order, returns the same arrays without reducing or sweeping, bit
+    for bit what a fresh computation gives.  A key kept and passed again
+    is neither copied nor hashed again.
     """
-    keys = tuple(a if isinstance(a, tuple) else _content_key(a) for a in (A, b, mus))
-    return _cached_samples(keys, rows)
-
-
-@functools.lru_cache(maxsize=4)
-def _cached_samples(keys: tuple, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only (B, Y) of _shifted_solves for the (shape, dtype, bytes) keys of A, b, mus."""
-    A, b, mus = (_from_key(key) for key in keys)
+    A, b, mus = _from_key(A_key), _from_key(b_key), _from_key(mus_key)
     Q, d, e = _tridiagonalize(A)
-    # a copy, so that the kept B does not hold the rest of Q alive
-    B, Y = Q[:rows].copy(), _sweep(Q, d, e, b, mus)
-    B.flags.writeable = Y.flags.writeable = False
-    return B, Y
+    Y = _sweep(Q, d, e, b, mus)
+    Q.flags.writeable = Y.flags.writeable = False
+    return Q, Y
 
 
 @functools.lru_cache(maxsize=4)
@@ -229,10 +222,8 @@ def _radial_grid(mu_min: float, mu_max: float, panels: int):
 
 
 def _radial_integral(
-    Ui: np.ndarray,
-    U_minus_i: np.ndarray,
+    g: GroupModel,
     alphas: np.ndarray,
-    sampler,
     x: np.ndarray,
     mu_min: float,
     mu_max: float,
@@ -241,24 +232,26 @@ def _radial_integral(
 ) -> np.ndarray:
     """sin(pi a)/pi * integral_0^inf mu^(a-1) r(mu) dmu with analytic tails.
 
-    Returns one row per exponent a of alphas.  sampler(mus) must return a
-    pair (B, Y) with r(mu_j) = (U_i + mu_j)^(-1) U_i x = B @ Y[:, j] at each
-    node mu_j, by whatever route the caller wants tested; it is called
-    once, with the content key of the nodes that _radial_grid keeps.
+    Returns one row per exponent a of alphas, for r(mu) = (U_i + mu)^(-1)
+    U_i x on the model g.  The samples Q @ Y[:, j] = r(mu_j) at the nodes
+    of _radial_grid come from _cached_samples, handed the kept keys of U_i
+    and of the nodes and the key of b = U_i x, the first tail vector.
     Every row is a weighted sum of the same samples, formed in the
-    sampler's reduced basis and mapped back with B once per exponent.  The
-    tails below mu_min and above mu_max are restored from the power series
-    of r, which only needs the powers U_i^k x and U_i^(-k) x: products with
-    Ui and with its exact inverse U_minus_i = U_{-i}, so no system is solved
-    (a solve against Ui would meet its condition number e^(2 max|h|)).
+    tridiagonal basis and mapped back with Q once per exponent.  The tails
+    below mu_min and above mu_max are restored from the power series of r,
+    which only needs the powers U_i^k x and U_i^(-k) x: products with U_i
+    and with its exact inverse U_{-i}, the model's kept operators, so no
+    system is solved (a solve against U_i would meet its condition number
+    e^(2 max|h|)).
     """
     im_max = float(np.max(np.abs(alphas.imag)))
     if math.pi * im_max > _LOG_MAX_DOUBLE:
         raise OverflowRisk(f"sin(pi alpha) overflows at |Im alpha| = {im_max:.3f}")
     K = CORRECTION_TERMS
+    Ui = g._U_i
     low_vecs, high_vecs = [x], [Ui @ x]
     for _ in range(K):
-        low_vecs.append(U_minus_i @ low_vecs[-1])
+        low_vecs.append(g._U_minus_i @ low_vecs[-1])
         high_vecs.append(Ui @ high_vecs[-1])
 
     # term k of each series, k = 0..K below mu_min and k + 1 above mu_max;
@@ -281,10 +274,10 @@ def _radial_integral(
         )
 
     us, ws, mus_key = _radial_grid(mu_min, mu_max, panels)
-    B, Y = sampler(mus_key)
+    Q, Y = _cached_samples(g._U_i_key, _content_key(high_vecs[0]), mus_key)
     # substitution mu = e^u turns mu^(a-1) dmu into e^(a u) du
     total = (
-        ((ws * np.exp(a * us)) @ Y.T) @ B.T
+        ((ws * np.exp(a * us)) @ Y.T) @ Q.T
         + low[:, :K] @ np.array(low_vecs[:K])
         + high[:, :K] @ np.array(high_vecs[:K])
     )
@@ -324,18 +317,17 @@ def reconstruct_Ut_delta(
 ) -> ReconstructionReport:
     """Graph pair reconstruction of U_t x along a sequence z -> t, Im z > 0.
 
-    Each approximant is computed with alpha = -i z from the 2n x 2n
-    solves (D + mu)^(-1) D on the stacked pair (x, U_i x), one per radial
+    Each approximant is computed with alpha = -i z from the samples
+    Pr1 (D + mu)^(-1) D (x, U_i x) = (U_i + mu)^(-1) U_i x, one per radial
     node and shared by the whole sequence, and equals U_z x to quadrature
-    accuracy.  The solves go through a unitary tridiagonal reduction of
-    D and a Thomas sweep over all nodes, whose samples a small cache
-    keeps for each recent pair; no eigenvalues are computed.  The
+    accuracy.  D = diag(U_i, U_i) is block diagonal, so its graph pair
+    samples are those of U_i against U_i x, by the block structure alone:
+    they come from the one sampler that reconstruct_Ut_cz uses too, a
+    unitary tridiagonal reduction of U_i and a Thomas sweep over all
+    nodes, kept by a small cache; no eigenvalues are computed.  The
     analytic tails take powers of U_i and of U_{-i}, its exact inverse,
-    so no system is solved for them.  U_i, U_{-i} and D are the model's
-    kept operators, and the cache is handed D's kept content key, so
-    only the first call on a model builds them or hashes D.
-    The reported error is against the exact
-    oracle U_t x, so at z = t + i d it is the limit gap
+    so no system is solved for them.  The reported error is against the
+    exact oracle U_t x, so at z = t + i d it is the limit gap
     ||(e^(-dH) - I) x|| <= (e^(d max|h|) - 1) ||x||, of order d: it
     shrinks as Im z -> 0+ but never vanishes at a finite offset.  The
     report lists the approximants; it never extrapolates to d = 0.
@@ -343,22 +335,12 @@ def reconstruct_Ut_delta(
     t = float(t)
     x = as_state(g, x)
     zs = [complex(z) for z in z_sequence]
-    if not zs or not all(0.0 < z.imag < 1.0 for z in zs):
-        raise ValueError(f"need a nonempty z sequence with 0 < Im z < 1, got {zs}")
-    _check_window(g, mu_min, mu_max)
-    pair = make_graph_vector(g, x).stacked()
-    n = g.dim
-    rows = _radial_integral(
-        g._U_i,  # D = diag(U_i, U_i)
-        g._U_minus_i,
-        -1j * np.array(zs),
-        lambda mus: _shifted_solves(g._doubled_key, g._doubled @ pair, mus, n),
-        x,
-        mu_min,
-        mu_max,
-        panels,
-        q.rel_tolerance,
-    )
+    if not (zs and math.isfinite(t) and all(cmath.isfinite(z) for z in zs)):
+        raise ValueError(f"need finite t and a nonempty, finite z sequence, got {t}, {zs}")
+    if not all(0.0 < z.imag < 1.0 for z in zs):
+        raise ValueError(f"need 0 < Im z < 1, got {zs}")
+    _check_window(g, mu_min, mu_max, panels)
+    rows = _radial_integral(g, -1j * np.array(zs), x, mu_min, mu_max, panels, q.rel_tolerance)
     errors = np.linalg.norm(rows - apply_Uz(g, t, x), axis=1)
     steps = tuple(ReconstructionStep(z, float(e)) for z, e in zip(zs, errors))
     return ReconstructionReport(steps, rows[-1])
@@ -396,29 +378,21 @@ def reconstruct_Ut_cz(
     the better match is reported as the resolved orientation; under this
     package's convention the spectral value nu**(i t) = exp(-i t h) matches
     U_{-t} x, and the report makes that measurable rather than assumed.
-    The resolvent samples come from one reduction of U_i and one sweep,
-    cached as in reconstruct_Ut_delta; the analytic tails take powers of
-    U_i and of its exact inverse U_{-i}, so no system is solved for them.
-    U_i, its content key and U_{-i} are the model's kept operators.
+    The resolvent samples (U_i + lam)^(-1) U_i x are those of
+    reconstruct_Ut_delta, from the same sampler and cache, so the two
+    routes on one (g, x) share one reduction and one sweep; the analytic
+    tails take powers of U_i and of its exact inverse U_{-i}, so no system
+    is solved for them.
     """
     t = float(t)
     x = as_state(g, x)
     alphas = [complex(a) for a in alpha_sequence]
-    if not alphas or not all(0.0 < a.real < 1.0 for a in alphas):
-        raise ValueError(f"need a nonempty alpha sequence with 0 < Re alpha < 1, got {alphas}")
-    _check_window(g, mu_min, mu_max)
-    Ui = analytic_generator(g)
-    rows = _radial_integral(
-        Ui,
-        g._U_minus_i,
-        np.array(alphas),
-        lambda lams: _shifted_solves(g._U_i_key, Ui @ x, lams, g.dim),
-        x,
-        mu_min,
-        mu_max,
-        panels,
-        q.rel_tolerance,
-    )
+    if not (alphas and math.isfinite(t) and all(cmath.isfinite(a) for a in alphas)):
+        raise ValueError(f"need finite t and a nonempty, finite alpha sequence, got {t}, {alphas}")
+    if not all(0.0 < a.real < 1.0 for a in alphas):
+        raise ValueError(f"need 0 < Re alpha < 1, got {alphas}")
+    _check_window(g, mu_min, mu_max, panels)
+    rows = _radial_integral(g, np.array(alphas), x, mu_min, mu_max, panels, q.rel_tolerance)
     forward = np.linalg.norm(rows - apply_Uz(g, t, x), axis=1)
     reverse = np.linalg.norm(rows - apply_Uz(g, -t, x), axis=1)
     steps = tuple(
@@ -532,8 +506,10 @@ def decay_bound_fit(
     if float(np.linalg.norm(x)) == 0.0:
         raise ValueError("x must be nonzero")
     mags = sorted(float(m) for m in mu_magnitudes)
-    if any(m <= 0 for m in mags):
-        raise ValueError("mu magnitudes must be positive")
+    if not all(0.0 < m < math.inf for m in mags):
+        raise ValueError("mu magnitudes must be positive and finite")
+    if not math.isfinite(arg_mu):
+        raise ValueError(f"arg_mu must be finite, got {arg_mu}")
 
     # every mu on the ray shares its decay rate
     require_quadrature_clearance(KernelParam(cmath.exp(1j * arg_mu)))

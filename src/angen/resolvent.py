@@ -46,10 +46,10 @@ import numpy as np
 from .group_models import (
     GroupModel,
     _eigen_twin,
+    _phase_matrix,
     _spectral_matrix,
     analytic_generator,
     apply_Uz,
-    apply_Uz_batch,
     as_state,
     generator_spectrum,
     require_graph_vector,
@@ -131,12 +131,12 @@ class _PhaseMemo:
 
     def __init__(self, twin: GroupModel):
         self.exponents = twin.exponents
-        self._twin, self._ones = twin, np.ones(twin.dim)
+        self._twin = twin
         self._ts = self._phases = None
 
     def __call__(self, ts) -> np.ndarray:
         if ts is not self._ts:
-            self._ts, self._phases = ts, apply_Uz_batch(self._twin, ts, self._ones)
+            self._ts, self._phases = ts, _phase_matrix(self._twin, ts)
         return self._phases
 
 
@@ -214,9 +214,11 @@ class BlockOperator:
 
 
 def ampliation(g: GroupModel) -> BlockOperator:
-    """The doubled generator diag(U_i, U_i) acting on pairs, from the model's kept U_i.
+    """The doubled generator D = diag(U_i, U_i) acting on pairs, from the model's kept U_i.
 
-    Its as_matrix() is bit for bit the model's kept D (GroupModel._doubled).
+    Being block diagonal, D acts on each component alone: Pr1 (D + mu)^(-1) D
+    on a graph pair (x, U_i x) is (U_i + mu)^(-1) U_i x, so the radial
+    reconstruction never forms D.  Its as_matrix() is built on each call.
     """
     Ui = analytic_generator(g)
     zero = np.zeros_like(Ui)
@@ -278,7 +280,7 @@ def verify_resolvent_identities(
     for v in samples:
         require_graph_vector(g, v)
     M = R.as_matrix()
-    A = g._doubled + p.mu * np.eye(2 * g.dim)
+    A = ampliation(g).as_matrix() + p.mu * np.eye(2 * g.dim)
     Ui = analytic_generator(g)
 
     after = before = invariance = 0.0

@@ -28,6 +28,7 @@ from .group_models import (
     GroupModel,
     _eigen_twin,
     _from_eigen,
+    _phase_matrix,
     _spectral_matrix,
     _to_eigen,
     apply_Uz_batch,
@@ -88,11 +89,7 @@ def mollify_operator(g: GroupModel, n: float, q: QuadratureSpec) -> np.ndarray:
     relative to sqrt(g.dim), the norm of each phase row.
     """
     _check_width(n)
-    twin = _eigen_twin(g)
-    ones = np.ones(g.dim)
-    m = _mollify_coords(
-        g, n, q, lambda ts: apply_Uz_batch(twin, ts, ones), math.sqrt(g.dim)
-    )
+    m = _mollify_coords(g, n, q, lambda ts: _phase_matrix(g, ts), math.sqrt(g.dim))
     return _spectral_matrix(g, m)
 
 

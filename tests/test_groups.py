@@ -12,7 +12,6 @@ from angen import (
     GroupModel,
     KernelParam,
     OverflowRisk,
-    ampliation,
     analytic_generator,
     apply_Uz,
     apply_Uz_batch,
@@ -130,15 +129,14 @@ def test_generator_and_basis_are_read_only_copies():
 
 
 def test_kept_operators_are_read_only_and_equal_fresh_builds(diag4, herm4, rng):
-    # U_i, U_{-i}, D and the graph basis are built once per model through a
+    # U_i, U_{-i} and the graph basis are built once per model through a
     # private path, bit for bit what the public builders give, and the
-    # content keys of U_i and D describe the kept matrices
+    # content key of U_i describes the kept matrix
     for g in (diag4, herm4, GroupModel.hermitian(np.diag(rng.uniform(-2.0, 2.0, 5)))):
         fresh = np.vstack([np.eye(g.dim, dtype=complex), group_matrix(g, 1j)])
         want = {
             "_U_i": group_matrix(g, 1j),
             "_U_minus_i": group_matrix(g, -1j),
-            "_doubled": ampliation(g).as_matrix(),
             "_graph_basis": np.linalg.qr(fresh)[0],
         }
         for name, matrix in want.items():
@@ -149,10 +147,9 @@ def test_kept_operators_are_read_only_and_equal_fresh_builds(diag4, herm4, rng):
             with pytest.raises(ValueError):
                 kept[0, 0] = 0.0
         assert analytic_generator(g) is g._U_i
-        for name in ("_U_i", "_doubled"):
-            key = getattr(g, f"{name}_key")
-            assert key == (want[name].shape, want[name].dtype.str, want[name].tobytes())
-            assert np.array_equal(_from_key(key), getattr(g, name))
+        key = g._U_i_key
+        assert key == (want["_U_i"].shape, want["_U_i"].dtype.str, want["_U_i"].tobytes())
+        assert np.array_equal(_from_key(key), g._U_i)
 
 
 def test_unitarity_on_real_times(diag4, herm4, rng):
@@ -246,6 +243,22 @@ def test_overflow_guard_trips():
         apply_Uz(g, 1j * (limit + 0.01), [1.0, 1.0])
     with pytest.raises(OverflowRisk):
         apply_Uz_batch(g, [0.0, -1j * (limit + 0.01)], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "z", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(1.0, -np.inf)]
+)
+def test_non_finite_times_are_rejected(diag4, herm4, z):
+    # a NaN or infinite time has no U_z: each entry point of the group layer
+    # raises instead of returning NaN phases
+    for g in (diag4, herm4):
+        x = np.ones(g.dim)
+        with pytest.raises(ValueError, match="finite"):
+            apply_Uz(g, z, x)
+        with pytest.raises(ValueError, match="finite"):
+            group_matrix(g, z)
+        with pytest.raises(ValueError, match="finite"):
+            apply_Uz_batch(g, np.array([0.5, z]), x)
 
 
 def test_generator_and_spectrum(diag4, herm4):

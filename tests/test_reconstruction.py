@@ -33,13 +33,13 @@ from angen import (
     vecint,
     verify_resolvent_identities,
 )
-from angen.group_models import H_MAX, _eigen_twin, _to_eigen, apply_Uz_batch
+from angen.group_models import H_MAX, _content_key, _eigen_twin, _to_eigen, apply_Uz_batch
 from angen.kernel import _over_double_sinh, eval_kernel_array
 from angen.reconstruction import (
     CORRECTION_TERMS,
     PANELS_DEFAULT,
+    _cached_samples,
     _shifted_line_plan,
-    _shifted_solves,
     _sweep,
     _tridiagonalize,
 )
@@ -47,8 +47,8 @@ from angen.resolvent import _kernel_floor, _quadrature_plan
 
 from conftest import random_unit
 
-# U_i of dimension 1 or 2, and D = diag(U_i, U_i), are tridiagonal as they
-# stand: the reduction makes no reflection and only its phase step acts
+# U_i of dimension 1 or 2 is tridiagonal as it stands: the reduction makes
+# no reflection and only its phase step acts
 SMALLEST = (
     GroupModel.diagonal([0.7]),
     GroupModel.hermitian(np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.8]])),
@@ -60,6 +60,18 @@ def hermitian_model(rng, n, radius):
     h = 0.5 * (a + a.conj().T)
     h *= radius / float(np.max(np.abs(np.linalg.eigvalsh(h))))
     return GroupModel.hermitian(h)
+
+
+def shifted_solves(A, b, mus):
+    """The radial sampler's read-only (Q, Y) for A, b and the nodes mus, by content."""
+    return _cached_samples(_content_key(A), _content_key(b), _content_key(mus))
+
+
+def graph_pair_solve(g: GroupModel, x, mu: float) -> np.ndarray:
+    """Pr1 (D + mu)^(-1) D (x, U_i x) by a dense solve of the 2n x 2n system."""
+    D = ampliation(g).as_matrix()
+    pair = make_graph_vector(g, x).stacked()
+    return np.linalg.solve(D + mu * np.eye(2 * g.dim), D @ pair)[: g.dim]
 
 
 def projection_reduction_residual(g: GroupModel, mu: float) -> float:
@@ -166,19 +178,27 @@ def test_narrow_window_truncation_dominates(diag4, rng, quad):
 @pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
 def test_far_time_raises_typed_error(diag4, rng, quad, monkeypatch, t, error, route):
     # at t = 1000, sin(pi alpha) ~ e^(pi t) overflows a double; the guard
-    # must refuse before any resolvent sample: dense solves, the reduction
-    # behind the node samples and the sample cache are all disabled here,
-    # so a warm cache cannot hide a guard that fires late
+    # must refuse before any resolvent sample: the sample cache and the
+    # reduction behind it are counted and neither runs, so a warm cache
+    # cannot hide a guard that fires late.  At t = 0.7 the same route runs
+    # each of them once, so the counted entries are the ones it samples
+    # through, and no call solves a dense system
     x = random_unit(rng, 4)
-    if error is OverflowRisk:
-        monkeypatch.setattr(np.linalg, "solve", None)
-        monkeypatch.setattr(reconstruction, "_tridiagonalize", None)
-        monkeypatch.setattr(reconstruction, "_cached_samples", None)
-    with pytest.raises(error):
+    calls = Counter()
+    record_calls(monkeypatch, calls, np.linalg, "solve")
+    record_calls(monkeypatch, calls, reconstruction, "_cached_samples")
+    record_calls(monkeypatch, calls, reconstruction, "_tridiagonalize")
+
+    def run(t):
         if route == "graph_pair":
-            reconstruct_Ut_delta(diag4, t, x, [t + 0.1j], quad)
-        else:
-            reconstruct_Ut_cz(diag4, t, x, [0.1 + 1j * t], quad)
+            return reconstruct_Ut_delta(diag4, t, x, [t + 0.1j], quad)
+        return reconstruct_Ut_cz(diag4, t, x, [0.1 + 1j * t], quad)
+
+    with pytest.raises(error):
+        run(t)
+    assert not calls
+    run(0.7)
+    assert calls == {"_cached_samples": 1, "_tridiagonalize": 1}
 
 
 def test_scalar_route_matches_spectral_power(diag4, rng, quad):
@@ -219,6 +239,58 @@ def test_scalar_route_validates_alpha(diag4, rng, quad):
         reconstruct_Ut_cz(diag4, 0.5, x, [], quad)
 
 
+def delta_entry(g, x, q, t=0.7, z=0.7 + 0.1j, **window):
+    return reconstruct_Ut_delta(g, t, x, [z], q, **window)
+
+
+def cz_entry(g, x, q, t=0.7, alpha=0.1 + 0.7j, **window):
+    return reconstruct_Ut_cz(g, t, x, [alpha], q, **window)
+
+
+def fit_entry(g, x, q, mags=(100.0, 300.0, 1000.0), arg_mu=0.0):
+    return decay_bound_fit(g, x, 0.5, mags, q, arg_mu=arg_mu)
+
+
+NAN, INF = math.nan, math.inf
+BAD_RADIAL_INPUTS = [
+    (delta_entry, {"t": NAN}),
+    (delta_entry, {"z": complex(NAN, 0.1)}),
+    (delta_entry, {"z": complex(INF, 0.1)}),
+    (delta_entry, {"mu_max": INF}),
+    (delta_entry, {"panels": 0}),
+    (delta_entry, {"panels": 2.5}),
+    (cz_entry, {"t": NAN}),
+    (cz_entry, {"alpha": complex(0.1, NAN)}),
+    (cz_entry, {"mu_max": INF}),
+    (cz_entry, {"panels": True}),
+    (fit_entry, {"mags": (100.0, 300.0, INF)}),
+    (fit_entry, {"mags": (NAN, 300.0, 1000.0)}),
+    (fit_entry, {"arg_mu": NAN}),
+    (fit_entry, {"arg_mu": INF}),
+]
+
+
+@pytest.mark.parametrize(
+    ("entry", "bad"),
+    BAD_RADIAL_INPUTS,
+    ids=[f"{entry.__name__}-{k}={v}" for entry, bad in BAD_RADIAL_INPUTS for k, v in bad.items()],
+)
+def test_non_finite_radial_inputs_are_rejected(diag4, rng, quad, monkeypatch, entry, bad):
+    # a NaN or infinite t, z, alpha, window end, magnitude or ray angle, or
+    # panels that is not a positive int, raises ValueError before any
+    # sample: neither the radial grid nor a fit's window plan is taken.  The
+    # entry with valid inputs takes one of them, so both are on its path
+    calls = Counter()
+    record_calls(monkeypatch, calls, reconstruction, "_radial_grid")
+    record_calls(monkeypatch, calls, reconstruction, "_direct_line_plan")
+    x = random_unit(rng, 4)
+    with pytest.raises(ValueError, match="finite|positive int"):
+        entry(diag4, x, quad, **bad)
+    assert not calls
+    entry(diag4, x, quad)
+    assert sum(calls.values()) == 1
+
+
 @pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
 def test_sequence_shares_radial_samples(diag4, herm4, rng, quad, monkeypatch, route):
     # every approximant of a sequence is a weighted sum of one set of
@@ -233,28 +305,17 @@ def test_sequence_shares_radial_samples(diag4, herm4, rng, quad, monkeypatch, ro
         reconstruct, seq = reconstruct_Ut_delta, [t + 1j * d for d in offsets]
     else:
         reconstruct, seq = reconstruct_Ut_cz, [d + 1j * t for d in offsets]
-    solve, tridiagonalize = np.linalg.solve, reconstruction._tridiagonalize
-    solves, reductions = [], []
-
-    def counted_solve(a, b):
-        solves.append(1)
-        return solve(a, b)
-
-    def counted_reduction(A):
-        reductions.append(1)
-        return tridiagonalize(A)
-
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(reconstruction, "_tridiagonalize", counted_reduction)
+    calls = Counter()
+    record_calls(monkeypatch, calls, np.linalg, "solve")
+    record_calls(monkeypatch, calls, reconstruction, "_tridiagonalize")
     for g in (diag4, herm4):
         x = random_unit(rng, g.dim)
-        reductions.clear()
+        calls.clear()
         singles = [reconstruct(g, t, x, [s], quad) for s in seq]
-        assert len(reductions) == 1
-        reductions.clear()
+        assert calls == {"_tridiagonalize": 1}
+        calls.clear()
         rep = reconstruct(g, t, x, seq, quad)
-        assert not reductions
-        assert not solves
+        assert not calls
 
         tol = 1e-13 * np.linalg.norm(x)
         steps = np.array([astuple(s) for s in rep.steps])
@@ -277,14 +338,15 @@ def test_tails_from_the_inverse_generator_on_a_wide_spectrum(rng, quad, monkeypa
     reconstruct, seq = route_sequence(route, t)
     radial_integral, calls = reconstruction._radial_integral, []
 
-    def recorded(Ui, U_minus_i, alphas, sampler, x, *rest):
-        calls.append((Ui, U_minus_i, x))
-        return radial_integral(Ui, U_minus_i, alphas, sampler, x, *rest)
+    def recorded(g, alphas, x, *rest):
+        calls.append((g, x))
+        return radial_integral(g, alphas, x, *rest)
 
     monkeypatch.setattr(reconstruction, "_radial_integral", recorded)
     rep = reconstruct(g, t, x, seq, quad, mu_min=1e-9, mu_max=1e9)
-    [(Ui, U_minus_i, x_used)] = calls
-    assert np.array_equal(x_used, x)
+    [(g_used, x_used)] = calls
+    assert g_used is g and np.array_equal(x_used, x)
+    Ui, U_minus_i = g._U_i, g._U_minus_i
     cond = np.linalg.cond(Ui)
     assert cond >= math.exp(16.0) * (1.0 - 1e-9)
     eps = np.finfo(float).eps
@@ -298,32 +360,57 @@ def test_tails_from_the_inverse_generator_on_a_wide_spectrum(rng, quad, monkeypa
     assert np.linalg.norm(rep.approximation - want) <= 10.0 * quad.rel_tolerance * np.linalg.norm(x)
 
 
-def test_shifted_solves_match_dense_block_solves(diag4, herm4, rng):
-    # the reduction and sweep against dense LU at nodes across the radial
-    # window, on the 2n x 2n graph pair system and on U_i itself
+def test_shifted_solves_match_dense_block_solves(diag4, herm4, rng, quad, monkeypatch):
+    # the reduction of U_i is unitary and tridiagonal, and the samples the
+    # graph pair route takes, the sampler's solves against its keys of U_i
+    # and U_i x, match dense LU of the 2n x 2n graph pair system
+    # Pr1 (D + mu)^(-1) D (x, U_i x) at nodes across the radial window
     mus = np.array([1e-6, 1e-2, 1.0, 1e2, 1e6])
+    sample, keys = reconstruction._cached_samples, []
+
+    def recorded(A_key, b_key, mus_key):
+        keys.append((A_key, b_key))
+        return sample(A_key, b_key, mus_key)
+
+    monkeypatch.setattr(reconstruction, "_cached_samples", recorded)
     for g in (diag4, herm4, hermitian_model(rng, 64, 2.0)):
         n = g.dim
-        x = random_unit(rng, n)
         Ui = analytic_generator(g)
-        D = ampliation(g).as_matrix()
-        pair = make_graph_vector(g, x).stacked()
-        for A, b in ((D, D @ pair), (Ui, Ui @ x)):
-            m = len(A)
-            Q, d, e = _tridiagonalize(A)
-            T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-            assert np.all(e >= 0.0)
-            assert np.linalg.norm(Q.conj().T @ Q - np.eye(m), 2) <= 1e-13
-            assert np.linalg.norm(Q @ T @ Q.conj().T - A, 2) <= 1e-13 * np.linalg.norm(A, 2)
-            if g is diag4:
-                assert np.array_equal(Q, np.eye(m))
-                assert not np.any(e)
-            B, Y = _shifted_solves(A, b, mus, n)
-            got = (B @ Y).T
-            assert got.shape == (mus.size, n)
-            for mu, row in zip(mus, got):
-                want = np.linalg.solve(A + mu * np.eye(m), b)[:n]
-                assert np.linalg.norm(row - want) <= 1e-13 * np.linalg.norm(want)
+        Q, d, e = _tridiagonalize(Ui)
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        assert np.all(e >= 0.0)
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(n), 2) <= 1e-13
+        assert np.linalg.norm(Q @ T @ Q.conj().T - Ui, 2) <= 1e-13 * np.linalg.norm(Ui, 2)
+        if g is diag4:
+            assert np.array_equal(Q, np.eye(n))
+            assert not np.any(e)
+        x = random_unit(rng, n)
+        keys.clear()
+        reconstruct_Ut_delta(g, 0.7, x, [0.7 + 0.1j], quad)
+        [(A_key, b_key)] = keys
+        B, Y = sample(A_key, b_key, _content_key(mus))
+        got = (B @ Y).T
+        assert got.shape == (mus.size, n)
+        for mu, row in zip(mus, got):
+            want = graph_pair_solve(g, x, mu)
+            assert np.linalg.norm(row - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_both_routes_share_one_reduction_and_sweep(herm4, rng, quad, monkeypatch):
+    # the graph pair samples are those of U_i against U_i x, so a delta call
+    # and then a cz call on one (g, x) reduce U_i once and sweep once, and
+    # the cz call's report is bit for bit the one it gives from cold caches
+    calls = Counter()
+    record_calls(monkeypatch, calls, reconstruction, "_tridiagonalize")
+    record_calls(monkeypatch, calls, reconstruction, "_sweep")
+    x = random_unit(rng, herm4.dim)
+    reconstruct_Ut_delta(herm4, 0.7, x, [0.7 + 0.1j, 0.7 + 0.03j], quad)
+    warm = reconstruct_Ut_cz(herm4, 0.7, x, [0.1 + 0.7j, 0.03 + 0.7j], quad)
+    assert calls == {"_tridiagonalize": 1, "_sweep": 1}
+    reconstruction._cached_samples.cache_clear()
+    cold = reconstruct_Ut_cz(herm4, 0.7, x, [0.1 + 0.7j, 0.03 + 0.7j], quad)
+    assert np.array_equal(cold.approximation, warm.approximation)
+    assert replace(cold, approximation=None) == replace(warm, approximation=None)
 
 
 @pytest.mark.parametrize("route", ["graph_pair", "scalar_power"])
@@ -340,18 +427,21 @@ def test_weighting_in_reduced_basis_matches_mapped_back_samples(
         reconstruct, seq = reconstruct_Ut_delta, [t + 1j * d for d in offsets]
     else:
         reconstruct, seq = reconstruct_Ut_cz, [d + 1j * t for d in offsets]
-    solves = reconstruction._shifted_solves
+    sample, mapped = reconstruction._cached_samples, []
 
-    def mapped_back(A, b, mus, rows):
-        B, Y = solves(A, b, mus, rows)
-        return np.eye(rows), B @ Y
+    def mapped_back(A_key, b_key, mus_key):
+        Q, Y = sample(A_key, b_key, mus_key)
+        mapped.append(1)
+        return np.eye(len(Q)), Q @ Y
 
     for g in (herm4, hermitian_model(rng, 64, 2.0)):
         x = random_unit(rng, g.dim)
         rep = reconstruct(g, t, x, seq, quad)
+        mapped.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(reconstruction, "_shifted_solves", mapped_back)
+            patch.setattr(reconstruction, "_cached_samples", mapped_back)
             want = reconstruct(g, t, x, seq, quad)
+        assert len(mapped) == 1
         tol = 1e-13 * np.linalg.norm(x)
         steps = np.array([astuple(s) for s in rep.steps])
         assert np.max(np.abs(steps - np.array([astuple(s) for s in want.steps]))) <= tol
@@ -378,7 +468,7 @@ def test_shifted_solve_is_backward_stable(h, log_mu, seed):
     Ui = analytic_generator(GroupModel.hermitian((V * np.array(h)[None, :]) @ V.conj().T))
     b = random_unit(rng, n)
     mu = math.exp(log_mu)
-    B, Y = _shifted_solves(Ui, b, np.array([mu]), n)
+    B, Y = shifted_solves(Ui, b, np.array([mu]))
     y = (B @ Y).T[0]
     residual = np.linalg.norm((Ui + mu * np.eye(n)) @ y - b)
     eps = np.finfo(float).eps
@@ -387,24 +477,8 @@ def test_shifted_solve_is_backward_stable(h, log_mu, seed):
     # set and must stay bounded, and it holds the latest one
     info = reconstruction._cached_samples.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
-    kept_B, kept_Y = _shifted_solves(Ui, b, np.array([mu]), n)
+    kept_B, kept_Y = shifted_solves(Ui, b, np.array([mu]))
     assert kept_B is B and kept_Y is Y
-
-
-def test_kept_samples_do_not_hold_the_whole_reduction(herm4, rng):
-    # on the graph pair system B needs n of the 2n rows of Q: the kept B is
-    # a read-only array of its own, not a view that keeps all of Q alive,
-    # and the samples are bit for bit a direct reduction and sweep
-    n = herm4.dim
-    D = ampliation(herm4).as_matrix()
-    b = D @ make_graph_vector(herm4, random_unit(rng, n)).stacked()
-    mus = np.logspace(-2.0, 2.0, 5)
-    B, Y = _shifted_solves(D, b, mus, n)
-    assert B.shape == (n, 2 * n)
-    assert B.base is None or B.base.shape != (2 * n, 2 * n)
-    assert not B.flags.writeable and not Y.flags.writeable
-    Q, d, e = _tridiagonalize(D)
-    assert np.array_equal(B, Q[:n]) and np.array_equal(Y, _sweep(Q, d, e, b, mus))
 
 
 def test_sample_sets_are_cached_by_content(herm4, rng, quad):
@@ -412,12 +486,12 @@ def test_sample_sets_are_cached_by_content(herm4, rng, quad):
     n = herm4.dim
     b = Ui @ random_unit(rng, n)
     mus = np.logspace(-2.0, 2.0, 5)
-    B, Y = _shifted_solves(Ui, b, mus, n)
+    B, Y = shifted_solves(Ui, b, mus)
     Q, d, e = _tridiagonalize(Ui)
-    assert np.array_equal(B, Q[:n]) and np.array_equal(Y, _sweep(Q, d, e, b, mus))
+    assert np.array_equal(B, Q) and np.array_equal(Y, _sweep(Q, d, e, b, mus))
     # equal content in other arrays, A in either memory order, is a hit
     for A in (Ui.copy(), np.asfortranarray(Ui)):
-        again = _shifted_solves(A, b.copy(), mus.copy(), n)
+        again = shifted_solves(A, b.copy(), mus.copy())
         assert again[0] is B and again[1] is Y
     assert reconstruction._cached_samples.cache_info().misses == 1
     # one bit moved in A (a diagonal entry, so still Hermitian), in b or in
@@ -429,10 +503,10 @@ def test_sample_sets_are_cached_by_content(herm4, rng, quad):
     for misses, (A, rhs, nodes) in enumerate(
         ((moved_A, b, mus), (Ui, moved_b, mus), (Ui, b, moved_mus)), start=2
     ):
-        B2, Y2 = _shifted_solves(A, rhs, nodes, n)
+        B2, Y2 = shifted_solves(A, rhs, nodes)
         assert reconstruction._cached_samples.cache_info().misses == misses
         Q2, d2, e2 = _tridiagonalize(A)
-        assert np.array_equal(B2, Q2[:n]) and np.array_equal(Y2, _sweep(Q2, d2, e2, rhs, nodes))
+        assert np.array_equal(B2, Q2) and np.array_equal(Y2, _sweep(Q2, d2, e2, rhs, nodes))
         assert not np.array_equal(Y2, Y)
 
     # cold and warm reports of both routes are bit-identical
@@ -453,11 +527,11 @@ def test_sample_sets_are_cached_by_content(herm4, rng, quad):
 
 
 def test_one_model_builds_its_fixed_operators_once(herm4, rng, quad, monkeypatch):
-    # U_i, U_{-i}, D and the graph basis depend on the model alone: three
-    # delta calls, three cz calls, a decay fit, a resolvent check and a scan
-    # on one model build each of them once, and both routes hand the sample
-    # cache the model's kept key of their matrix and the grid's kept key of
-    # the nodes, so no warm call copies or hashes either again
+    # U_i, U_{-i} and the graph basis depend on the model alone: three delta
+    # calls, three cz calls, a decay fit, a resolvent check and a scan on
+    # one model build each of them once, and both routes hand the sample
+    # cache the model's kept key of U_i and the grid's kept key of the
+    # nodes, so no warm call copies or hashes either again
     built = Counter()
     nus = generator_spectrum(herm4)
     spectral, content_key, qr = (
@@ -478,16 +552,16 @@ def test_one_model_builds_its_fixed_operators_once(herm4, rng, quad, monkeypatch
         built["qr"] += 1
         return qr(a, *args, **kwargs)
 
-    solves, keys = reconstruction._shifted_solves, []
+    sample, keys = reconstruction._cached_samples, []
 
-    def recorded(A, b, mus, rows):
-        keys.append((A, mus))
-        return solves(A, b, mus, rows)
+    def recorded(A_key, b_key, mus_key):
+        keys.append((A_key, b_key, mus_key))
+        return sample(A_key, b_key, mus_key)
 
     monkeypatch.setattr(group_models, "_spectral_matrix", counted_spectral)
     monkeypatch.setattr(group_models, "_content_key", counted_key)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
-    monkeypatch.setattr(reconstruction, "_shifted_solves", recorded)
+    monkeypatch.setattr(reconstruction, "_cached_samples", recorded)
     n = herm4.dim
     x = random_unit(rng, n)
     for t in (0.4, 0.7, 1.3):
@@ -498,11 +572,11 @@ def test_one_model_builds_its_fixed_operators_once(herm4, rng, quad, monkeypatch
     verify_resolvent_identities(herm4, p, build_Rmu(herm4, p, quad), [make_graph_vector(herm4, x)])
     ampliation(herm4)
     spectrum_scan(herm4, [0.5 + 0.9j, 1.5 - 0.4j, 3.0], quad)
-    assert built == {"U_i": 1, "U_minus_i": 1, f"key{(n, n)}": 1, f"key{(2 * n, 2 * n)}": 1, "qr": 1}
+    assert built == {"U_i": 1, "U_minus_i": 1, f"key{(n, n)}": 1, "qr": 1}
     assert len(keys) == 6
-    assert all(A is herm4._doubled_key for A, _ in keys[::2])
-    assert all(A is herm4._U_i_key for A, _ in keys[1::2])
-    assert all(mus is keys[0][1] for _, mus in keys)
+    assert all(A is herm4._U_i_key for A, _, _ in keys)
+    assert all(b == keys[0][1] for _, b, _ in keys)
+    assert all(mus is keys[0][2] for _, _, mus in keys)
 
 
 def test_kept_operators_give_the_reports_of_a_fresh_model(rng, quad):
@@ -537,6 +611,17 @@ def route_sequence(route, t):
     if route == "graph_pair":
         return reconstruct_Ut_delta, [t + 1j * d for d in offsets]
     return reconstruct_Ut_cz, [d + 1j * t for d in offsets]
+
+
+def record_calls(monkeypatch, calls, module, name):
+    """Patch module.name with a wrapper that counts its calls in calls[name]."""
+    fn = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
 
 
 def counted_sweeps(monkeypatch):
@@ -578,14 +663,8 @@ def test_moved_state_or_other_panels_sweep_again(herm4, rng, quad, monkeypatch, 
     # x moved by one ulp changes the right-hand side, and other panels
     # change the nodes: either is a new sample set, which reduces the
     # matrix again and runs a new sweep
-    sweeps = counted_sweeps(monkeypatch)
-    tridiagonalize, reductions = reconstruction._tridiagonalize, []
-
-    def counted_reduction(A):
-        reductions.append(1)
-        return tridiagonalize(A)
-
-    monkeypatch.setattr(reconstruction, "_tridiagonalize", counted_reduction)
+    sweeps, reductions = counted_sweeps(monkeypatch), Counter()
+    record_calls(monkeypatch, reductions, reconstruction, "_tridiagonalize")
     reconstruct, seq = route_sequence(route, 0.7)
     x = random_unit(rng, herm4.dim)
     moved = x.copy()
@@ -599,33 +678,36 @@ def test_moved_state_or_other_panels_sweep_again(herm4, rng, quad, monkeypatch, 
     )
     for state, panels, total in runs:
         reconstruct(herm4, 0.7, state, seq, quad, panels=panels)
-        assert len(sweeps) == len(reductions) == total
+        assert len(sweeps) == reductions["_tridiagonalize"] == total
 
 
 def test_shifted_solves_keep_the_latest_samples(herm4, rng, monkeypatch):
-    # equal (A, b, nodes, rows) content returns the kept read-only arrays
-    # without a sweep; b or one node moved by one ulp, or other rows, sweep
-    # again, and the first samples stay among the latest four sets
+    # equal (A, b, nodes) content returns the kept read-only arrays without
+    # a sweep; A, b or one node moved by one ulp sweeps again, and the
+    # first samples stay among the latest four sets
     sweeps = counted_sweeps(monkeypatch)
     Ui = analytic_generator(herm4)
     n = herm4.dim
     b = Ui @ random_unit(rng, n)
     mus = np.logspace(-2.0, 2.0, 5)
-    B, Y = _shifted_solves(Ui, b, mus, n)
+    B, Y = shifted_solves(Ui, b, mus)
     assert not B.flags.writeable and not Y.flags.writeable
-    with pytest.raises(ValueError):
-        Y[0, 0] = 0.0
-    again = _shifted_solves(Ui.copy(), b.copy(), mus.copy(), n)
+    for kept in (B, Y):
+        with pytest.raises(ValueError):
+            kept[0, 0] = 0.0
+    again = shifted_solves(Ui.copy(), b.copy(), mus.copy())
     assert again[0] is B and again[1] is Y and len(sweeps) == 1
 
+    A_moved = Ui.copy()
+    A_moved[0, 0] = np.nextafter(Ui[0, 0].real, np.inf)
     b_moved = b.copy()
     b_moved[0] = complex(np.nextafter(b[0].real, np.inf), b[0].imag)
     mus_moved = mus.copy()
     mus_moved[2] = np.nextafter(mus[2], np.inf)
-    for args, total in (((b_moved, mus, n), 2), ((b, mus_moved, n), 3), ((b, mus, n - 1), 4)):
-        _shifted_solves(Ui, *args)
+    for args, total in (((Ui, b_moved, mus), 2), ((Ui, b, mus_moved), 3), ((A_moved, b, mus), 4)):
+        shifted_solves(*args)
         assert len(sweeps) == reconstruction._cached_samples.cache_info().currsize == total
-    B4, Y4 = _shifted_solves(Ui, b, mus, n)
+    B4, Y4 = shifted_solves(Ui, b, mus)
     assert B4 is B and Y4 is Y and len(sweeps) == 4
 
 
@@ -637,15 +719,15 @@ def test_sample_cache_holds_four_sets(herm4, rng, monkeypatch):
     n = herm4.dim
     b = Ui @ random_unit(rng, n)
     grids = [np.logspace(-2.0, 2.0, 5 + k) for k in range(5)]
-    first = [_shifted_solves(Ui, b, mus, n) for mus in grids[:4]]
+    first = [shifted_solves(Ui, b, mus) for mus in grids[:4]]
     assert len(sweeps) == reconstruction._cached_samples.cache_info().currsize == 4
-    _shifted_solves(Ui, b, grids[4], n)
+    shifted_solves(Ui, b, grids[4])
     assert len(sweeps) == 5 and reconstruction._cached_samples.cache_info().currsize == 4
     for mus, (B, Y) in zip(grids[1:4], first[1:]):
-        kept = _shifted_solves(Ui, b, mus, n)
+        kept = shifted_solves(Ui, b, mus)
         assert kept[0] is B and kept[1] is Y
     assert len(sweeps) == 5
-    B0, Y0 = _shifted_solves(Ui, b, grids[0], n)
+    B0, Y0 = shifted_solves(Ui, b, grids[0])
     assert len(sweeps) == 6
     assert Y0 is not first[0][1] and np.array_equal(Y0, first[0][1])
     assert np.array_equal(B0, first[0][0])
@@ -680,13 +762,15 @@ def test_decay_fit_validates_inputs(diag4, rng, quad):
 
 def test_decay_fit_rejects_the_zero_state(quad, monkeypatch):
     # y(mu) vanishes for x = 0 and has no log-log slope; the state is
-    # rejected before any window is planned
-    planned = []
-    monkeypatch.setattr(reconstruction, "_quadrature_plan", lambda *a: planned.append(a))
+    # rejected before any window is planned, where a nonzero state plans
+    planned = Counter()
+    record_calls(monkeypatch, planned, reconstruction, "_quadrature_plan")
     g = GroupModel.diagonal([-0.7, 0.1, 0.9])
     with pytest.raises(ValueError, match="x must be nonzero"):
         decay_bound_fit(g, np.zeros(3), 0.5, np.logspace(1.0, 3.0, 9), quad)
-    assert planned == []
+    assert not planned
+    decay_bound_fit(g, np.ones(3), 0.5, np.logspace(1.0, 3.0, 9), quad)
+    assert planned["_quadrature_plan"] > 0
 
 
 def test_decay_fit_rejects_a_nan_fit_residual(diag4, rng, quad, monkeypatch):
@@ -719,6 +803,7 @@ def _count_fit_quadratures(monkeypatch):
     """
     direct, shifted, builds, inside = [], [], [], []
     nodes, shifted_line = vecint._nodes, reconstruction._shifted_line_coords
+    phase_matrix = resolvent._phase_matrix
 
     def counting_nodes(T, npu):
         ts, ws = nodes(T, npu)
@@ -732,13 +817,13 @@ def _count_fit_quadratures(monkeypatch):
         finally:
             inside.pop()
 
-    def counting_batch(g, zs, x):
+    def counting_phases(g, zs):
         builds.append(np.array(zs))
-        return apply_Uz_batch(g, zs, x)
+        return phase_matrix(g, zs)
 
     monkeypatch.setattr(vecint, "_nodes", counting_nodes)
     monkeypatch.setattr(reconstruction, "_shifted_line_coords", marked_shifted_line)
-    monkeypatch.setattr(resolvent, "apply_Uz_batch", counting_batch)
+    monkeypatch.setattr(resolvent, "_phase_matrix", counting_phases)
     return direct, shifted, builds
 
 

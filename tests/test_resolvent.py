@@ -188,19 +188,19 @@ def test_qmu_matches_oracle_on_random_hermitian(quad, n, seed):
 def _count_phase_builds(monkeypatch):
     """Record every node array compute_Qmu samples and every phase matrix it builds."""
     windows, builds = [], []
-    nodes = vecint._nodes
+    nodes, phase_matrix = vecint._nodes, resolvent._phase_matrix
 
     def counting_nodes(T, npu):
         ts, ws = nodes(T, npu)
         windows.append(ts)
         return ts, ws
 
-    def counting_batch(g, zs, x):
+    def counting_phases(g, zs):
         builds.append(len(zs))
-        return apply_Uz_batch(g, zs, x)
+        return phase_matrix(g, zs)
 
     monkeypatch.setattr(vecint, "_nodes", counting_nodes)
-    monkeypatch.setattr(resolvent, "apply_Uz_batch", counting_batch)
+    monkeypatch.setattr(resolvent, "_phase_matrix", counting_phases)
     return windows, builds
 
 
