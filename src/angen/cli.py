@@ -38,7 +38,6 @@ from .group_models import (
     _spectral_matrix,
     _to_eigen,
     analytic_generator,
-    apply_Uz,
     generator_spectrum,
     make_graph_vector,
 )
@@ -530,7 +529,8 @@ def _run_mollify(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> None:
     x = _random_state(rng, g.dim)
     rows = []
     errs = []
-    for n in exp.mollify["n_sequence"]:
+    # widths in increasing order, so that the errors should decrease
+    for n in sorted(exp.mollify["n_sequence"]):
         xn = mollify(g, x, n, exp.quadrature)
         oracle = mollify_oracle(g, x, n)
         factor_err = float(np.linalg.norm(xn - oracle))
@@ -562,10 +562,12 @@ def _run_reconstruct(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> N
     except ValueError as exc:
         raise ConfigError(f"reconstruct: {exc}") from exc
     x = _random_state(rng, g.dim)
+    # offsets in decreasing order, so that z approaches t and the errors should decrease
+    offsets = sorted(cfg["imag_offsets"], reverse=True)
     rows = []
     cz_rows = []
     for t in cfg["t_list"]:
-        zs = [t + 1j * d for d in cfg["imag_offsets"]]
+        zs = [t + 1j * d for d in offsets]
         rep = reconstruct_Ut_delta(g, t, x, zs, exp.quadrature, **window)
         errs = [s.error for s in rep.steps]
         sheet.add("reconstruct_error", errs[-1])
@@ -573,7 +575,7 @@ def _run_reconstruct(exp: Experiment, rng, outdir: Path, sheet: CheckSheet) -> N
         for s in rep.steps:
             rows.append((t, s.z.imag, s.error))
 
-        alphas = [d + 1j * t for d in cfg["imag_offsets"]]
+        alphas = [d + 1j * t for d in offsets]
         orep = reconstruct_Ut_cz(g, t, x, alphas, exp.quadrature, **window)
         for s in orep.steps:
             cz_rows.append((t, s.alpha.real, s.error_forward, s.error_reverse))

@@ -164,6 +164,10 @@ def apply_Uz(g: GroupModel, z: complex, x) -> np.ndarray:
 def _phase_matrix(g: GroupModel, zs) -> np.ndarray:
     """The phases exp(i z h) for an array of (possibly complex) times, one row per time.
 
+    It reads only g.exponents.  Every orbit integrand of a quadrature
+    (Q_mu's modes, the mollifier, both lines of the decay fit) is this
+    matrix times eigenbasis coordinates, and apply_Uz_batch maps it back.
+
     On a cached window of vecint._nodes, whose node 16 j + m is the sum of a
     panel centre c_j and a Gauss offset d_m, they are the products
     exp(i c_j h) * exp(i d_m h): panels + 16 exponentials per mode instead
@@ -193,16 +197,6 @@ def apply_Uz_batch(g: GroupModel, zs, x) -> np.ndarray:
     phases = _phase_matrix(g, zs)
     # one coordinate row per time: map the transpose, one column each
     return _from_eigen(g, (phases * _to_eigen(g, as_state(g, x))[None, :]).T).T
-
-
-def _eigen_twin(g: GroupModel) -> GroupModel:
-    """The Diagonal model with g's exponents.
-
-    U_z x = V (U'_z (V* x)) for the twin U', so a quadrature over the orbit
-    can integrate the eigenbasis coordinates V* x and map back once.  A
-    Diagonal model is its own twin.
-    """
-    return g if g.kind == "diagonal" else GroupModel.diagonal(g.exponents)
 
 
 def _eigen_adjoint(g: GroupModel) -> np.ndarray:

@@ -13,14 +13,16 @@ t = 0 the zero of the numerator cancels the zero of the denominator
 (t / (2*sinh(pi*t)) extends to 1/(2*pi)), and evaluation switches to a
 Taylor series inside a small disc to avoid 0/0 cancellation.  Elsewhere F
 is one exponent, s*t*exp((i*t - 1)*Log mu - s*pi*t) / (-expm1(-2*s*pi*t))
-with s = sign(Re t), which overflows only where F itself does.  On real
-nodes it reads |t| * exp(i*t*Log mu - Log mu - pi*|t|) / (-expm1(-2*pi*|t|)),
-where only the exponential depends on mu; a cached window of vecint._nodes
-keeps the rest, its kernel row, and the values of the last mu it was asked for.
-On a window, whose nodes are sums c_j + d_m of panel centres and Gauss
-offsets, the exponential splits into a real envelope, one real exponential
-per node, and the oscillation exp(i*c_j*log|mu|) * exp(i*d_m*log|mu|), one
-complex exponential per centre and per offset.
+with s = sign(Re t), which overflows only where F itself does; every point
+array takes this form as a complex array, except the real nodes of a cached
+window of vecint._nodes.  There it reads
+|t| * exp(i*t*Log mu - Log mu - pi*|t|) / (-expm1(-2*pi*|t|)), where only
+the exponential depends on mu; the window keeps the rest, its kernel row,
+and the values of the last mu it was asked for.  The window's nodes are
+sums c_j + d_m of panel centres and Gauss offsets, so the exponential
+splits into a real envelope, one real exponential per node, and the
+oscillation exp(i*c_j*log|mu|) * exp(i*d_m*log|mu|), one complex
+exponential per centre and per offset.
 
 Two independent routes to the same values exist: the closed form above
 and the Fourier-side representation
@@ -34,7 +36,8 @@ recurrences tie values on neighbouring horizontal lines together:
     mu*F(mu, z) + F(mu, z - i) = i * mu**(i*z) / (exp(pi*z) - exp(-pi*z))
 
 and the residue of F(mu, t) * lam**(i*t) at t = i is -i * lam**(-1) / (2*pi*mu**2).
-All three structures are exposed as checks returning residuals.
+All three structures are exposed as checks returning residuals: the two
+recurrences relative to their largest term, the residue loop absolute.
 """
 
 from __future__ import annotations
@@ -136,16 +139,13 @@ def eval_kernel(p: KernelParam, t: complex) -> complex:
 
 
 def _kernel_row(ts: np.ndarray):
-    """The mu-independent parts (pi|t|, |t|, inv) of the kernel on real nodes.
+    """The mu-independent parts (pi|t|, amp) of the kernel on the real nodes of a window.
 
-    F(mu, t) = |t| * exp(i t Log mu - Log mu - pi|t|) * inv, with inv =
-    1/(-expm1(-2 pi |t|)) = sign(t) e^{pi |t|} / (e^{pi t} - e^{-pi t}), the
-    value of _over_double_sinh at log_scale pi|t|, whose exponential is
-    then exp(0) = 1.  _kernel_on_row takes the operations in the order of
-    the one-exponent form on t + 0i; a cached window keeps |t| inv as one
-    factor and splits the oscillation by panel (_kernel_on_window).
-    Inside the series disc around 0, |t| is replaced by the series of
-    t / (2 sinh(pi t)), and pi|t| by 0 and inv by 1.
+    F(mu, t) = amp * exp(i t Log mu - Log mu - pi|t|), with amp = |t| inv
+    and inv = 1/(-expm1(-2 pi |t|)) = sign(t) e^{pi |t|} / (e^{pi t} - e^{-pi t}),
+    the value of _over_double_sinh at log_scale pi|t|, whose exponential
+    is then exp(0) = 1.  Inside the series disc around 0, |t| is replaced
+    by the series of t / (2 sinh(pi t)), and pi|t| by 0 and inv by 1.
     """
     small = np.abs(ts) < SERIES_SWITCH_RADIUS
     safe = np.where(small, 1.0, ts)  # no 0/0 at an exact zero node
@@ -156,13 +156,7 @@ def _kernel_row(ts: np.ndarray):
         series = np.polynomial.polynomial.polyval((math.pi * ts) ** 2, _X_OVER_SINH)
         abs_t = np.where(small, series / (2.0 * math.pi), abs_t)
         pi_abs, inv = np.where(small, 0.0, pi_abs), np.where(small, 1.0, inv)
-    return pi_abs, abs_t, inv
-
-
-def _kernel_on_row(log_mu: complex, ts: np.ndarray, row) -> np.ndarray:
-    """F(mu, t) on real nodes ts from their row (pi|t|, |t|, inv) of _kernel_row."""
-    pi_abs, abs_t, inv = row
-    return abs_t * np.exp(ts * (1j * log_mu) - log_mu - pi_abs) * inv
+    return pi_abs, abs_t * inv
 
 
 def _kernel_on_window(log_mu: complex, window) -> np.ndarray:
@@ -171,12 +165,12 @@ def _kernel_on_window(log_mu: complex, window) -> np.ndarray:
     F(mu, t) = amp(t) * exp(-t arg mu - log|mu| - pi|t|) * e^(-i arg mu) *
     exp(i t log|mu|), with amp = |t| inv the window's kept row.  The real
     envelope takes one real exponential per node, with the real part of the
-    per-node exponent as its argument, so it has the per-node path's range.
+    one-exponent form's argument as its own, so it has that form's range.
     The oscillation, exp(i t log|mu|) with t = c_j + d_m, is the product
     exp(i c_j log|mu|) * exp(i d_m log|mu|), one exponential per panel centre
-    and one per Gauss offset, as apply_Uz_batch takes its phases; e^(-i arg mu)
-    rides on the centre factors.  The values differ from the per-node ones
-    by the rounding of the arguments, a few units of
+    and one per Gauss offset, as _phase_matrix takes its phases; e^(-i arg mu)
+    rides on the centre factors.  The values differ from the one-exponent
+    form's by the rounding of the arguments, a few units of
     eps * (1 + (|c_j| + |d_m|) |log|mu||).
     """
     pi_abs, amp, points = window.kernel_row
@@ -199,43 +193,40 @@ def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
     """Vectorized closed-form kernel on an array of (real or complex) points.
 
     Intended for quadrature nodes; callers are responsible for staying off
-    the poles (real-line nodes always are).  Real nodes take one complex
-    exponential each times the mu-independent row of _kernel_row.  A
-    window of vecint._nodes keeps its row, computed once however many
-    mu and modes sample it, and the values of the last mu, keyed by the
-    exact bits of mu (1+0j and 1-0j are two keys): the modes of one Q_mu
-    then share one read-only array.  On a window the values take one real
-    exponential per node and one complex exponential per panel centre and
-    per Gauss offset (_kernel_on_window); they agree with the per-node
-    values to the rounding of the phase arguments.  Complex points take the
-    one-exponent form, and those inside the series disc around 0 are
-    taken out of it and overwritten.
+    the poles (real-line nodes always are).  A window of vecint._nodes
+    keeps the mu-independent row of _kernel_row, computed once however
+    many mu and modes sample it, and the values of the last mu, keyed by
+    the exact bits of mu (1+0j and 1-0j are two keys): the modes of one
+    Q_mu then share one read-only array.  On a window the values take one
+    real exponential per node and one complex exponential per panel centre
+    and per Gauss offset (_kernel_on_window); they agree with the
+    one-exponent form to the rounding of the phase arguments.  Every other
+    array, real or complex, takes the one-exponent form as a complex array,
+    bit for bit the values at ts + 0j, and its points inside the series
+    disc around 0 are taken out of it and overwritten.
     """
     window = _panel_window_of(ts)
     if window is not None:
         key = struct.pack("<2d", p.mu.real, p.mu.imag)
         if window.kernel_last is None or window.kernel_last[0] != key:
             if window.kernel_row is None:
-                pi_abs, abs_t, inv = _kernel_row(ts)
                 points = np.concatenate((window.centres, window.offsets))
-                window.kernel_row = (pi_abs, abs_t * inv, points)
+                window.kernel_row = (*_kernel_row(ts), points)
             vals = _kernel_on_window(cmath.log(p.mu), window)
             vals.flags.writeable = False
             window.kernel_last = (key, vals)
         return window.kernel_last[1]
-    ts = np.asarray(ts)
+    ts = np.asarray(ts, dtype=complex)
     log_mu = cmath.log(p.mu)
-    if np.iscomplexobj(ts):
-        small = np.abs(ts) < SERIES_SWITCH_RADIUS
-        if not small.any():
-            return _over_double_sinh(ts, ts, ts * (1j * log_mu) - log_mu)
-        safe = np.where(small, 1.0, ts)  # no 0/0 at an exact zero node
-        out = np.asarray(_over_double_sinh(safe, safe, safe * (1j * log_mu) - log_mu))
-        near = ts[small]
-        series = np.polynomial.polynomial.polyval((math.pi * near) ** 2, _X_OVER_SINH)
-        out[small] = series / (2.0 * math.pi) * np.exp(near * (1j * log_mu) - log_mu)
-        return out
-    return _kernel_on_row(log_mu, ts, _kernel_row(ts))
+    small = np.abs(ts) < SERIES_SWITCH_RADIUS
+    if not small.any():
+        return _over_double_sinh(ts, ts, ts * (1j * log_mu) - log_mu)
+    safe = np.where(small, 1.0, ts)  # no 0/0 at an exact zero node
+    out = np.asarray(_over_double_sinh(safe, safe, safe * (1j * log_mu) - log_mu))
+    near = ts[small]
+    series = np.polynomial.polynomial.polyval((math.pi * near) ** 2, _X_OVER_SINH)
+    out[small] = series / (2.0 * math.pi) * np.exp(near * (1j * log_mu) - log_mu)
+    return out
 
 
 def eval_kernel_by_integral(p: KernelParam, t: float, q: QuadratureSpec) -> complex:
@@ -266,17 +257,24 @@ def eval_kernel_by_integral(p: KernelParam, t: float, q: QuadratureSpec) -> comp
     return value
 
 
+def _relative_sum(terms) -> float:
+    """|sum of terms| over the largest |term|: the residual of an identity whose
+    terms scale with mu, measured at the size of its terms (0 if all vanish)."""
+    scale = max(abs(term) for term in terms)
+    return abs(sum(terms)) / scale if scale > 0.0 else 0.0
+
+
 def check_functional_eq1(p: KernelParam, t: complex) -> float:
-    """Residual of F(mu, t-2i) + 2*mu*F(mu, t-i) + mu**2 * F(mu, t) = 0."""
+    """Relative residual of F(mu, t-2i) + 2*mu*F(mu, t-i) + mu**2 * F(mu, t) = 0."""
     t = complex(t)
     for w in (t, t - 1j, t - 2j):
         _require_point(w)
     f2, f1, f0 = eval_kernel_array(p, np.array([t - 2j, t - 1j, t]))
-    return abs(f2 + 2.0 * p.mu * f1 + p.mu**2 * f0)
+    return _relative_sum((f2, 2.0 * p.mu * f1, p.mu**2 * f0))
 
 
 def check_functional_eq2(p: KernelParam, z: complex) -> float:
-    """Residual of mu*F(mu, z) + F(mu, z-i) = i*mu**(i*z) / (e^{pi z} - e^{-pi z})."""
+    """Relative residual of mu*F(mu, z) + F(mu, z-i) = i*mu**(i*z) / (e^{pi z} - e^{-pi z})."""
     z = complex(z)
     if abs(z) <= POLE_GUARD:
         raise ZeroArgument(f"z={z} sits on the pole of 1/sinh at the origin")
@@ -284,7 +282,7 @@ def check_functional_eq2(p: KernelParam, z: complex) -> float:
     _require_point(z - 1j)
     f0, f1 = eval_kernel_array(p, np.array([z, z - 1j]))
     rhs = _over_double_sinh(1j, z, 1j * z * cmath.log(p.mu))
-    return abs(p.mu * f0 + f1 - complex(rhs))
+    return _relative_sum((p.mu * f0, f1, -complex(rhs)))
 
 
 def contour_residue_check(p: KernelParam, lam: float, radius: float) -> float:

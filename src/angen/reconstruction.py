@@ -68,9 +68,10 @@ shifted-line representation
 
 obtained by moving the integration line of Q_mu (mu + U_i) to Im z = r;
 the factor mu**(i*z) = mu**(i*t) * mu**(-r) carries the mu**(-r) envelope.
-Both lines integrate orbits of the model's diagonal twin, the direct one
-U_t (V* w) and the shifted one U_t (V* U_ir x), from the phase matrix
-exp(i t h) of their windows, one memo per line.  Each line takes one
+Both lines integrate the phase matrix exp(i t h) of their windows, one
+memo per line, times eigenbasis coordinates: those of w on the direct
+line, and on the shifted one those of U_ir x, whose coordinates are a row
+of the same phase form, exp(-r h) times those of x.  Each line takes one
 window for the whole ray, so a fit builds two phase matrices.
 """
 
@@ -87,10 +88,9 @@ from .errors import FitUnstable, OverflowRisk, TruncationDominates
 from .group_models import (
     GroupModel,
     _content_key,
-    _eigen_twin,
     _from_key,
+    _phase_matrix,
     _to_eigen,
-    analytic_generator,
     apply_Uz,
     as_state,
     generator_spectrum,
@@ -513,15 +513,20 @@ def decay_bound_fit(
 
     # every mu on the ray shares its decay rate
     require_quadrature_clearance(KernelParam(cmath.exp(1j * arg_mu)))
+    # the slope is fitted over the largest decade, which needs three distinct magnitudes
+    cut = max(mags, default=0.0) / 10.0 * (1.0 - 1e-12)
+    distinct = len({m for m in mags if m >= cut})
+    if distinct < 3:
+        raise FitUnstable(
+            f"only {distinct} distinct magnitudes in the top decade; need at least 3 for a fit"
+        )
 
-    # both lines integrate orbits of the diagonal twin, U_t (V* w) directly
-    # and U_t (V* U_ir x) shifted, each from the phase matrix of its window;
-    # V is unitary, so the norms are taken in the eigenbasis
-    twin = _eigen_twin(g)
-    phases, shifted = _PhaseMemo(twin), _PhaseMemo(twin)
+    # both lines integrate the phase matrix exp(i t h) of their window
+    # times eigenbasis coordinates, those of w directly and of U_ir x
+    # shifted; V is unitary, so the norms are taken in the eigenbasis
+    phases, shifted = _PhaseMemo(g), _PhaseMemo(g)
     c = _to_eigen(g, x)
-    c_ui = _to_eigen(g, analytic_generator(g) @ x)
-    c_shift = apply_Uz(twin, 1j * r, c)
+    c_ui, c_shift = _phase_matrix(g, [1j, 1j * r]) * c
     ps = [KernelParam(m * cmath.exp(1j * arg_mu)) for m in mags]
     # both lines integrate to Q_mu w, w = mu x + U_i x, whose coordinates
     # nu/(nu + mu) c are at least nu/(nu + |mu|) c in modulus: the tail gate
@@ -547,11 +552,7 @@ def decay_bound_fit(
         )
         rows.append((m, y_direct, y_shift))
 
-    top = [row for row in rows if row[0] >= rows[-1][0] / 10.0 * (1.0 - 1e-12)]
-    if len(top) < 3:
-        raise FitUnstable(
-            f"only {len(top)} magnitudes in the top decade; need at least 3 for a fit"
-        )
+    top = [row for row in rows if row[0] >= cut]
     lx = np.log10([row[0] for row in top])
     ly = np.log10([row[1] for row in top])
     slope, intercept = np.polyfit(lx, ly, 1)

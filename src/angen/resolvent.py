@@ -10,10 +10,11 @@ q_k, and the matrix is mapped back as V diag(q) V*.  Each window is sized
 in advance from the kernel's decay envelope (_kernel_floor), rounded up
 to whole panels so that neighbouring mu share it (_qmu_plan), and sampled
 once.  The modes share the phase matrix exp(i t h) of a window
-(_PhaseMemo), and decay_bound_fit integrates Q_mu w as that matrix
-times the coordinates V* w.  A memo keeps one matrix for one call: one
-Q_mu, one line of a fit, or one spectrum_scan, which visits its mu in
-window order so that each window's phase matrix is built once per scan.
+(_PhaseMemo, which holds the model and reads only its exponents), and
+decay_bound_fit integrates Q_mu w as that matrix times the coordinates
+V* w.  A memo keeps one matrix for one call: one Q_mu, one line of a
+fit, or one spectrum_scan, which visits its mu in window order so that
+each window's phase matrix is built once per scan.
 The spectral closed form of Q_mu on a model with generator eigenvalues
 nu_k is diagonal (in the eigenbasis) with entries nu_k / (nu_k + mu)**2, i.e.
 Q_mu = U_i * (U_i + mu)**(-2); the test suite first re-derives that closed
@@ -45,7 +46,6 @@ import numpy as np
 
 from .group_models import (
     GroupModel,
-    _eigen_twin,
     _phase_matrix,
     _spectral_matrix,
     analytic_generator,
@@ -120,7 +120,7 @@ def _qmu_plan(g: GroupModel, p: KernelParam, q: QuadratureSpec):
 
 class _PhaseMemo:
     """phases(ts): the matrix exp(i t h) of a node array, one row per node,
-    for the exponents h of one model (its eigen twin).
+    for the exponents h of one model.
 
     The matrix of the last node array is kept and served again while the
     same array object comes back, as a cached window does, so the
@@ -129,14 +129,14 @@ class _PhaseMemo:
     its caller: the matrices are never kept on the cached windows.
     """
 
-    def __init__(self, twin: GroupModel):
-        self.exponents = twin.exponents
-        self._twin = twin
+    def __init__(self, g: GroupModel):
+        self.exponents = g.exponents
+        self._g = g
         self._ts = self._phases = None
 
     def __call__(self, ts) -> np.ndarray:
         if ts is not self._ts:
-            self._ts, self._phases = ts, _phase_matrix(self._twin, ts)
+            self._ts, self._phases = ts, _phase_matrix(self._g, ts)
         return self._phases
 
 
@@ -157,7 +157,7 @@ def compute_Qmu(
     """
     require_quadrature_clearance(p)
     if phase_memo is None:
-        phase_memo = _PhaseMemo(_eigen_twin(g))
+        phase_memo = _PhaseMemo(g)
     elif phase_memo.exponents is not g.exponents and not np.array_equal(
         phase_memo.exponents, g.exponents
     ):
@@ -350,7 +350,7 @@ def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
     if not params:
         return []
     plans = [_qmu_plan(g, p, q) for p in params]
-    phase_memo = _PhaseMemo(_eigen_twin(g))
+    phase_memo = _PhaseMemo(g)
     Q = np.empty((len(params), g.dim, g.dim), dtype=complex)
     for i in sorted(range(len(params)), key=plans.__getitem__):
         Q[i] = compute_Qmu(g, params[i], q, phase_memo=phase_memo)

@@ -9,7 +9,10 @@ componentwise multiplication by exp(-h_k**2/(4n)); the same formula holds
 in the eigenbasis of a Hermitian model.  Mollification is a contraction,
 commutes with every U_t, and x_n -> x as n grows with error of order
 max_k h_k**2 / (4n).  The parameter n ranges over positive reals; nothing
-in the construction needs integrality.
+in the construction needs integrality.  One quadrature of the phase matrix
+exp(i t h) against the Gaussian gives the multipliers of all modes at once:
+mollify applies them to the eigenbasis coordinates V* x and maps back once,
+and mollify_operator is V diag(m) V*.
 
 Also here: the commutation check for operators assembled by vector
 quadrature.  If S commutes with every U_t then it commutes with any
@@ -26,12 +29,10 @@ import numpy as np
 from .errors import HypothesisViolation
 from .group_models import (
     GroupModel,
-    _eigen_twin,
     _from_eigen,
     _phase_matrix,
     _spectral_matrix,
     _to_eigen,
-    apply_Uz_batch,
     as_state,
     group_matrix,
 )
@@ -40,13 +41,14 @@ from .vecint import QuadratureSpec, _panel_density, integrate_vector
 _T_PROBES = (0.37, -1.13, 2.41, -3.7)
 
 
-def _check_width(n: float) -> None:
+def _mollifier_factors(g: GroupModel, n: float, q: QuadratureSpec) -> np.ndarray:
+    """The multipliers m_k = sqrt(n/pi) * integral exp(i t h_k) exp(-n t^2) dt of all modes.
+
+    One quadrature of the phase matrix exp(i t h) against the Gaussian;
+    its tail gate is relative to sqrt(g.dim), the norm of each phase row.
+    """
     if not (n > 0.0 and math.isfinite(n)):
         raise ValueError(f"n must be positive and finite, got {n}")
-
-
-def _mollify_coords(g: GroupModel, n: float, q: QuadratureSpec, f, scale_hint: float):
-    """sqrt(n/pi) * integral f(t) exp(-n t^2) dt, where f(ts) holds eigenbasis coordinates."""
     # Gaussian truncation: exp(-n*T^2) = tol at T = sqrt(log(1/tol)/n);
     # tail rate n*T is the conservative linearization of the quadratic
     # decay.  integrate_vector starts one step past T.
@@ -54,25 +56,21 @@ def _mollify_coords(g: GroupModel, n: float, q: QuadratureSpec, f, scale_hint: f
     npu = max(_panel_density(q.rel_tolerance, g.max_exponent), math.ceil(8.0 * math.sqrt(n)))
     amp = math.sqrt(n / math.pi)
     return integrate_vector(
-        f,
+        lambda ts: _phase_matrix(g, ts),
         lambda ts: amp * np.exp(-n * np.asarray(ts) ** 2),
         q,
         tail_rate=n * T,
         truncation=T,
         nodes_per_unit=npu,
-        scale_hint=scale_hint,
+        scale_hint=math.sqrt(g.dim),
     )
 
 
 def mollify(g: GroupModel, x, n: float, q: QuadratureSpec) -> np.ndarray:
-    """Gaussian average sqrt(n/pi) * integral U_t x exp(-n t^2) dt, in the eigenbasis."""
-    _check_width(n)
+    """Gaussian average sqrt(n/pi) * integral U_t x exp(-n t^2) dt: the
+    multipliers of _mollifier_factors applied to the eigenbasis coordinates of x."""
     x = as_state(g, x)
-    twin, c = _eigen_twin(g), _to_eigen(g, x)
-    y = _mollify_coords(
-        g, n, q, lambda ts: apply_Uz_batch(twin, ts, c), float(np.linalg.norm(x))
-    )
-    return _from_eigen(g, y)
+    return _from_eigen(g, _mollifier_factors(g, n, q) * _to_eigen(g, x))
 
 
 def mollify_oracle(g: GroupModel, x, n: float) -> np.ndarray:
@@ -82,15 +80,8 @@ def mollify_oracle(g: GroupModel, x, n: float) -> np.ndarray:
 
 
 def mollify_operator(g: GroupModel, n: float, q: QuadratureSpec) -> np.ndarray:
-    """Matrix V diag(m) V* of the mollification map.
-
-    One quadrature of the phase matrix exp(i t h) against the Gaussian
-    gives the multipliers m of all modes at once; its tail gate is
-    relative to sqrt(g.dim), the norm of each phase row.
-    """
-    _check_width(n)
-    m = _mollify_coords(g, n, q, lambda ts: _phase_matrix(g, ts), math.sqrt(g.dim))
-    return _spectral_matrix(g, m)
+    """Matrix V diag(m) V* of the mollification map, m from _mollifier_factors."""
+    return _spectral_matrix(g, _mollifier_factors(g, n, q))
 
 
 def commutation_check(g: GroupModel, A, S, samples) -> float:

@@ -21,11 +21,12 @@ keeps what its nodes' integrands share: the panel centres c_j and the
 scaled Gauss offsets d_m, whose sums are the nodes, slots for the
 mu-independent row of the kernel and for the kernel values of the last
 mu.  _panel_window_of recognises a cached node array by identity, so
-apply_Uz_batch can take its phases exp(i t h) as exp(i c_j h) *
-exp(i d_m h), and eval_kernel_array its oscillation exp(i t log|mu|) the
-same way, reusing the row and the values; every other array takes the
-per-node paths.  compute_Qmu rounds its windows up to whole panels, so
-that neighbouring mu share one.
+group_models._phase_matrix, the one source of the orbit phases of every
+quadrature, can take the phases exp(i t h) as exp(i c_j h) * exp(i d_m h),
+and eval_kernel_array its oscillation exp(i t log|mu|) the same way,
+reusing the row and the values; every other array takes the per-node
+paths.  compute_Qmu rounds its windows up to whole panels, so that
+neighbouring mu share one.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from angen import (
     GroupModel,
@@ -40,7 +39,6 @@ from angen import (
     mollify,
     mollify_operator,
     mollify_oracle,
-    qmu_spectral_oracle,
     reconstruct_Ut_cz,
     reconstruct_Ut_delta,
     verify_resolvent_identities,

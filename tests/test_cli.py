@@ -113,6 +113,44 @@ def test_failed_check_exits_one(tmp_path, capsys):
     assert "FAIL qmu_oracle" in capsys.readouterr().out
 
 
+def test_kernel_identities_pass_at_a_large_mu(tmp_path, capsys):
+    # the recurrences' terms scale like |mu|: at |mu| ~ 1.4e6 their exact
+    # values leave an absolute residual of ~7e-9, but a relative one of ~1e-14
+    cfg = write_config(tmp_path, mu_list=[[1e6, 1e6]], kernel={"num_samples": 40})
+    assert run(["kernel-check", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_bound_fit_over_equal_magnitudes_fails_without_a_warning(tmp_path, capsys):
+    fit = {"mag_min": 100.0, "mag_max": 100.0, "num_magnitudes": 13}
+    cfg = write_config(tmp_path, bound_fit=fit)
+    assert run(["bound-fit", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL bound-fit error=only 1 distinct magnitudes" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    ("command", "key", "ordered"),
+    [
+        ("reconstruct", "imag_offsets", [0.1, 0.03, 0.01]),
+        ("mollify", "n_sequence", [10.0, 100.0, 1000.0]),
+    ],
+)
+def test_convergence_checks_do_not_depend_on_config_order(tmp_path, capsys, command, key, ordered):
+    # offsets are visited in decreasing order and widths in increasing
+    # order, whatever order the config lists them in
+    results = []
+    for name, values in (("ordered", ordered), ("reversed", ordered[::-1])):
+        cfg = write_config(tmp_path, name=f"{name}.json", **{command: {key: values}})
+        out = tmp_path / name
+        code = run([command, "--config", cfg, "--out", out, "--seed", 1])
+        csvs = sorted(p.read_bytes() for p in out.glob("*.csv"))
+        results.append((code, capsys.readouterr().out, csvs))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
 def test_check_sheet_keeps_the_worst_value_and_fails_nan(capsys):
     sheet = CheckSheet({"late_nan": 1.0, "worst": 1e-6, "early_nan": 1e-6})
     sheet.add("late_nan", 0.5)

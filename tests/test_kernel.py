@@ -20,6 +20,7 @@ from angen import (
     eval_kernel_by_integral,
     pole_distance,
 )
+from angen import kernel
 from angen.kernel import (
     DELTA_MIN,
     POLE_GUARD,
@@ -72,6 +73,25 @@ def test_array_evaluation_matches_scalar(rng):
     vals = eval_kernel_array(p, ts)
     for t, v in zip(ts, vals):
         assert abs(v - eval_kernel(p, t)) <= 1e-13 * (1.0 + abs(v))
+
+
+def test_real_array_takes_the_one_exponent_form_at_ts_plus_0j(rng):
+    # an array that is not a cached window, real or complex, takes one
+    # form: the values on real points are those at ts + 0j, series disc,
+    # both signed zeros and a window's writable copy included
+    ts = np.concatenate(
+        [
+            rng.uniform(-30.0, 30.0, 200),
+            rng.uniform(-0.3, 0.3, 400),
+            [0.0, -0.0, 1e-9, -1e-4, 0.999 * SERIES_SWITCH_RADIUS, -SERIES_SWITCH_RADIUS],
+            [245.0, -245.0],
+            np.array(_nodes(25.0, 20)[0]),
+        ]
+    )
+    assert np.any(np.abs(ts) < SERIES_SWITCH_RADIUS)
+    for mu in MU_POOL + [1e-6, cmath.rect(1e6, math.pi - DELTA_MIN)]:
+        p = KernelParam(mu)
+        assert np.array_equal(eval_kernel_array(p, ts), eval_kernel_array(p, ts + 0j))
 
 
 def _window_bound(ts, mu):
@@ -188,6 +208,31 @@ def test_no_overflow_near_the_cut(t):
 def test_two_term_shift_identity(mu, t, flip):
     p = KernelParam(mu)
     assert check_functional_eq2(p, -t if flip else t) <= 1e-11
+
+
+@pytest.mark.parametrize("modulus", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("arg", [0.0, 1.0, -2.0, 2.9, -2.9])
+def test_functional_equations_are_relative_at_every_scale(modulus, arg, monkeypatch):
+    # the terms of both identities scale with mu, so their residuals are
+    # measured against the largest term: at |mu| = 1e6 an absolute residual
+    # reads ~1e-8 on exact values, and at |mu| = 1e-6 it reads ~1e-21 even
+    # when a value is off by 1e-6 relative
+    p = KernelParam(cmath.rect(modulus, arg))
+    points = [0.05, -0.3, 1.7, -3.9, 0.5 + 0.4j, -2.2 + 0.7j]
+    for t in points:
+        assert check_functional_eq1(p, t) <= 1e-11
+        assert check_functional_eq2(p, t) <= 1e-11
+    exact = kernel.eval_kernel_array
+
+    def first_value_off(p, ts):
+        vals = np.array(exact(p, ts))
+        vals[0] *= 1.0 + 1e-6
+        return vals
+
+    monkeypatch.setattr(kernel, "eval_kernel_array", first_value_off)
+    for t in points:
+        assert check_functional_eq1(p, t) >= 1e-8
+        assert check_functional_eq2(p, t) >= 1e-8
 
 
 def test_two_term_identity_rejects_origin():

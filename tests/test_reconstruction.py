@@ -33,7 +33,7 @@ from angen import (
     vecint,
     verify_resolvent_identities,
 )
-from angen.group_models import H_MAX, _content_key, _eigen_twin, _to_eigen, apply_Uz_batch
+from angen.group_models import H_MAX, _content_key, _to_eigen, apply_Uz_batch
 from angen.kernel import _over_double_sinh, eval_kernel_array
 from angen.reconstruction import (
     CORRECTION_TERMS,
@@ -786,6 +786,20 @@ def test_decay_fit_needs_three_top_decade_points(diag4, rng, quad):
         decay_bound_fit(diag4, x, 0.5, [1.0, 2.0, 1000.0], quad)
 
 
+@pytest.mark.parametrize("mags", [[100.0] * 13, [10.0, 100.0, 100.0, 1000.0, 1000.0, 1000.0]])
+def test_decay_fit_needs_three_distinct_top_decade_magnitudes(
+    diag4, rng, quad, monkeypatch, mags
+):
+    # equal magnitudes share one abscissa, so they carry no slope: the fit
+    # is refused before any quadrature runs, instead of handing polyfit a
+    # rank-deficient system
+    calls = Counter()
+    record_calls(monkeypatch, calls, reconstruction, "integrate_vector")
+    with pytest.raises(FitUnstable, match="distinct"):
+        decay_bound_fit(diag4, random_unit(rng, 4), 0.5, mags, quad)
+    assert not calls
+
+
 @pytest.mark.parametrize("arg_mu", [math.pi, math.pi - 0.01])
 def test_decay_fit_rejects_ray_near_cut(diag4, rng, quad, arg_mu):
     # the ray's clearance is checked before any quadrature: at arg pi the
@@ -881,7 +895,7 @@ def decay_fit_rows_reference(g, x, r, mags, q, arg_mu):
     log(1 + |mu|)/rate and raised to _kernel_floor, and the shifted line's
     one plan for the ray.
     """
-    twin, c = _eigen_twin(g), _to_eigen(g, x)
+    twin, c = GroupModel.diagonal(g.exponents), _to_eigen(g, x)
     c_ui = _to_eigen(g, analytic_generator(g) @ x)
     ps = [KernelParam(m * cmath.exp(1j * arg_mu)) for m in mags]
     nus = np.exp(-g.exponents)

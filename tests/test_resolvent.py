@@ -24,7 +24,7 @@ from angen import (
     verify_resolvent_identities,
 )
 from angen import resolvent, vecint
-from angen.group_models import _eigen_twin, _spectral_matrix, apply_Uz_batch
+from angen.group_models import _spectral_matrix, apply_Uz_batch
 from angen.kernel import DELTA_MIN, eval_kernel_array, l1_norm
 from angen.resolvent import (
     MIN_ABS_MU,
@@ -269,7 +269,7 @@ def test_spectrum_scan_rejects_small_mu_before_any_quadrature(diag4, quad, monke
 
 def test_qmu_rejects_a_phase_memo_of_another_model(diag4, herm4, quad):
     p = KernelParam(2.0 + 1.0j)
-    memo = resolvent._PhaseMemo(_eigen_twin(herm4))
+    memo = resolvent._PhaseMemo(GroupModel.diagonal(herm4.exponents))
     with pytest.raises(ValueError, match="other exponents"):
         compute_Qmu(diag4, p, quad, phase_memo=memo)
     # a memo of the model's own exponents gives the bits of a fresh one
@@ -281,7 +281,7 @@ def test_phase_memo_keeps_one_matrix_by_identity(herm4, monkeypatch):
     # the memo serves its matrix again only for the same node array: an
     # equal copy builds afresh, and two arrays in turn build on every call
     _, builds = _count_phase_builds(monkeypatch)
-    memo = resolvent._PhaseMemo(_eigen_twin(herm4))
+    memo = resolvent._PhaseMemo(GroupModel.diagonal(herm4.exponents))
     a, _ = vecint._nodes(7.0, 8)
     b, _ = vecint._nodes(9.0, 8)
     P = memo(a)
@@ -300,7 +300,7 @@ def test_qmu_is_mode_quadrature_bitwise(diag4, herm4, quad, mu):
     p = KernelParam(mu)
     for g in (diag4, herm4):
         T, npu = _qmu_plan(g, p, quad)
-        twin, ones = _eigen_twin(g), np.ones(g.dim)
+        twin, ones = GroupModel.diagonal(g.exponents), np.ones(g.dim)
         modes = [
             vecint.integrate_vector(
                 lambda ts, k=k: apply_Uz_batch(twin, ts, ones)[:, k],
@@ -335,7 +335,7 @@ def test_hermitian_qmu_is_twin_qmu_in_the_basis(quad, monkeypatch, mu):
     monkeypatch.setattr(resolvent, "integrate_vector", recording)
     g = random_hermitian(np.random.default_rng(11), 12)
     p = KernelParam(mu)
-    twin_q = np.diag(compute_Qmu(_eigen_twin(g), p, quad))
+    twin_q = np.diag(compute_Qmu(GroupModel.diagonal(g.exponents), p, quad))
     assert np.array_equal(compute_Qmu(g, p, quad), _spectral_matrix(g, twin_q))
     assert len(shapes) >= 2 * g.dim
     assert all(shape == (nodes,) for shape, nodes in shapes)

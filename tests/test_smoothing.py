@@ -15,6 +15,7 @@ from angen import (
 )
 
 from angen import smoothing
+from angen.group_models import _from_eigen, _spectral_matrix, _to_eigen
 
 from conftest import random_hermitian, random_unit
 
@@ -123,3 +124,16 @@ def test_operator_takes_one_quadrature(diag4, herm4, quad, monkeypatch):
         calls.clear()
         mollify_operator(g, 3.0, quad)
         assert len(calls) == 1
+        mollify(g, np.ones(g.dim), 3.0, quad)
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [0.5, 3.0, 400.0])
+def test_vector_and_operator_share_the_multipliers(diag4, herm4, rng, quad, n):
+    # the operator is V diag(m) V* and the vector m times the coordinates
+    # V* x mapped back, for the one quadrature's multipliers m, bit for bit
+    for g in (diag4, herm4):
+        x = random_unit(rng, g.dim)
+        m = smoothing._mollifier_factors(g, n, quad)
+        assert np.array_equal(mollify_operator(g, n, quad), _spectral_matrix(g, m))
+        assert np.array_equal(mollify(g, x, n, quad), _from_eigen(g, m * _to_eigen(g, x)))
