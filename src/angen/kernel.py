@@ -38,11 +38,21 @@ recurrences tie values on neighbouring horizontal lines together:
 and the residue of F(mu, t) * lam**(i*t) at t = i is -i * lam**(-1) / (2*pi*mu**2).
 All three structures are exposed as checks returning residuals: the two
 recurrences relative to their largest term, the residue loop absolute.
+
+The two recurrence checks and the Fourier-side oracle take one point or a
+1-d array of points and return one value per point, the value a one-point
+call returns, bit for bit: complex products and moduli are rounded as
+those of single numbers are (_times, _modulus), where numpy's vector loops
+fuse or reorder them.  Every guard covers the whole array, so a point near
+a pole anywhere in it raises PoleProximity.  The residue loop's convergence
+check takes every second node of the loop, bit for bit the nodes and steps
+of a loop of half as many.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -62,8 +72,10 @@ DELTA_MIN = math.pi / 16.0
 # Taylor coefficients of x/sinh(x) in powers of x**2
 _X_OVER_SINH = (1.0, -1.0 / 6.0, 7.0 / 360.0, -31.0 / 15120.0, 127.0 / 604800.0)
 
-# trapezoid nodes on the residue loop; half as many give the convergence check
+# trapezoid nodes on the residue loop; every second one gives the convergence check
 _RESIDUE_LOOP_NODES = 256
+# entries of one block of the oracle's (samples x nodes) rows: 1 MB of complex values
+_ORACLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,23 +112,47 @@ def require_quadrature_clearance(p: KernelParam) -> None:
         )
 
 
-def pole_distance(t: complex) -> float:
-    """Distance from t to the pole set {i*n : n integer, n != 0}."""
-    t = complex(t)
-    n = round(t.imag)
-    best = math.inf
-    for m in (n - 1, n, n + 1, 1, -1):
-        if m == 0:
-            continue
-        best = min(best, abs(t - 1j * m))
-    return best
+def _modulus(z):
+    """|z| elementwise as np.hypot(z.real, z.imag): bit for bit abs() of each
+    number, which np.abs of a complex array need not be (its vector loops
+    round differently)."""
+    return np.hypot(np.real(z), np.imag(z))
 
 
-def _require_point(t: complex) -> None:
-    if pole_distance(t) <= POLE_GUARD:
-        raise PoleProximity(
-            f"t={complex(t)} within guard distance {POLE_GUARD} of a pole +/- i*n"
-        )
+def _times(c: complex, z):
+    """c * z elementwise, rounded as the product of two complex numbers is: each
+    real product rounded on its own, where numpy's vector loops may fuse them."""
+    out = np.empty(np.shape(z), dtype=complex)
+    out.real = c.real * np.real(z) - c.imag * np.imag(z)
+    out.imag = c.real * np.imag(z) + c.imag * np.real(z)
+    return out
+
+
+def _one_or_many(t, values, kind=float):
+    """values as one number of the given kind if the point t was one number, else as they are."""
+    return kind(values) if np.ndim(t) == 0 else values
+
+
+def pole_distance(t):
+    """Distance from t to the pole set {i*n : n integer, n != 0}, elementwise on an array.
+
+    The nearest pole is i*round(Im t), or i*sign(Im t) where that rounds to 0.
+    """
+    t = np.asarray(t, dtype=complex)
+    n = np.round(t.imag)
+    n = np.where(n == 0.0, np.copysign(1.0, t.imag), n)
+    return _one_or_many(t, np.hypot(t.real, t.imag - n))
+
+
+def _require_off_poles(ts) -> None:
+    """Raise PoleProximity, naming the nearest point, if any point of ts is
+    within POLE_GUARD of a pole."""
+    ts = np.asarray(ts, dtype=complex)
+    dist = np.asarray(pole_distance(ts))
+    near = dist <= POLE_GUARD
+    if near.any():
+        worst = complex(ts[near].flat[np.argmin(dist[near])])
+        raise PoleProximity(f"t={worst} within guard distance {POLE_GUARD} of a pole +/- i*n")
 
 
 def _over_double_sinh(num, z, log_scale=0.0):
@@ -134,7 +170,7 @@ def _over_double_sinh(num, z, log_scale=0.0):
 def eval_kernel(p: KernelParam, t: complex) -> complex:
     """Closed-form kernel value F(mu, t) on the principal branch."""
     t = complex(t)
-    _require_point(t)
+    _require_off_poles(t)
     return complex(eval_kernel_array(p, t))
 
 
@@ -229,60 +265,117 @@ def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_kernel_by_integral(p: KernelParam, t: float, q: QuadratureSpec) -> complex:
-    """Independent oracle for F(mu, t), real t.
+def eval_kernel_by_integral(p: KernelParam, t, q: QuadratureSpec):
+    """Independent oracle for F(mu, t) at one real t or at each point of a 1-d array.
 
     Evaluates (1/(2*pi)) * integral exp(E*(1+i*t)) / (exp(E) + mu)**2 dE by
     composite Gauss panels over E, on a cached window [-T, T] of
     vecint._nodes.  The integrand decays like exp(-|E|) at both ends; its
     poles sit at E = log|mu| + i*(arg mu +/- pi), a distance decay_rate
-    from the real axis, so the node density scales with 1/decay_rate.
+    from the real axis, so the node density scales with 1/decay_rate, and
+    it oscillates at frequency |t|, which raises the density further.
+
+    The density _panel_density(tol, |t|) grows with |t|, so the points are
+    grouped by density.  The points of one group share their window and its
+    t-independent denominator (exp(E) + mu)**2 and form (points x nodes)
+    rows, taken in blocks of at most _ORACLE_BLOCK entries, each row summed
+    along its nodes: the pairwise sum np.sum takes of one row alone, so a
+    point gets the value of a one-point call bit for bit.  Each point's tail
+    is gated on its own edge panels, and QuadratureNonConvergence names the
+    point whose tail estimate exceeds its tolerance the most.
     """
-    t = float(t)
+    ts = np.asarray(t, dtype=float)
     require_quadrature_clearance(p)
     tol = q.rel_tolerance
-    center = math.log(abs(p.mu))
-    T = math.log(1.0 / tol) + abs(center) + 4.0
-    npu = max(_panel_density(tol, abs(t)), math.ceil(10.0 / p.decay_rate))
-    Es, ws = _nodes(T, npu)
-    vals = np.exp(Es * (1.0 + 1j * t)) / (np.exp(Es) + p.mu) ** 2
-    value = complex(np.sum(vals * ws) / (2.0 * math.pi))
+    T = math.log(1.0 / tol) + abs(math.log(abs(p.mu))) + 4.0
+    flat = ts.reshape(-1)
+    floor = math.ceil(10.0 / p.decay_rate)
+    densities = np.array([max(_panel_density(tol, abs(x)), floor) for x in flat.tolist()])
+    values = np.empty(flat.size, dtype=complex)
+    edges = np.empty(flat.size)
+    for npu in np.unique(densities).tolist():
+        Es, ws = _nodes(T, npu)
+        den = (np.exp(Es) + p.mu) ** 2
+        group = np.flatnonzero(densities == npu)
+        step = max(1, _ORACLE_BLOCK // Es.size)
+        for block in (group[k : k + step] for k in range(0, group.size, step)):
+            vals = Es * (1.0 + 1j * flat[block, None])
+            np.exp(vals, out=vals)
+            vals /= den
+            edges[block] = np.maximum(
+                np.abs(vals[:, :16]).max(axis=1), np.abs(vals[:, -16:]).max(axis=1)
+            )
+            vals *= ws
+            values[block] = vals.sum(axis=-1) / (2.0 * math.pi)
 
-    edge = max(float(np.max(np.abs(vals[:16]))), float(np.max(np.abs(vals[-16:]))))
-    tail_est = 2.0 * edge / (2.0 * math.pi)  # unit decay rate at both ends
-    if tail_est > tol * (1.0 + abs(value)):
+    tail_est = 2.0 * edges / (2.0 * math.pi)  # unit decay rate at both ends
+    limit = tol * (1.0 + _modulus(values))
+    failed = tail_est > limit
+    if failed.any():
+        k = int(np.argmax(np.where(failed, tail_est / limit, 0.0)))
         raise QuadratureNonConvergence(
-            f"tail estimate {tail_est:.3e} above tolerance at truncation {T:.1f}"
+            f"tail estimate {tail_est[k]:.3e} above tolerance at t={float(flat[k])!r}, "
+            f"truncation {T:.1f}"
         )
-    return value
+    return _one_or_many(ts, values.reshape(ts.shape), complex)
 
 
-def _relative_sum(terms) -> float:
-    """|sum of terms| over the largest |term|: the residual of an identity whose
-    terms scale with mu, measured at the size of its terms (0 if all vanish)."""
-    scale = max(abs(term) for term in terms)
-    return abs(sum(terms)) / scale if scale > 0.0 else 0.0
+def _relative_sum(terms):
+    """|sum of terms| over the largest |term|, elementwise: the residual of an
+    identity whose terms scale with mu, measured at the size of its terms (0
+    where all vanish, nan where a term is nan)."""
+    scale = functools.reduce(np.maximum, [_modulus(term) for term in terms])
+    total = _modulus(sum(terms))
+    return np.divide(total, scale, out=np.zeros(np.shape(total)), where=scale != 0.0)
 
 
-def check_functional_eq1(p: KernelParam, t: complex) -> float:
-    """Relative residual of F(mu, t-2i) + 2*mu*F(mu, t-i) + mu**2 * F(mu, t) = 0."""
-    t = complex(t)
-    for w in (t, t - 1j, t - 2j):
-        _require_point(w)
-    f2, f1, f0 = eval_kernel_array(p, np.array([t - 2j, t - 1j, t]))
-    return _relative_sum((f2, 2.0 * p.mu * f1, p.mu**2 * f0))
+def check_functional_eq1(p: KernelParam, t):
+    """Relative residual of F(mu, t-2i) + 2*mu*F(mu, t-i) + mu**2 * F(mu, t) = 0.
+
+    t is one point or a 1-d array of points, with one residual per point;
+    PoleProximity is raised if any of t, t-i, t-2i comes within POLE_GUARD
+    of a pole.
+    """
+    ts = np.asarray(t, dtype=complex)
+    shifted = np.stack((ts - 2j, ts - 1j, ts))
+    _require_off_poles(shifted)
+    f2, f1, f0 = eval_kernel_array(p, shifted)
+    return _one_or_many(ts, _relative_sum((f2, _times(2.0 * p.mu, f1), _times(p.mu**2, f0))))
 
 
-def check_functional_eq2(p: KernelParam, z: complex) -> float:
-    """Relative residual of mu*F(mu, z) + F(mu, z-i) = i*mu**(i*z) / (e^{pi z} - e^{-pi z})."""
-    z = complex(z)
-    if abs(z) <= POLE_GUARD:
-        raise ZeroArgument(f"z={z} sits on the pole of 1/sinh at the origin")
-    _require_point(z)
-    _require_point(z - 1j)
-    f0, f1 = eval_kernel_array(p, np.array([z, z - 1j]))
-    rhs = _over_double_sinh(1j, z, 1j * z * cmath.log(p.mu))
-    return _relative_sum((p.mu * f0, f1, -complex(rhs)))
+def check_functional_eq2(p: KernelParam, z):
+    """Relative residual of mu*F(mu, z) + F(mu, z-i) = i*mu**(i*z) / (e^{pi z} - e^{-pi z}).
+
+    z is one point or a 1-d array of points, with one residual per point;
+    ZeroArgument is raised if any z is within POLE_GUARD of 0, and
+    PoleProximity if any z or z-i is within it of a pole.
+    """
+    zs = np.asarray(z, dtype=complex)
+    origin = np.abs(zs) <= POLE_GUARD
+    if origin.any():
+        z0 = complex(zs[origin].flat[0])
+        raise ZeroArgument(f"z={z0} sits on the pole of 1/sinh at the origin")
+    shifted = np.stack((zs, zs - 1j))
+    _require_off_poles(shifted)
+    f0, f1 = eval_kernel_array(p, shifted)
+    rhs = _over_double_sinh(1j, zs, _times(cmath.log(p.mu), 1j * zs))
+    return _one_or_many(zs, _relative_sum((_times(p.mu, f0), f1, -rhs)))
+
+
+def _residue_loops(p: KernelParam, lam: float, radius: float) -> tuple[complex, complex]:
+    """Trapezoid values of the loop integral of F(mu, t) * lam**(i*t) around t = i
+    on _RESIDUE_LOOP_NODES nodes and on every second one of them.
+
+    The half loop's nodes and steps are bit for bit those of a loop of half
+    as many nodes: the angles 2k * (2 pi/n) and k * (2 pi/(n/2)) are equal,
+    and so are 2 * dt_(2k) and the step of the half loop.
+    """
+    n = _RESIDUE_LOOP_NODES
+    w = radius * np.exp(1j * np.arange(n) * (2.0 * math.pi / n))
+    ts = 1j + w
+    dts = 1j * w * (2.0 * math.pi / n)
+    vals = eval_kernel_array(p, ts) * np.exp(1j * ts * math.log(lam))
+    return complex(np.sum(vals * dts)), complex(np.sum(vals[::2] * (2.0 * dts[::2])))
 
 
 def contour_residue_check(p: KernelParam, lam: float, radius: float) -> float:
@@ -290,8 +383,9 @@ def contour_residue_check(p: KernelParam, lam: float, radius: float) -> float:
 
     A circle of the given radius (0 < radius < 1, so only the pole at i is
     enclosed) is traversed with the trapezoid rule, which is spectrally
-    accurate on periodic integrands.  The loop value is compared against
-    2*pi*i times the residue, which evaluates to lam**(-1) / mu**2.
+    accurate on periodic integrands; the loop on every second node checks
+    its convergence.  The loop value is compared against 2*pi*i times the
+    residue, which evaluates to lam**(-1) / mu**2.
     """
     if not (0.0 < radius < 1.0):
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
@@ -301,16 +395,7 @@ def contour_residue_check(p: KernelParam, lam: float, radius: float) -> float:
     if min(radius, 1.0 - radius) <= POLE_GUARD:
         raise PoleProximity(f"radius {radius} brings the loop within {POLE_GUARD} of a pole")
 
-    loglam = math.log(lam)
-
-    def loop(n: int) -> complex:
-        w = radius * np.exp(1j * np.arange(n) * (2.0 * math.pi / n))
-        ts = 1j + w
-        dts = 1j * w * (2.0 * math.pi / n)
-        return complex(np.sum(eval_kernel_array(p, ts) * np.exp(1j * ts * loglam) * dts))
-
-    full = loop(_RESIDUE_LOOP_NODES)
-    half = loop(_RESIDUE_LOOP_NODES // 2)
+    full, half = _residue_loops(p, lam, radius)
     if abs(full - half) > 1e-9 * (1.0 + abs(full)):
         raise QuadratureNonConvergence(
             f"loop integral not converged: |delta|={abs(full - half):.3e}"

@@ -141,7 +141,12 @@ class _PhaseMemo:
 
 
 def compute_Qmu(
-    g: GroupModel, p: KernelParam, q: QuadratureSpec, *, phase_memo: _PhaseMemo | None = None
+    g: GroupModel,
+    p: KernelParam,
+    q: QuadratureSpec,
+    *,
+    phase_memo: _PhaseMemo | None = None,
+    plan: tuple[float, int] | None = None,
 ) -> np.ndarray:
     """The matrix V diag(q) V* of Q_mu, one scalar line quadrature per eigenmode.
 
@@ -153,7 +158,10 @@ def compute_Qmu(
     ratio 1, rounded up to whole panels so that neighbouring mu share it
     (_qmu_plan).  phase_memo, a _PhaseMemo of g's exponents, lets calls on
     one window share its phase matrix too (spectrum_scan passes one per
-    scan); by default each call takes a fresh one.
+    scan); by default each call takes a fresh one.  plan is the pair
+    (T, npu) that _qmu_plan gives for g, p and q, for a caller that holds
+    it already (spectrum_scan orders its grid by the plans); by default the
+    call plans.
     """
     require_quadrature_clearance(p)
     if phase_memo is None:
@@ -162,7 +170,7 @@ def compute_Qmu(
         phase_memo.exponents, g.exponents
     ):
         raise ValueError("phase_memo was made for a model with other exponents")
-    T, npu = _qmu_plan(g, p, q)
+    T, npu = _qmu_plan(g, p, q) if plan is None else plan
     density = partial(eval_kernel_array, p)
     coords = [
         integrate_vector(
@@ -335,9 +343,10 @@ def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
     the paper's upper bound norm <= B(mu) (same slack), see _block_bounds.
 
     Every mu is checked before any quadrature runs.  The Q_mu are then
-    computed in the stable order of their plans (_qmu_plan), so that the mu
-    on one window come one after another and share one phase matrix
-    through the scan's _PhaseMemo, which is dropped when the scan returns.
+    computed in the stable order of their plans (_qmu_plan), each planned
+    once, so that the mu on one window come one after another and share one
+    phase matrix through the scan's _PhaseMemo, which is dropped when the
+    scan returns.
     The blocks of every R_mu are formed as one stack and compressed to the
     graph in one batched product, on the graph basis the model keeps; the
     visiting order does not change a bit.
@@ -353,7 +362,7 @@ def spectrum_scan(g: GroupModel, mu_grid, q: QuadratureSpec) -> list[ScanPoint]:
     phase_memo = _PhaseMemo(g)
     Q = np.empty((len(params), g.dim, g.dim), dtype=complex)
     for i in sorted(range(len(params)), key=plans.__getitem__):
-        Q[i] = compute_Qmu(g, params[i], q, phase_memo=phase_memo)
+        Q[i] = compute_Qmu(g, params[i], q, phase_memo=phase_memo, plan=plans[i])
     grid = np.array(mus)
     R = _resolvent_blocks(Q, grid[:, None, None])
     norms = np.linalg.svd(_compressed(R, g._graph_basis), compute_uv=False)[:, 0].tolist()

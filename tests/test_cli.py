@@ -5,13 +5,23 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from angen import ConfigError
+from angen import (
+    ConfigError,
+    KernelParam,
+    check_functional_eq1,
+    check_functional_eq2,
+    contour_residue_check,
+    eval_kernel,
+    eval_kernel_by_integral,
+)
 from angen.cli import _SCHEMA, SUBCOMMANDS, CheckSheet, Experiment, load_experiment, main
 
 NAN, INF = math.nan, math.inf
@@ -648,3 +658,68 @@ def test_full_suite_compare_fails_on_a_missing_file_or_changed_header(tmp_path):
         "kept.csv: header or row count changed",
         f"only_ref.csv: missing under {new}",
     ]
+
+
+def test_kernel_check_memory_is_bounded_at_the_largest_sample_count(tmp_path):
+    # 10000 samples up to |t| = 50 take the oracle's densest windows; the
+    # oracle takes its (samples x nodes) rows in fixed blocks, where one
+    # array of all rows would hold about 400 MB
+    import angen.cli as cli
+
+    cfg = write_config(tmp_path, kernel={"num_samples": 10_000, "t_max": 50.0})
+    exp = load_experiment(str(cfg))
+    tracemalloc.start()
+    try:
+        cli._run_kernel_check(exp, np.random.default_rng(0), tmp_path, CheckSheet(exp.tolerances))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert len((tmp_path / "kernel_check.csv").read_text().splitlines()) == 1 + 10_000
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_kernel_check_is_the_per_sample_loop(tmp_path, capsys, path):
+    # kernel-check makes one array call per check and mu; the per-sample loop
+    # below, with the one-point calls on the same RNG stream, prints the same
+    # check lines and draws the same t column
+    seed = 5
+    assert run(["kernel-check", "--config", path, "--out", tmp_path, "--seed", seed]) == 0
+    lines = capsys.readouterr().out
+    exp = load_experiment(str(path))
+    cfg = exp.kernel
+    rng = np.random.default_rng(seed)
+    sheet = CheckSheet(exp.tolerances)
+    ts = []
+    for mu in exp.mu_list:
+        p = KernelParam(mu)
+        for _ in range(cfg["num_samples"]):
+            t = 0.0
+            while abs(t) < 0.05:
+                t = rng.uniform(-cfg["t_max"], cfg["t_max"])
+            ts.append(t)
+            closed = eval_kernel(p, t)
+            sheet.add("kernel_eq1", check_functional_eq1(p, t))
+            sheet.add("kernel_eq2", check_functional_eq2(p, t))
+            oracle = eval_kernel_by_integral(p, t, exp.quadrature)
+            sheet.add("kernel_integral", abs(closed - oracle) / (1.0 + abs(closed)))
+        for lam in cfg["lambdas"]:
+            target = abs((1.0 / lam) / p.mu**2)
+            sheet.add("residue_loop", contour_residue_check(p, lam, cfg["radius"]) / target)
+    assert sheet.report() == 0
+    assert capsys.readouterr().out == lines
+    rows = (tmp_path / "kernel_check.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[2]) for row in rows] == ts
+
+
+@pytest.mark.parametrize("widths", [[10.0, 10.0, 100.0], [100.0, 10.0, 10.0]])
+def test_mollify_repeated_widths_check_as_distinct_ones(tmp_path, capsys, widths):
+    # equal widths give equal errors, so only distinct widths must decrease
+    results = []
+    for name, values in (("distinct", [10.0, 100.0]), ("repeated", widths)):
+        cfg = write_config(tmp_path, name=f"{name}.json", mollify={"n_sequence": values})
+        code = run(["mollify", "--config", cfg, "--out", tmp_path / name, "--seed", 1])
+        results.append((code, capsys.readouterr().out))
+    assert results[0][0] == 0
+    assert "PASS mollifier_monotone" in results[0][1]
+    assert results[1] == results[0]

@@ -4,14 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from angen import (
     BranchViolation,
     KernelParam,
     PoleProximity,
+    QuadratureNonConvergence,
     QuadratureSpec,
+    ZeroArgument,
     check_functional_eq1,
     check_functional_eq2,
     contour_residue_check,
@@ -315,3 +317,121 @@ def test_quadrature_clearance_guard():
     with pytest.raises(BranchViolation):
         require_quadrature_clearance(bad)
     require_quadrature_clearance(KernelParam(cmath.rect(1.0, math.pi - math.pi / 8.0)))
+
+
+# |arg mu| <= pi - pi/16, |mu| from 1e-6 to 1e6; 0.05 <= |t| <= 50 crosses
+# the oracle's node densities (8 up to 44 from the oscillation alone)
+array_mu = st.builds(
+    cmath.rect,
+    st.floats(min_value=math.log(1e-6), max_value=math.log(1e6)).map(math.exp),
+    st.floats(min_value=-(math.pi - DELTA_MIN), max_value=math.pi - DELTA_MIN),
+)
+array_ts = st.lists(
+    st.tuples(st.floats(min_value=0.05, max_value=50.0), st.booleans()),
+    min_size=1,
+    max_size=24,
+).map(lambda pairs: np.array([-t if flip else t for t, flip in pairs]))
+
+
+@settings(derandomize=True, max_examples=40)
+@given(array_mu, array_ts)
+@example(1.0, np.array([0.05, -3.9, 7.5, -19.0, 33.3, -50.0]))
+@example(cmath.rect(1e6, math.pi - DELTA_MIN), np.array([-0.05, 4.0, -12.5, 50.0]))
+@example(cmath.rect(1e-6, -(math.pi - DELTA_MIN)), np.array([0.05, -24.0, 49.9]))
+def test_array_forms_are_the_one_point_calls(mu, ts):
+    # each point of an array gets the bits of its one-point call, across the
+    # oracle's node densities; a point whose oracle fails alone fails the array
+    p = KernelParam(mu)
+    q = QuadratureSpec(rel_tolerance=1e-10)
+    points = ts.tolist()
+    assert check_functional_eq1(p, ts).tolist() == [check_functional_eq1(p, t) for t in points]
+    assert check_functional_eq2(p, ts).tolist() == [check_functional_eq2(p, t) for t in points]
+    alone, unconverged = [], []
+    for t in points:
+        try:
+            alone.append(eval_kernel_by_integral(p, t, q))
+        except QuadratureNonConvergence:
+            unconverged.append(t)
+    if unconverged:
+        with pytest.raises(QuadratureNonConvergence) as info:
+            eval_kernel_by_integral(p, ts, q)
+        assert any(f"at t={t!r}," in str(info.value) for t in unconverged)
+    else:
+        assert eval_kernel_by_integral(p, ts, q).tolist() == alone
+    assert isinstance(eval_kernel_by_integral(p, 0.5, q), complex)
+    assert isinstance(check_functional_eq1(p, points[0]), float)
+    assert isinstance(check_functional_eq2(p, points[0]), float)
+
+
+def test_array_forms_accept_complex_points():
+    # the recurrences take complex points off the real line too, each as alone
+    p = KernelParam(0.4 - 0.8j)
+    zs = np.array([0.5 + 0.4j, -2.2 + 0.7j, 3.0 - 0.3j, 0.05])
+    assert [check_functional_eq1(p, z) for z in zs] == check_functional_eq1(p, zs).tolist()
+    assert [check_functional_eq2(p, z) for z in zs] == check_functional_eq2(p, zs).tolist()
+
+
+@pytest.mark.parametrize("where", [0, 3, -1])
+def test_a_point_near_a_pole_anywhere_in_an_array_raises(where):
+    # t - i sits at distance |t| from the pole -i, and z = i + 1e-4 at 1e-4 from i
+    p = KernelParam(2.0 + 1.0j)
+    ts = np.array([0.7, -1.3, 2.5, 4.0, -0.2])
+    near = ts.astype(complex)
+    near[where] = 0.5 * POLE_GUARD
+    with pytest.raises(PoleProximity, match=r"t=\(?-?0\.0005"):
+        check_functional_eq1(p, near)
+    near[where] = 1j + 1e-4
+    with pytest.raises(PoleProximity):
+        check_functional_eq2(p, near)
+    zero = ts.copy()
+    zero[where] = 0.0
+    with pytest.raises(ZeroArgument):
+        check_functional_eq2(p, zero)
+    # the same arrays without the bad point pass
+    check_functional_eq1(p, ts)
+    check_functional_eq2(p, ts)
+
+
+def test_one_failing_tail_gate_raises_and_names_its_point(monkeypatch):
+    # the window of the densest group is cut to a quarter of its width, so the
+    # gate of the one point on it fails while the other points' gates pass
+    p = KernelParam(1.0)
+    q = QuadratureSpec(rel_tolerance=1e-10)
+    ts = np.array([0.3, -1.7, 30.0, 2.9])
+    dense = kernel._panel_density(q.rel_tolerance, 30.0)
+    assert dense > kernel._panel_density(q.rel_tolerance, 2.9)
+    nodes = kernel._nodes
+    monkeypatch.setattr(kernel, "_nodes", lambda T, npu: nodes(T / 4.0 if npu == dense else T, npu))
+    with pytest.raises(QuadratureNonConvergence, match="at t=30.0,"):
+        eval_kernel_by_integral(p, ts, q)
+    with pytest.raises(QuadratureNonConvergence):
+        eval_kernel_by_integral(p, 30.0, q)
+    good = ts[ts != 30.0]
+    alone = [eval_kernel_by_integral(p, t, q) for t in good]
+    assert np.array_equal(eval_kernel_by_integral(p, good, q), alone)
+
+
+def test_oracle_blocks_rows_at_a_fixed_size(monkeypatch):
+    # blocks of one row, of two rows and of all rows at once give the same bits
+    p = KernelParam(0.7 + 0.9j)
+    q = QuadratureSpec(rel_tolerance=1e-12)
+    ts = np.linspace(-20.0, 20.0, 17)
+    want = eval_kernel_by_integral(p, ts, q)
+    for block in (1, 1200, 10**9):
+        monkeypatch.setattr(kernel, "_ORACLE_BLOCK", block)
+        assert np.array_equal(eval_kernel_by_integral(p, ts, q), want)
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.0 + 1.0j, 0.4 - 0.8j, -1.0 + 1.0j, 1e5 + 3j, 1e-4])
+@pytest.mark.parametrize("lam", [1e-3, 1.0, math.e, 1e3])
+@pytest.mark.parametrize("radius", [0.01, 0.5, 0.99])
+def test_half_residue_loop_is_the_loop_on_half_the_nodes(mu, lam, radius):
+    # the convergence check's half loop, taken from every second node, is
+    # bit for bit a trapezoid loop of its own on half as many nodes
+    p = KernelParam(mu)
+    n = kernel._RESIDUE_LOOP_NODES // 2
+    w = radius * np.exp(1j * np.arange(n) * (2.0 * math.pi / n))
+    ts = 1j + w
+    dts = 1j * w * (2.0 * math.pi / n)
+    alone = complex(np.sum(eval_kernel_array(p, ts) * np.exp(1j * ts * math.log(lam)) * dts))
+    assert kernel._residue_loops(p, lam, radius)[1] == alone

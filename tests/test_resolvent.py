@@ -253,6 +253,28 @@ def test_scan_builds_one_phase_matrix_per_window(diag4, quad, monkeypatch):
     assert np.array_equal(forward, backward[::-1])
 
 
+def test_scan_plans_each_point_once(diag4, herm4, quad, monkeypatch):
+    # the scan orders its grid by the plans and hands each to compute_Qmu,
+    # which then plans nothing itself; the norms are the bits of a scan whose
+    # Q_mu plan their own windows
+    grid = [complex(2.5, -y) for y in np.linspace(-5.0, 5.0, 9)] + [0.4 - 0.8j, 3.0]
+    plan, build = resolvent._qmu_plan, resolvent.compute_Qmu
+
+    def replanning(g, p, q, *, phase_memo=None, plan=None):
+        return build(g, p, q, phase_memo=phase_memo)
+
+    for g in (diag4, herm4):
+        with monkeypatch.context() as m:
+            m.setattr(resolvent, "compute_Qmu", replanning)
+            want = [pt.resolvent_norm for pt in spectrum_scan(g, grid, quad)]
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(resolvent, "_qmu_plan", lambda g, p, q: calls.append(p.mu) or plan(g, p, q))
+            got = [pt.resolvent_norm for pt in spectrum_scan(g, grid, quad)]
+        assert calls == grid
+        assert np.array_equal(got, want)
+
+
 def test_spectrum_scan_rejects_small_mu_before_any_quadrature(diag4, quad, monkeypatch):
     calls = []
     integrate = resolvent.integrate_vector
