@@ -304,10 +304,36 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
+@functools.lru_cache(maxsize=64)
+def _row_format(types: tuple) -> str | None:
+    """The %-format that writes a row of values of these types as _fmt does,
+    or None if a type has no such conversion.
+
+    %d is str(int(v)) for bools ("1" and "0"), ints and numpy integers, and
+    %.17g is format(float(v), ".17g") for floats and numpy floating types,
+    nan, inf and -0.0 included: both take the value as float(v) and write it
+    with one routine.
+    """
+    specs = []
+    for t in types:
+        if issubclass(t, (int, np.integer)):
+            specs.append("%d")
+        elif issubclass(t, (float, np.floating)):
+            specs.append("%.17g")
+        else:
+            return None
+    return ",".join(specs)
+
+
 def _write_csv(path: Path, header, rows) -> None:
+    """Write rows as CSV lines, each value as _fmt writes it: one %-format per
+    row, cached by the types of its values, or _fmt per value for a row with
+    another type."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        row = tuple(row)
+        fmt = _row_format(tuple(map(type, row)))
+        lines.append(",".join(_fmt(v) for v in row) if fmt is None else fmt % row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -19,7 +19,14 @@ class ZeroArgument(AngenError):
 
 
 class QuadratureNonConvergence(AngenError):
-    """Tail estimate exceeds the tolerance at its planned window."""
+    """Tail estimate exceeds the tolerance at its planned window.
+
+    row is the index of the failing row of a row batch (vecint), else None.
+    """
+
+    def __init__(self, message: str = "", row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class NonFiniteSample(AngenError):

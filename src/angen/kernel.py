@@ -22,7 +22,9 @@ and the values of the last mu it was asked for.  The window's nodes are
 sums c_j + d_m of panel centres and Gauss offsets, so the exponential
 splits into a real envelope, one real exponential per node, and the
 oscillation exp(i*c_j*log|mu|) * exp(i*d_m*log|mu|), one complex
-exponential per centre and per offset.
+exponential per centre and per offset.  kernel_rows evaluates either form
+for many mu at once, one row per mu, each row bit for bit the values of
+eval_kernel_array at that mu.
 
 Two independent routes to the same values exist: the closed form above
 and the Fourier-side representation
@@ -195,11 +197,13 @@ def _kernel_row(ts: np.ndarray):
     return pi_abs, abs_t * inv
 
 
-def _kernel_on_window(log_mu: complex, window) -> np.ndarray:
+def _kernel_on_window(log_mu, window) -> np.ndarray:
     """F(mu, t) on the nodes of a cached window, with the oscillation factored by panel.
 
-    F(mu, t) = amp(t) * exp(-t arg mu - log|mu| - pi|t|) * e^(-i arg mu) *
-    exp(i t log|mu|), with amp = |t| inv the window's kept row.  The real
+    log_mu is Log mu, one number or a column (m, 1) of them with one row of
+    values each.  F(mu, t) = amp(t) * exp(-t arg mu - log|mu| - pi|t|) *
+    e^(-i arg mu) * exp(i t log|mu|), with amp = |t| inv the window's kept
+    row, which the first call on the window fills.  The real
     envelope takes one real exponential per node, with the real part of the
     one-exponent form's argument as its own, so it has that form's range.
     The oscillation, exp(i t log|mu|) with t = c_j + d_m, is the product
@@ -207,8 +211,13 @@ def _kernel_on_window(log_mu: complex, window) -> np.ndarray:
     and one per Gauss offset, as _phase_matrix takes its phases; e^(-i arg mu)
     rides on the centre factors.  The values differ from the one-exponent
     form's by the rounding of the arguments, a few units of
-    eps * (1 + (|c_j| + |d_m|) |log|mu||).
+    eps * (1 + (|c_j| + |d_m|) |log|mu||).  Every operation is elementwise
+    along the nodes, so a row of a column of log_mu has the bits of a call
+    on its one number.
     """
+    if window.kernel_row is None:
+        points = np.concatenate((window.centres, window.offsets))
+        window.kernel_row = (*_kernel_row(window.ts), points)
     pi_abs, amp, points = window.kernel_row
     log_abs, arg = log_mu.real, log_mu.imag
     envelope = window.ts * -arg
@@ -218,11 +227,30 @@ def _kernel_on_window(log_mu: complex, window) -> np.ndarray:
     envelope *= amp
     panels = window.centres.size
     angles = points * log_abs
-    angles[:panels] -= arg
+    angles[..., :panels] -= arg
     factors = np.exp(1j * angles)
-    vals = factors[:panels, None] * factors[None, panels:]
+    vals = factors[..., :panels, None] * factors[..., None, panels:]
     vals *= envelope.reshape(vals.shape)
-    return vals.ravel()
+    return vals.reshape(envelope.shape)
+
+
+def _kernel_off_window(log_mu, ts) -> np.ndarray:
+    """F(mu, t) in the one-exponent form on points ts that are not a cached window.
+
+    log_mu is Log mu, one number or a column (m, 1) of them with one row of
+    values each.  The values are those at ts + 0j; points inside the series
+    disc around 0 are taken out of the form and overwritten.
+    """
+    ts = np.asarray(ts, dtype=complex)
+    small = np.abs(ts) < SERIES_SWITCH_RADIUS
+    if not small.any():
+        return _over_double_sinh(ts, ts, ts * (1j * log_mu) - log_mu)
+    safe = np.where(small, 1.0, ts)  # no 0/0 at an exact zero node
+    out = np.asarray(_over_double_sinh(safe, safe, safe * (1j * log_mu) - log_mu))
+    near = ts[small]
+    series = np.polynomial.polynomial.polyval((math.pi * near) ** 2, _X_OVER_SINH)
+    out[..., small] = series / (2.0 * math.pi) * np.exp(near * (1j * log_mu) - log_mu)
+    return out
 
 
 def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
@@ -237,32 +265,31 @@ def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
     real exponential per node and one complex exponential per panel centre
     and per Gauss offset (_kernel_on_window); they agree with the
     one-exponent form to the rounding of the phase arguments.  Every other
-    array, real or complex, takes the one-exponent form as a complex array,
-    bit for bit the values at ts + 0j, and its points inside the series
-    disc around 0 are taken out of it and overwritten.
+    array, real or complex, takes the one-exponent form (_kernel_off_window).
     """
     window = _panel_window_of(ts)
-    if window is not None:
-        key = struct.pack("<2d", p.mu.real, p.mu.imag)
-        if window.kernel_last is None or window.kernel_last[0] != key:
-            if window.kernel_row is None:
-                points = np.concatenate((window.centres, window.offsets))
-                window.kernel_row = (*_kernel_row(ts), points)
-            vals = _kernel_on_window(cmath.log(p.mu), window)
-            vals.flags.writeable = False
-            window.kernel_last = (key, vals)
-        return window.kernel_last[1]
-    ts = np.asarray(ts, dtype=complex)
-    log_mu = cmath.log(p.mu)
-    small = np.abs(ts) < SERIES_SWITCH_RADIUS
-    if not small.any():
-        return _over_double_sinh(ts, ts, ts * (1j * log_mu) - log_mu)
-    safe = np.where(small, 1.0, ts)  # no 0/0 at an exact zero node
-    out = np.asarray(_over_double_sinh(safe, safe, safe * (1j * log_mu) - log_mu))
-    near = ts[small]
-    series = np.polynomial.polynomial.polyval((math.pi * near) ** 2, _X_OVER_SINH)
-    out[small] = series / (2.0 * math.pi) * np.exp(near * (1j * log_mu) - log_mu)
-    return out
+    if window is None:
+        return _kernel_off_window(cmath.log(p.mu), ts)
+    key = struct.pack("<2d", p.mu.real, p.mu.imag)
+    if window.kernel_last is None or window.kernel_last[0] != key:
+        vals = _kernel_on_window(cmath.log(p.mu), window)
+        vals.flags.writeable = False
+        window.kernel_last = (key, vals)
+    return window.kernel_last[1]
+
+
+def kernel_rows(log_mu: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """F(mu_j, t) for a 1-d array log_mu of Log mu_j, one row of values per mu_j.
+
+    Row j has the bits of eval_kernel_array at mu_j on the same points,
+    from the same form (the panel-factored one on a cached window, the
+    one-exponent one elsewhere), but no row is kept on the window.
+    """
+    window = _panel_window_of(ts)
+    log_mu = np.asarray(log_mu, dtype=complex)[:, None]
+    if window is None:
+        return _kernel_off_window(log_mu, ts)
+    return _kernel_on_window(log_mu, window)
 
 
 def eval_kernel_by_integral(p: KernelParam, t, q: QuadratureSpec):
@@ -270,7 +297,10 @@ def eval_kernel_by_integral(p: KernelParam, t, q: QuadratureSpec):
 
     Evaluates (1/(2*pi)) * integral exp(E*(1+i*t)) / (exp(E) + mu)**2 dE by
     composite Gauss panels over E, on a cached window [-T, T] of
-    vecint._nodes.  The integrand decays like exp(-|E|) at both ends; its
+    vecint._nodes.  The integrand decays like exp(-|E|) at both ends, like
+    e^(-E) once e^E passes |mu| and like e^E / |mu|^2 below, so the window
+    T = log(1/tol) + max(log|mu|, 2 log(1/|mu|)) + 4 puts both edges at
+    e^(-4) tol; its
     poles sit at E = log|mu| + i*(arg mu +/- pi), a distance decay_rate
     from the real axis, so the node density scales with 1/decay_rate, and
     it oscillates at frequency |t|, which raises the density further.
@@ -287,7 +317,11 @@ def eval_kernel_by_integral(p: KernelParam, t, q: QuadratureSpec):
     ts = np.asarray(t, dtype=float)
     require_quadrature_clearance(p)
     tol = q.rel_tolerance
-    T = math.log(1.0 / tol) + abs(math.log(abs(p.mu))) + 4.0
+    # |integrand| is about e^-E as E -> +inf, once e^E passes |mu|, and about
+    # e^E / |mu|^2 as E -> -inf: the right edge needs log|mu| more where
+    # |mu| > 1, the left one 2 log(1/|mu|) more where |mu| < 1
+    log_abs = math.log(abs(p.mu))
+    T = math.log(1.0 / tol) + max(log_abs, -2.0 * log_abs) + 4.0
     flat = ts.reshape(-1)
     floor = math.ceil(10.0 / p.decay_rate)
     densities = np.array([max(_panel_density(tol, abs(x)), floor) for x in flat.tolist()])

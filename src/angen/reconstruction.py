@@ -68,11 +68,16 @@ shifted-line representation
 
 obtained by moving the integration line of Q_mu (mu + U_i) to Im z = r;
 the factor mu**(i*z) = mu**(i*t) * mu**(-r) carries the mu**(-r) envelope.
-Both lines integrate the phase matrix exp(i t h) of their windows, one
-memo per line, times eigenbasis coordinates: those of w on the direct
-line, and on the shifted one those of U_ir x, whose coordinates are a row
-of the same phase form, exp(-r h) times those of x.  Each line takes one
-window for the whole ray, so a fit builds two phase matrices.
+Each line is one row batch of vecint.integrate_vector over every magnitude
+of the ray, on one window for the whole ray: the density rows, F(mu_j, t)
+on the direct line and i mu_j**(i*z) / (2 sinh(pi*z)) on the shifted one,
+are weighted and multiplied by the window's phase matrix exp(i t h) in one
+product, and row j is then scaled by eigenbasis coordinates: those of
+w_j = mu_j x + U_i x on the direct line, and on the shifted one those of
+U_ir x, a row of the same phase form, exp(-r h) times those of x.  A fit
+builds two phase matrices, one per line.  A long ray takes its rows in
+blocks of about _FIT_BLOCK entries (one block at the shipped sizes), so it
+never holds all of them at once.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitUnstable, OverflowRisk, TruncationDominates
+from .errors import FitUnstable, OverflowRisk, QuadratureNonConvergence, TruncationDominates
 from .group_models import (
     GroupModel,
     _content_key,
@@ -95,13 +100,15 @@ from .group_models import (
     as_state,
     generator_spectrum,
 )
-from .kernel import KernelParam, _over_double_sinh, eval_kernel_array, require_quadrature_clearance
-from .resolvent import _SINH_FLOOR, _PhaseMemo, _kernel_floor, _quadrature_plan
-from .vecint import QuadratureSpec, _truncation_for_edge, gauss_panels, integrate_vector
+from .kernel import KernelParam, _over_double_sinh, kernel_rows, require_quadrature_clearance
+from .resolvent import _SINH_FLOOR, _kernel_floor, _quadrature_plan
+from .vecint import QuadratureSpec, _truncation_for_edge, _window, gauss_panels, integrate_vector
 
 MU_MIN_DEFAULT = 1e-6
 MU_MAX_DEFAULT = 1e6
 PANELS_DEFAULT = 40
+# entries of one block of a decay-fit line's (magnitudes x nodes) density rows: 1 MB
+_FIT_BLOCK = 1 << 16
 # analytic tail corrections use this many power-series terms per endpoint
 CORRECTION_TERMS = 3
 # sin(pi alpha) grows like e^(pi |Im alpha|) / 2 and overflows past this
@@ -414,7 +421,8 @@ class DecayFitReport:
 
 
 def _direct_line_plan(g: GroupModel, ps: list[KernelParam], q: QuadratureSpec, ratios):
-    """One plan (T, npu) of the direct line for every parameter of a ray.
+    """One plan (T, npu) of the direct line, the window of its one row batch
+    for every parameter of a ray.
 
     y(mu) = ||Q_mu w|| is about ||x|| nu/|mu|, while the integrand
     F(mu, t) U_t w is about ||x||: the two halves of w = mu x + U_i x nearly
@@ -436,7 +444,8 @@ def _direct_line_plan(g: GroupModel, ps: list[KernelParam], q: QuadratureSpec, r
 def _shifted_line_plan(
     g: GroupModel, ps: list[KernelParam], q: QuadratureSpec, r: float, ratios: np.ndarray
 ):
-    """One plan (T, npu) of the shifted line for every parameter of a ray.
+    """One plan (T, npu) of the shifted line, the window of its one row batch
+    for every parameter of a ray.
 
     ps runs along the ray by magnitude.  The per-magnitude plan is taken at
     its longest (the smallest |mu|) and densest (an end of the ray), and
@@ -456,24 +465,49 @@ def _shifted_line_plan(
     return max(T0, _truncation_for_edge(edge, npu)), npu
 
 
-def _shifted_line_coords(
-    p: KernelParam, q: QuadratureSpec, T: float, npu: int, phases, c: np.ndarray, r: float
-) -> np.ndarray:
-    """integral i mu^(i z) U_z x / (e^{pi z} - e^{-pi z}) dt along z = t + ir.
+def _row_blocks(m: int, width: int) -> list[slice]:
+    """Slices of the m rows of a line, to about _FIT_BLOCK entries of width each.
 
-    The result is in eigenbasis coordinates.  c holds those of U_{ir} x, so
-    the orbit U_z x = U_t U_{ir} x is sampled as phases(ts) times c, on the
-    window of the ray's plan (T, npu) from _shifted_line_plan.
+    Every block has at least two rows (when m does): numpy hands a one-row
+    product to the BLAS's matrix-vector routine, which rounds differently
+    from the matrix product of a block, so with no lone row the rows get
+    the same bits at any block size.
     """
-    log_mu = cmath.log(p.mu)
-    return integrate_vector(
-        lambda ts: phases(ts) * c,
-        lambda ts: _over_double_sinh(1j, ts + 1j * r, 1j * (ts + 1j * r) * log_mu),
-        q,
-        tail_rate=p.decay_rate,
-        truncation=T,
-        nodes_per_unit=npu,
-    )
+    step = max(2, _FIT_BLOCK // width)
+    starts = list(range(0, max(m - 1, 1), step))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
+
+
+def _line_norms(g: GroupModel, density, coords, q, rate, T, npu, mags) -> np.ndarray:
+    """||integral density_j(t) U_t w_j dt|| for each magnitude mags[j] of a ray, on one line.
+
+    The orbit is the window's phase matrix exp(i t h) times the eigenbasis
+    coordinates coords of w_j (one set for every row, or one per row), and
+    density(ts, block) gives the density rows of a block of magnitudes.
+    Each block is one row batch of integrate_vector on the line's window
+    (T, npu), gated row by row at the ray's tail rate: a failing block
+    raises, naming the magnitude of its row that misses its gate the most.
+    """
+    # at least the node count of the window integrate_vector takes for T
+    width = int(2.0 * _window(T) * npu) + 32
+    norms = np.empty(len(mags))
+    for block in _row_blocks(len(mags), width):
+        try:
+            y = integrate_vector(
+                functools.partial(_phase_matrix, g),
+                lambda ts: density(ts, block),
+                q,
+                rate,
+                T,
+                npu,
+                coords=coords if coords.ndim == 1 else coords[block],
+            )
+        except QuadratureNonConvergence as err:
+            raise QuadratureNonConvergence(
+                f"{err}, |mu| = {mags[block][err.row]!r}", row=block.start + err.row
+            ) from err
+        norms[block] = np.linalg.norm(y, axis=1)
+    return norms
 
 
 def decay_bound_fit(
@@ -494,11 +528,15 @@ def decay_bound_fit(
     not asserted against anything.
 
     Each line takes one window for the whole ray (_direct_line_plan,
-    _shifted_line_plan), sized before it is sampled and sampled once, so a
-    fit builds two phase matrices exp(i t h).  Both windows are raised to
+    _shifted_line_plan), sized before it is sampled and sampled once, and
+    integrates every magnitude on it as one row of one quadrature
+    (_line_norms): one product of the density rows with the phase matrix
+    exp(i t h), so a fit builds two phase matrices.  Each row is gated on
+    its own edge panels and its own ||Q_mu w||.  Both windows are raised to
     where every magnitude's tail gate passes a priori, from the kernel's
     envelope and a bound on the integrand over the result taken from the
-    coordinates of x.
+    coordinates of x.  The direct line is integrated first, then the
+    shifted one.
     """
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
@@ -524,7 +562,6 @@ def decay_bound_fit(
     # both lines integrate the phase matrix exp(i t h) of their window
     # times eigenbasis coordinates, those of w directly and of U_ir x
     # shifted; V is unitary, so the norms are taken in the eigenbasis
-    phases, shifted = _PhaseMemo(g), _PhaseMemo(g)
     c = _to_eigen(g, x)
     c_ui, c_shift = _phase_matrix(g, [1j, 1j * r]) * c
     ps = [KernelParam(m * cmath.exp(1j * arg_mu)) for m in mags]
@@ -536,21 +573,20 @@ def decay_bound_fit(
     c_ws = np.array([p.mu for p in ps])[:, None] * c + c_ui
     T, npu = _direct_line_plan(g, ps, q, np.linalg.norm(c_ws, axis=1) / y_least)
     T_shift, npu_shift = _shifted_line_plan(g, ps, q, r, np.linalg.norm(c_shift) / y_least)
-    rows = []
-    for m, p, c_w in zip(mags, ps, c_ws):
-        y = integrate_vector(
-            lambda ts: phases(ts) * c_w,
-            functools.partial(eval_kernel_array, p),
-            q,
-            p.decay_rate,
-            T,
-            npu,
-        )
-        y_direct = float(np.linalg.norm(y))
-        y_shift = float(
-            np.linalg.norm(_shifted_line_coords(p, q, T_shift, npu_shift, shifted, c_shift, r))
-        )
-        rows.append((m, y_direct, y_shift))
+    # the rate of the ray, at its smallest over the roundings of arg mu
+    rate = min(p.decay_rate for p in ps)
+    log_mus = np.array([cmath.log(p.mu) for p in ps])
+
+    def shifted(ts, block):
+        # i mu^(iz) / (e^{pi z} - e^{-pi z}) at z = t + ir, one row per mu
+        z = ts + 1j * r
+        return _over_double_sinh(1j, z, (1j * z) * log_mus[block, None])
+
+    direct = _line_norms(
+        g, lambda ts, block: kernel_rows(log_mus[block], ts), c_ws, q, rate, T, npu, mags
+    )
+    shift = _line_norms(g, shifted, c_shift, q, rate, T_shift, npu_shift, mags)
+    rows = list(zip(mags, direct.tolist(), shift.tolist()))
 
     top = [row for row in rows if row[0] >= cut]
     lx = np.log10([row[0] for row in top])

@@ -10,11 +10,12 @@ q_k, and the matrix is mapped back as V diag(q) V*.  Each window is sized
 in advance from the kernel's decay envelope (_kernel_floor), rounded up
 to whole panels so that neighbouring mu share it (_qmu_plan), and sampled
 once.  The modes share the phase matrix exp(i t h) of a window
-(_PhaseMemo, which holds the model and reads only its exponents), and
-decay_bound_fit integrates Q_mu w as that matrix times the coordinates
-V* w.  A memo keeps one matrix for one call: one Q_mu, one line of a
-fit, or one spectrum_scan, which visits its mu in window order so that
-each window's phase matrix is built once per scan.
+(_PhaseMemo, which holds the model and reads only its exponents).  A memo
+keeps one matrix for one call: one Q_mu, or one spectrum_scan, which
+visits its mu in window order so that each window's phase matrix is built
+once per scan.  decay_bound_fit integrates Q_mu w for every magnitude of
+a ray as that matrix times the coordinates V* w, in one row batch per
+line, and needs no memo.
 The spectral closed form of Q_mu on a model with generator eigenvalues
 nu_k is diagonal (in the eigenbasis) with entries nu_k / (nu_k + mu)**2, i.e.
 Q_mu = U_i * (U_i + mu)**(-2); the test suite first re-derives that closed

@@ -16,6 +16,11 @@ tolerance; a window that misses it raises instead of being widened.
 The weighted sum is one BLAS product, and the samples are scanned for
 non-finite values only when that sum is not finite or a weight is 0.
 
+A row batch (decay_bound_fit's lines) integrates a block (m, N) of
+density rows against one f in one product, each row gated on its own by
+the one tail gate (_require_tail); the one-row quadrature of compute_Qmu
+and the mollifier keeps its own path, its bits and its numpy calls.
+
 The last 16 windows [-T, T] are cached (_nodes), and a cached window
 keeps what its nodes' integrands share: the panel centres c_j and the
 scaled Gauss offsets d_m, whose sums are the nodes, slots for the
@@ -99,10 +104,11 @@ def gauss_panels(lo: float, hi: float, panels: int):
 class _PanelWindow:
     """One cached window [-T, T]: read-only nodes ts and (complex) weights ws, node
     ts[16 j + m] being the sum centres[j] + offsets[m] as computed, and two
-    slots that eval_kernel_array fills: kernel_row, the mu-independent part
-    of the kernel on ts (with the centres and offsets its phase factors
-    take), and kernel_last, the pair (bits of mu, read-only kernel values
-    on ts) of the last mu it was asked for."""
+    slots that the kernel fills: kernel_row, the mu-independent part of the
+    kernel on ts (with the centres and offsets its phase factors take),
+    filled by the first evaluation on the window, and kernel_last, the pair
+    (bits of mu, read-only kernel values on ts) of the last mu that
+    eval_kernel_array was asked for."""
 
     __slots__ = ("ts", "ws", "centres", "offsets", "kernel_row", "kernel_last", "__weakref__")
 
@@ -177,10 +183,10 @@ def _truncation_for_edge(edge: float, nodes_per_unit: int) -> float:
 
 def _sample(f, density, ts):
     vals = np.asarray(f(ts), dtype=complex)
-    dens = np.asarray(density(ts), dtype=complex).ravel()
+    dens = np.asarray(density(ts), dtype=complex)
     if vals.ndim == 1:
         vals = vals[:, None]
-    if vals.shape[0] != len(ts) or dens.shape[0] != len(ts):
+    if vals.shape[0] != len(ts) or dens.shape[-1] != len(ts) or not 1 <= dens.ndim <= 2:
         raise ValueError("integrand returned an unexpected shape")
     return vals, dens
 
@@ -189,11 +195,32 @@ def _sample(f, density, ts):
 def _weighted_sum(dens, ws, vals):
     """The weights dens * ws and the one BLAS product weights @ vals.
 
-    A non-finite sample sets the "invalid" flag here; integrate_vector
-    reports it as NonFiniteSample, so numpy does not warn of it.
+    dens is one row of values or a block (m, N) of them.  A non-finite
+    sample sets the "invalid" flag here; integrate_vector reports it as
+    NonFiniteSample, so numpy does not warn of it.
     """
     weights = dens * ws
     return weights, weights @ vals
+
+
+def _require_finite(*samples) -> None:
+    """Raise NonFiniteSample if any of the sample arrays holds a nan or an inf."""
+    if not all(np.isfinite(a).all() for a in samples):
+        raise NonFiniteSample("integrand produced non-finite samples")
+
+
+def _require_tail(tail_est: float, scale: float, q: QuadratureSpec, T: float, row=None) -> None:
+    """The tail gate: tail_est at most q.rel_tolerance * max(scale, tiny), or
+    QuadratureNonConvergence, naming row for a row batch."""
+    scale = max(scale, _TINY)
+    # "not <=" so that a tail estimate that is not a number fails the gate
+    if not tail_est <= q.rel_tolerance * scale:
+        where = "" if row is None else f" in row {row}"
+        raise QuadratureNonConvergence(
+            f"tail estimate {tail_est:.3e} exceeds "
+            f"{q.rel_tolerance:.1e} * {scale:.3e} at the planned window {T:.1f}{where}",
+            row=row,
+        )
 
 
 def integrate_vector(
@@ -204,6 +231,7 @@ def integrate_vector(
     truncation: float,
     nodes_per_unit: int,
     scale_hint: float | None = None,
+    coords=None,
 ) -> np.ndarray:
     """Quadrature of integral f(t) * density(t) dt over the real line.
 
@@ -221,6 +249,12 @@ def integrate_vector(
     weighted sum over nodes is one BLAS product, so repeated calls are
     bit-identical.
 
+    A density that returns a block (m, N) of rows, or a call with coords,
+    is a row batch (_integrate_rows): row j of the result is the integral
+    of density_j(t) * f(t) * coords_j, with coords one set (k,) for every
+    row or one set per row (m, k).  A (1, N) density gives the bits of the
+    same density as (N,) with coords.
+
     A non-finite sample raises NonFiniteSample.  The samples are scanned
     only when the weighted sum is not finite or some weight density * w
     is exactly 0, and the test is exact: under IEEE arithmetic a nan or
@@ -237,11 +271,12 @@ def integrate_vector(
     T = _window(float(truncation))
     ts, ws = _nodes(T, nodes_per_unit)
     vals, dens = _sample(f, density, ts)
+    if coords is not None or dens.ndim == 2:
+        return _integrate_rows(vals, dens, ws, coords, q, tail_rate, T, scale_hint)
     weights, result = _weighted_sum(dens, ws, vals)
     norm = abs(result[0]) if result.size == 1 else float(np.linalg.norm(result))
     if not math.isfinite(norm) or np.count_nonzero(weights) < weights.size:
-        if not (np.isfinite(vals).all() and np.isfinite(dens).all()):
-            raise NonFiniteSample("integrand produced non-finite samples")
+        _require_finite(vals, dens)
 
     # conservative tail estimate: outermost panel magnitude decayed at
     # tail_rate on both sides, i.e. C*exp(-rate*T)/rate with C read off
@@ -251,13 +286,41 @@ def integrate_vector(
     edge = dens.reshape(-1, 16)[::last, :, None] * vals.reshape(last + 1, 16, vals.shape[1])[::last]
     size = np.abs(edge) if edge.shape[2] == 1 else np.linalg.norm(edge, axis=2)
     tail_est = 2.0 * float(size.max()) / tail_rate
-
-    scale = norm if scale_hint is None else max(norm, float(scale_hint))
-    scale = max(scale, _TINY)
-    # "not <=" so that a tail estimate that is not a number fails the gate
-    if not tail_est <= q.rel_tolerance * scale:
-        raise QuadratureNonConvergence(
-            f"tail estimate {tail_est:.3e} exceeds "
-            f"{q.rel_tolerance:.1e} * {scale:.3e} at the planned window {T:.1f}"
-        )
+    _require_tail(tail_est, norm if scale_hint is None else max(norm, float(scale_hint)), q, T)
     return result
+
+
+def _integrate_rows(vals, dens, ws, coords, q, tail_rate, T, scale_hint):
+    """The row batch of integrate_vector: row j is ((dens_j * w) @ vals) * coords_j.
+
+    All rows take one product with the samples vals of f.  Each row is gated
+    on its own edge panels, |dens_j(t)| * ||vals[t] * coords_j|| at the 32
+    nodes of the outer panels, relative to max(||row j||, scale_hint):
+    the squared norms come from one product |vals|^2 @ (|coords|^2)^T, so
+    no (m, 32, k) block is formed.  Under IEEE division a row's estimate
+    over its limit exceeds 1 exactly when the row misses its gate, so the
+    row with the largest ratio (a nan first) goes to the one gate of
+    integrate_vector, which names it.  The non-finite scan covers the
+    coordinates too.
+    """
+    rows = dens.reshape(-1, dens.shape[-1])
+    c = np.ones(vals.shape[1]) if coords is None else np.asarray(coords, dtype=complex)
+    if c.shape[-1] != vals.shape[1] or c.ndim > 2 or (c.ndim == 2 and c.shape[0] != rows.shape[0]):
+        raise ValueError("coordinates of an unexpected shape")
+    weights, result = _weighted_sum(rows, ws, vals)
+    with np.errstate(invalid="ignore"):
+        result = result * c
+        norms = np.linalg.norm(result, axis=1)
+    if not np.isfinite(norms).all() or np.count_nonzero(weights) < weights.size:
+        _require_finite(vals, rows, c)
+
+    last = ws.size // 16 - 1
+    edge_vals = vals.reshape(last + 1, 16, -1)[::last].reshape(32, -1)
+    edge_norms = np.sqrt((edge_vals.real**2 + edge_vals.imag**2) @ (c.real**2 + c.imag**2).T)
+    edge_dens = np.abs(rows.reshape(rows.shape[0], -1, 16)[:, ::last]).reshape(-1, 32)
+    tail_est = 2.0 * (edge_dens * edge_norms.T).max(axis=1) / tail_rate
+    scale = norms if scale_hint is None else np.maximum(norms, float(scale_hint))
+    scale = np.maximum(scale, _TINY)
+    j = int(np.argmax(tail_est / (q.rel_tolerance * scale)))
+    _require_tail(float(tail_est[j]), float(scale[j]), q, T, row=j)
+    return result if dens.ndim == 2 else result[0]

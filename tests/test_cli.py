@@ -723,3 +723,55 @@ def test_mollify_repeated_widths_check_as_distinct_ones(tmp_path, capsys, widths
     assert results[0][0] == 0
     assert "PASS mollifier_monotone" in results[0][1]
     assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("mu", [0.01, 1e-3, 1e-6])
+def test_kernel_check_passes_at_a_small_mu(tmp_path, capsys, mu):
+    # the oracle's integrand is about e^E / mu^2 on its left tail, so its
+    # window is lengthened by 2 log(1/|mu|) there, not log(1/|mu|)
+    cfg = write_config(tmp_path, mu_list=[[mu, 0.0]], kernel={"num_samples": 20, "t_max": 5.0})
+    out = tmp_path / "out"
+    assert run(["kernel-check", "--config", cfg, "--out", out]) == 0
+    assert "PASS kernel_integral" in capsys.readouterr().out
+    rows = (out / "kernel_check.csv").read_text().splitlines()[1:]
+    tol = load_experiment(str(cfg)).tolerances["kernel_integral"]
+    assert max(float(row.split(",")[5]) for row in rows) <= tol
+
+
+def test_csv_lines_are_the_per_value_format(tmp_path):
+    # one %-format per row writes each value as _fmt does: bools, ints and
+    # numpy integers as integers, every float type with 17 digits, and a
+    # row with another type through _fmt itself
+    import angen.cli as cli
+
+    rows = [
+        (True, False, 0, -7, 2**70, np.int64(-3), np.uint64(2**64 - 1)),
+        (0.1, -0.0, NAN, INF, -INF, 1e16, 5e-324),
+        (np.float64(1 / 3), np.float32(0.1), np.float16(0.3), 1.7976931348623157e308, 3, 0.5, 1),
+        (np.bool_(True), 2.5, np.int8(5), "1.25", -1e-300, False, 7),
+    ]
+    for k in range(-7, 8):
+        rows.append(tuple(np.random.default_rng(k + 7).standard_normal(7) * 10.0 ** (40 * k)))
+    path = tmp_path / "mixed.csv"
+    cli._write_csv(path, [f"c{k}" for k in range(7)], rows)
+    want = [",".join(f"c{k}" for k in range(7))]
+    want += [",".join(cli._fmt(v) for v in row) for row in rows]
+    assert path.read_text() == "\n".join(want) + "\n"
+
+
+def test_bound_fit_memory_is_bounded_at_the_largest_magnitude_count(tmp_path):
+    # 1000 magnitudes up to 1e8: each line takes its density rows in fixed
+    # blocks, where one array of all rows would hold about 23 MB
+    import angen.cli as cli
+
+    fit = {"num_magnitudes": 1000, "mag_max": 1e8}
+    exp = load_experiment(str(write_config(tmp_path, bound_fit=fit)))
+    sheet = CheckSheet(exp.tolerances)
+    tracemalloc.start()
+    try:
+        cli._run_bound_fit(exp, np.random.default_rng(0), tmp_path, sheet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    assert len((tmp_path / "bound_fit_values.csv").read_text().splitlines()) == 1 + 1000

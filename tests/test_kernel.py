@@ -435,3 +435,20 @@ def test_half_residue_loop_is_the_loop_on_half_the_nodes(mu, lam, radius):
     dts = 1j * w * (2.0 * math.pi / n)
     alone = complex(np.sum(eval_kernel_array(p, ts) * np.exp(1j * ts * math.log(lam)) * dts))
     assert kernel._residue_loops(p, lam, radius)[1] == alone
+
+
+@pytest.mark.parametrize("window", [(7.0, 8), (55.0, 23), (200.0, 31)])
+def test_kernel_rows_are_the_one_mu_values(window):
+    # one row per mu, bit for bit eval_kernel_array at that mu: on a cached
+    # window (the panel-factored form), on a copy of it and on points in the
+    # series disc (the one-exponent form), in blocks of any size
+    mus = [1e-6, 0.01 - 0.002j, 1.0, 2.0 + 1.0j, 37.0 - 2.0j, cmath.rect(1e6, 2.9), 1e5j]
+    log_mu = np.array([cmath.log(mu) for mu in mus])
+    ts, _ = _nodes(*window)
+    for points in (ts, np.array(ts), np.linspace(-0.02, 0.02, 41)):
+        for size in (1, 3, len(mus)):
+            for start in range(0, len(mus), size):
+                rows = kernel.kernel_rows(log_mu[start : start + size], points)
+                assert rows.shape == (len(log_mu[start : start + size]), points.size)
+                for mu, row in zip(mus[start : start + size], rows):
+                    assert np.array_equal(row, eval_kernel_array(KernelParam(mu), points))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from collections import Counter
 from dataclasses import astuple, replace
 
@@ -15,6 +16,7 @@ from angen import (
     GroupModel,
     KernelParam,
     OverflowRisk,
+    QuadratureNonConvergence,
     TruncationDominates,
     ampliation,
     analytic_generator,
@@ -28,7 +30,6 @@ from angen import (
     reconstruct_Ut_cz,
     reconstruct_Ut_delta,
     reconstruction,
-    resolvent,
     spectrum_scan,
     vecint,
     verify_resolvent_identities,
@@ -810,35 +811,33 @@ def test_decay_fit_rejects_ray_near_cut(diag4, rng, quad, arg_mu):
 
 
 def _count_fit_quadratures(monkeypatch):
-    """Record decay_bound_fit's windows by line and every phase matrix it builds.
+    """Record decay_bound_fit's quadratures and every phase matrix it builds.
 
-    A window taken inside a shifted-line quadrature counts for that line,
-    every other one for the direct Q_mu w.
+    Each integrate_vector call of the fit gets a list of the node arrays of
+    the windows it takes; the fit integrates the direct line first and the
+    shifted line second.
     """
-    direct, shifted, builds, inside = [], [], [], []
-    nodes, shifted_line = vecint._nodes, reconstruction._shifted_line_coords
-    phase_matrix = resolvent._phase_matrix
+    calls, builds = [], []
+    nodes, integrate = vecint._nodes, reconstruction.integrate_vector
+    phase_matrix = reconstruction._phase_matrix
 
     def counting_nodes(T, npu):
         ts, ws = nodes(T, npu)
-        (shifted if inside else direct).append(ts)
+        calls[-1].append(ts)
         return ts, ws
 
-    def marked_shifted_line(*args):
-        inside.append(1)
-        try:
-            return shifted_line(*args)
-        finally:
-            inside.pop()
+    def recording(*args, **kwargs):
+        calls.append([])
+        return integrate(*args, **kwargs)
 
     def counting_phases(g, zs):
-        builds.append(np.array(zs))
+        builds.append(zs)
         return phase_matrix(g, zs)
 
     monkeypatch.setattr(vecint, "_nodes", counting_nodes)
-    monkeypatch.setattr(reconstruction, "_shifted_line_coords", marked_shifted_line)
-    monkeypatch.setattr(resolvent, "_phase_matrix", counting_phases)
-    return direct, shifted, builds
+    monkeypatch.setattr(reconstruction, "integrate_vector", recording)
+    monkeypatch.setattr(reconstruction, "_phase_matrix", counting_phases)
+    return calls, builds
 
 
 FIT_CASES = [(np.logspace(1.0, 3.0, 9), 0.0), (np.logspace(1.0, 2.5, 7), 0.6)]
@@ -849,14 +848,15 @@ def test_decay_fit_direct_line_takes_one_window(
     diag4, herm4, rng, quad, monkeypatch, mags, arg_mu
 ):
     # the direct line's gate is relative to ||Q_mu w|| ~ ||x|| nu/|mu| while
-    # its integrand is ~ ||x||, so its plan is longer by log1p(|mu|)/rate
-    # and its first window is accepted, to the tolerance of the result
-    direct, _, _ = _count_fit_quadratures(monkeypatch)
+    # its integrand is ~ ||x||, so its plan is longer by log1p(|mu|)/rate;
+    # every magnitude is one row of one quadrature per line, which takes
+    # one window, accepted, to the tolerance of each row's result
+    calls, _ = _count_fit_quadratures(monkeypatch)
     for g in (diag4, herm4):
-        direct.clear()
+        calls.clear()
         x = random_unit(rng, g.dim)
         rep = decay_bound_fit(g, x, 0.5, mags, quad, arg_mu=arg_mu)
-        assert len(direct) == len(mags)
+        assert len(calls) == 2 and all(len(windows) == 1 for windows in calls)
         Ui_x = analytic_generator(g) @ x
         for m, y_direct, _ in rep.rows:
             mu = m * cmath.exp(1j * arg_mu)
@@ -870,19 +870,17 @@ def test_decay_fit_builds_one_phase_matrix_per_window(
 ):
     # both lines sample orbits of the diagonal twin, and each line takes one
     # window for the whole ray, so a fit builds two phase matrices
-    # exp(i t h), one per line, each kept across magnitudes
-    direct, shifted, builds = _count_fit_quadratures(monkeypatch)
+    # exp(i t h), one per line on its window, after the one at the times
+    # i and ir that gives the coordinates of U_i x and U_ir x
+    calls, builds = _count_fit_quadratures(monkeypatch)
     for g in (diag4, herm4):
-        direct.clear()
-        shifted.clear()
+        calls.clear()
         builds.clear()
         decay_bound_fit(g, random_unit(rng, g.dim), 0.5, mags, quad, arg_mu=arg_mu)
-        distinct = []
-        for ts in direct + shifted:
-            if not any(np.array_equal(ts, seen) for seen in distinct):
-                distinct.append(ts)
-        assert len(builds) == len(distinct) == 2
-        assert all(any(np.array_equal(zs, ts) for ts in distinct) for zs in builds)
+        assert len(calls) == 2 and all(len(windows) == 1 for windows in calls)
+        assert len(builds) == 3
+        assert np.array_equal(builds[0], [1j, 0.5j])
+        assert builds[1] is calls[0][0] and builds[2] is calls[1][0]
 
 
 def decay_fit_rows_reference(g, x, r, mags, q, arg_mu):
@@ -942,3 +940,42 @@ def test_decay_fit_rows_match_lines_built_on_their_own(diag4, herm4, rng, quad, 
         want = decay_fit_rows_reference(g, x, 0.5, mags, quad, arg_mu)
         assert np.array_equal(got[:, 0], want[:, 0])
         assert np.max(np.abs(got[:, 1:] - want[:, 1:]) / want[:, 1:]) <= 1e-13
+
+
+def test_decay_fit_rows_keep_their_bits_at_any_block_size(diag4, herm4, rng, quad, monkeypatch):
+    # each line takes its magnitudes in blocks of about _FIT_BLOCK density
+    # entries, of at least two rows each: at one entry a block is two rows
+    # (the last three), and the rows are the same bits at every size
+    mags = np.logspace(1.0, 4.0, 13)
+    calls = Counter()
+    record_calls(monkeypatch, calls, reconstruction, "integrate_vector")
+    for g in (diag4, herm4, hermitian_model(rng, 16, 2.0)):
+        x = random_unit(rng, g.dim)
+        reports, quadratures = {}, {}
+        for block in (1, 1000, 10**9):
+            monkeypatch.setattr(reconstruction, "_FIT_BLOCK", block)
+            calls.clear()
+            reports[block] = decay_bound_fit(g, x, 0.5, mags, quad, arg_mu=0.6)
+            quadratures[block] = calls["integrate_vector"]
+        assert reports[1] == reports[1000] == reports[10**9]
+        # six blocks per line at one entry, one block per line below the default
+        assert quadratures[1] == 12 and quadratures[10**9] == 2
+
+
+def test_decay_fit_names_the_magnitude_whose_row_misses_its_gate(diag4, rng, quad, monkeypatch):
+    # one magnitude's kernel row gets a slowly decaying tail: the fit fails
+    # on the direct line and names that magnitude
+    mags = np.logspace(1.0, 3.0, 9)
+    rows = reconstruction.kernel_rows
+
+    def heavy(log_mu, ts):
+        values = rows(log_mu, ts)
+        hit = np.flatnonzero(np.isclose(np.exp(log_mu.real), mags[4]))
+        values[hit] += 1e-3 / np.cosh(0.05 * ts)
+        return values
+
+    monkeypatch.setattr(reconstruction, "kernel_rows", heavy)
+    named = re.escape(f"|mu| = {float(mags[4])!r}")
+    with pytest.raises(QuadratureNonConvergence, match=named) as err:
+        decay_bound_fit(diag4, random_unit(rng, 4), 0.5, mags, quad)
+    assert err.value.row == 4

@@ -1,4 +1,7 @@
+import cmath
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from angen import (
     integrate_vector,
 )
 from angen import vecint
+from angen.group_models import _phase_matrix
+from angen.kernel import kernel_rows
 from angen.vecint import TRUNCATION_CAP, _nodes, _panel_density, _panel_window_of
 
 # the panel density of the engine tests, the one rel_tolerance needs down to 1e-11
@@ -313,3 +318,113 @@ def test_pairing_against_scalar_quadrature(rng):
         f, lambda t: 1.0 / np.cosh(t), q, probes, tail_rate=1.0
     )
     assert worst <= 1e-9
+
+
+# the parameters of the row-batch tests: one row of kernel values each
+ROW_MUS = [0.3 + 0.1j, 2.0, 15.0 - 4.0j, 120.0 + 30.0j, 1e3j]
+ROW_T, ROW_Q = 40.0, QuadratureSpec(rel_tolerance=1e-10)
+
+
+def _row_batch(rng):
+    """A 4-mode model, its phase matrix, the kernel rows of ROW_MUS and
+    coordinates, one set per row."""
+    g = GroupModel.diagonal([-1.5, -0.6, 0.4, 1.2])
+    ps = [KernelParam(mu) for mu in ROW_MUS]
+    log_mu = np.array([cmath.log(p.mu) for p in ps])
+    coords = rng.standard_normal((len(ps), 4)) + 1j * rng.standard_normal((len(ps), 4))
+    npu = _panel_density(ROW_Q.rel_tolerance, 1.5 + max(abs(math.log(abs(mu))) for mu in ROW_MUS))
+    return g, ps, functools.partial(_phase_matrix, g), log_mu, coords, npu
+
+
+def test_row_batch_rows_are_one_row_calls(rng):
+    # every row of a batch, with coordinates per row, shared or none, is
+    # the one-row quadrature of its density against the scaled orbit
+    g, ps, phases, log_mu, coords, npu = _row_batch(rng)
+    rate = min(p.decay_rate for p in ps)
+
+    def batch(c):
+        return integrate_vector(
+            phases, lambda ts: kernel_rows(log_mu, ts), ROW_Q, rate, ROW_T, npu, coords=c
+        )
+
+    for got, cs in ((batch(coords), coords), (batch(coords[2]), [coords[2]] * 5),
+                    (batch(None), [np.ones(4)] * 5)):
+        assert got.shape == (len(ps), 4)
+        for p, row, c in zip(ps, got, cs):
+            want = integrate_vector(
+                lambda ts: phases(ts) * c,
+                functools.partial(eval_kernel_array, p),
+                ROW_Q,
+                p.decay_rate,
+                ROW_T,
+                npu,
+                scale_hint=None,
+            )
+            assert np.linalg.norm(row - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_one_row_density_as_a_vector_or_a_block_gives_the_same_bits(rng):
+    _, ps, phases, log_mu, coords, npu = _row_batch(rng)
+    p = ps[2]
+
+    def call(density, c):
+        return integrate_vector(phases, density, ROW_Q, p.decay_rate, ROW_T, npu, coords=c)
+
+    vector = functools.partial(eval_kernel_array, p)
+    block = lambda ts: kernel_rows(log_mu[2:3], ts)  # noqa: E731
+    for c_vector, c_block in ((None, None), (coords[2], coords[2:3]), (coords[2], coords[2])):
+        one, rows = call(vector, c_vector), call(block, c_block)
+        assert one.shape == (4,) and rows.shape == (1, 4)
+        assert np.array_equal(one, rows[0])
+
+
+def test_a_heavy_row_edge_fails_the_gate_and_names_its_row(rng):
+    # rows 1 and 3 carry a slowly decaying tail, row 3 the heavier one; the
+    # other rows would pass, and the error names the row that misses most
+    _, ps, phases, log_mu, coords, npu = _row_batch(rng)
+    rate = min(p.decay_rate for p in ps)
+
+    def density(ts):
+        rows = kernel_rows(log_mu, ts)
+        rows[1] += 1e-9 / np.cosh(0.05 * ts)
+        rows[3] += 1e-3 / np.cosh(0.05 * ts)
+        return rows
+
+    with pytest.raises(QuadratureNonConvergence, match="in row 3") as err:
+        integrate_vector(phases, density, ROW_Q, rate, ROW_T, npu, coords=coords)
+    assert err.value.row == 3
+    # without the heavy rows every gate passes
+    integrate_vector(phases, lambda ts: kernel_rows(log_mu, ts), ROW_Q, rate, ROW_T, npu,
+                     coords=coords)
+
+
+@pytest.mark.parametrize("where", ["density", "density-at-zero-weight", "inf-density", "coords"])
+def test_a_non_finite_sample_in_one_row_raises_without_a_warning(rng, where):
+    _, ps, phases, log_mu, coords, npu = _row_batch(rng)
+    rate = min(p.decay_rate for p in ps)
+
+    def density(ts):
+        rows = np.array(kernel_rows(log_mu, ts))
+        if where == "density":
+            rows[2, 40] = np.nan
+        elif where == "density-at-zero-weight":
+            rows[2, 40] = 0.0
+            rows[4, 40] = np.nan
+        elif where == "inf-density":
+            rows[2, 40] = np.inf
+        return rows
+
+    if where == "coords":
+        coords[2, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSample):
+            integrate_vector(phases, density, ROW_Q, rate, ROW_T, npu, coords=coords)
+
+
+def test_coordinates_of_a_wrong_shape_are_rejected(rng):
+    _, ps, phases, log_mu, coords, npu = _row_batch(rng)
+    for c in (coords[:, :3], coords[:4], coords[None]):
+        with pytest.raises(ValueError, match="coordinates"):
+            integrate_vector(phases, lambda ts: kernel_rows(log_mu, ts), ROW_Q, 1.0, ROW_T, npu,
+                             coords=c)

@@ -52,14 +52,20 @@ def record_windows(mp):
     return calls
 
 
-def run_planned(calls, fn):
-    """Run fn; a QuadratureNonConvergence must come from a window at the cap."""
+def run_planned(calls, fn, quadratures=None):
+    """Run fn; a QuadratureNonConvergence must come from a window at the cap.
+
+    Where fn runs all its quadratures, and quadratures is given, it makes
+    exactly that many integrate_vector calls.
+    """
     try:
         fn()
     except QuadratureNonConvergence:
         assert calls[-1] == [TRUNCATION_CAP]
     except FitUnstable:
         pass  # raised after every quadrature of the fit has run
+    else:
+        assert quadratures is None or len(calls) == quadratures
     assert calls and all(len(windows) == 1 for windows in calls)
 
 
@@ -87,7 +93,8 @@ def test_every_quadrature_samples_one_planned_window(hmax, tol, log_abs_mu, arg_
         calls.clear()
         run_planned(calls, lambda: mollify_operator(g, abs(mu), q))
         calls.clear()
-        run_planned(calls, lambda: decay_bound_fit(g, x, r, mags, q, arg_mu=arg_mu))
+        # one row-batched quadrature per line of the fit
+        run_planned(calls, lambda: decay_bound_fit(g, x, r, mags, q, arg_mu=arg_mu), 2)
 
 
 def test_identity_model_takes_one_window(identity3, quad, monkeypatch):
@@ -104,11 +111,12 @@ def test_identity_model_takes_one_window(identity3, quad, monkeypatch):
 def test_shifted_line_near_its_pole_takes_one_window(herm4, quad, monkeypatch):
     # the bound-fit of configs/hermitian4.json at r = 0.25, with the state
     # the CLI draws at seed 1: the shifted line's one window for the whole
-    # ray is raised to where the bound needs, and every magnitude shares it
+    # ray is raised to where the bound needs, and every magnitude is a row
+    # of the one quadrature on it
     calls = record_windows(monkeypatch)
     mags = np.logspace(1.0, 4.0, 13)
     x = random_unit(np.random.default_rng(1), herm4.dim)
     rep = decay_bound_fit(herm4, x, 0.25, mags, quad)
-    assert len(calls) == 2 * len(mags) and all(len(windows) == 1 for windows in calls)
-    assert len({windows[0] for windows in calls[1::2]}) == 1
+    assert len(calls) == 2 and all(len(windows) == 1 for windows in calls)
+    assert len(rep.rows) == len(mags)
     assert rep.shift_max_rel_diff <= 1e-8
