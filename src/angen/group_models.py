@@ -49,10 +49,11 @@ class GroupModel:
     the eigenvector matrix V (None for a Diagonal model, where V = I);
     generator_matrix keeps the original H of a Hermitian model.  All three
     are read-only copies taken at construction, so what the model derives
-    from them cannot go stale: max_exponent = max |h_k|, and the read-only
-    operators built on first use and kept until the model is freed.  These
-    are bit for bit what group_matrix builds, but through the private
-    _group_matrix, so they count as no U_t rows computed.
+    from them cannot go stale: max_exponent = max |h_k|, _exponent_classes
+    (the modes of each distinct exponent, which compute_Qmu integrates once),
+    and the read-only operators built on first use and kept until the model
+    is freed.  The operators are bit for bit what group_matrix builds, but
+    through the private _group_matrix, so they count as no U_t rows computed.
     """
 
     kind: str
@@ -60,12 +61,14 @@ class GroupModel:
     basis: np.ndarray | None = None
     generator_matrix: np.ndarray | None = None
     max_exponent: float = field(init=False, repr=False, compare=False)
+    _exponent_classes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h = np.array(self.exponents, dtype=float)
         h.flags.writeable = False
         object.__setattr__(self, "exponents", h)
         object.__setattr__(self, "max_exponent", float(np.max(np.abs(h), initial=0.0)))
+        object.__setattr__(self, "_exponent_classes", _exponent_classes(h))
         for name in ("basis", "generator_matrix"):
             if getattr(self, name) is not None:
                 a = np.array(getattr(self, name))
@@ -133,6 +136,21 @@ class GroupModel:
         return int(self.exponents.size)
 
 
+def _exponent_classes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(modes, index), read-only: modes holds the first mode of each distinct
+    exponent, in mode order, and index[k] the position in modes of the mode
+    whose exponent (to the bit) is h_k.  Distinct exponents give
+    0, 1, ..., n - 1 for both."""
+    _, first, inverse = np.unique(h.view(np.uint64), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    modes, index = first[order], rank[inverse]
+    for a in (modes, index):
+        a.flags.writeable = False
+    return modes, index
+
+
 def as_state(g: GroupModel, x) -> np.ndarray:
     """Validate and normalize x to a finite complex vector of the model's dimension."""
     x = np.asarray(x, dtype=complex).ravel()
@@ -173,6 +191,9 @@ def _phase_matrix(g: GroupModel, zs) -> np.ndarray:
     exp(i c_j h) * exp(i d_m h): panels + 16 exponentials per mode instead
     of one per node.  They differ from the per-node phases by the rounding
     of the arguments, a few units of eps * (1 + (|c_j| + |d_m|) max|h|).
+    A row depends on its panel centre and offset alone, so the matrix of a
+    window nested in another of its lattice is a row slice of the other's,
+    bit for bit.
     """
     h = g.exponents
     window = _panel_window_of(zs)

@@ -17,12 +17,14 @@ with s = sign(Re t), which overflows only where F itself does; every point
 array takes this form as a complex array, except the real nodes of a cached
 window of vecint._nodes.  There it reads
 |t| * exp(i*t*Log mu - Log mu - pi*|t|) / (-expm1(-2*pi*|t|)), where only
-the exponential depends on mu; the window keeps the rest, its kernel row,
-and the values of the last mu it was asked for.  The window's nodes are
-sums c_j + d_m of panel centres and Gauss offsets, so the exponential
-splits into a real envelope, one real exponential per node, and the
-oscillation exp(i*c_j*log|mu|) * exp(i*d_m*log|mu|), one complex
-exponential per centre and per offset.  kernel_rows evaluates either form
+the exponential depends on mu; the rest, the kernel row, is computed once
+on the window's lattice and each window keeps its slice of it (a node has
+the same bits in every window of the lattice), with the values of the last
+mu it was asked for.  The window's nodes are sums c_j + d_m of panel
+centres and Gauss offsets, so the exponential splits into a real envelope,
+one real exponential per node, and the oscillation
+exp(i*c_j*log|mu|) * exp(i*d_m*log|mu|), one complex exponential per
+centre and per offset.  kernel_rows evaluates either form
 for many mu at once, one row per mu, each row bit for bit the values of
 eval_kernel_array at that mu.
 
@@ -177,7 +179,7 @@ def eval_kernel(p: KernelParam, t: complex) -> complex:
 
 
 def _kernel_row(ts: np.ndarray):
-    """The mu-independent parts (pi|t|, amp) of the kernel on the real nodes of a window.
+    """The mu-independent parts (pi|t|, amp) of the kernel on the real nodes of a lattice.
 
     F(mu, t) = amp * exp(i t Log mu - Log mu - pi|t|), with amp = |t| inv
     and inv = 1/(-expm1(-2 pi |t|)) = sign(t) e^{pi |t|} / (e^{pi t} - e^{-pi t}),
@@ -203,7 +205,8 @@ def _kernel_on_window(log_mu, window) -> np.ndarray:
     log_mu is Log mu, one number or a column (m, 1) of them with one row of
     values each.  F(mu, t) = amp(t) * exp(-t arg mu - log|mu| - pi|t|) *
     e^(-i arg mu) * exp(i t log|mu|), with amp = |t| inv the window's kept
-    row, which the first call on the window fills.  The real
+    row, which the first call on the window slices from its lattice's row
+    (the lattice's first call computes that row on all its nodes).  The real
     envelope takes one real exponential per node, with the real part of the
     one-exponent form's argument as its own, so it has that form's range.
     The oscillation, exp(i t log|mu|) with t = c_j + d_m, is the product
@@ -216,8 +219,11 @@ def _kernel_on_window(log_mu, window) -> np.ndarray:
     on its one number.
     """
     if window.kernel_row is None:
+        lattice = window.lattice
+        if lattice.kernel_row is None:
+            lattice.kernel_row = _kernel_row(lattice.ts)
         points = np.concatenate((window.centres, window.offsets))
-        window.kernel_row = (*_kernel_row(window.ts), points)
+        window.kernel_row = (*(row[window.nodes] for row in lattice.kernel_row), points)
     pi_abs, amp, points = window.kernel_row
     log_abs, arg = log_mu.real, log_mu.imag
     envelope = window.ts * -arg
@@ -258,8 +264,9 @@ def eval_kernel_array(p: KernelParam, ts: np.ndarray) -> np.ndarray:
 
     Intended for quadrature nodes; callers are responsible for staying off
     the poles (real-line nodes always are).  A window of vecint._nodes
-    keeps the mu-independent row of _kernel_row, computed once however
-    many mu and modes sample it, and the values of the last mu, keyed by
+    keeps its slice of the mu-independent row of _kernel_row, computed once
+    per lattice however many windows, mu and modes sample it, and the
+    values of the last mu, keyed by
     the exact bits of mu (1+0j and 1-0j are two keys): the modes of one
     Q_mu then share one read-only array.  On a window the values take one
     real exponential per node and one complex exponential per panel centre
@@ -296,14 +303,14 @@ def eval_kernel_by_integral(p: KernelParam, t, q: QuadratureSpec):
     """Independent oracle for F(mu, t) at one real t or at each point of a 1-d array.
 
     Evaluates (1/(2*pi)) * integral exp(E*(1+i*t)) / (exp(E) + mu)**2 dE by
-    composite Gauss panels over E, on a cached window [-T, T] of
-    vecint._nodes.  The integrand decays like exp(-|E|) at both ends, like
-    e^(-E) once e^E passes |mu| and like e^E / |mu|^2 below, so the window
-    T = log(1/tol) + max(log|mu|, 2 log(1/|mu|)) + 4 puts both edges at
-    e^(-4) tol; its
-    poles sit at E = log|mu| + i*(arg mu +/- pi), a distance decay_rate
-    from the real axis, so the node density scales with 1/decay_rate, and
-    it oscillates at frequency |t|, which raises the density further.
+    composite Gauss panels over E, on the cached window of vecint._nodes
+    for [-T, T], which it rounds up to whole panels.  The integrand decays
+    like exp(-|E|) at both ends, like e^(-E) once e^E passes |mu| and like
+    e^E / |mu|^2 below, so the window T = log(1/tol) + max(log|mu|,
+    2 log(1/|mu|)) + 4 puts both edges at e^(-4) tol or below; its poles
+    sit at E = log|mu| + i*(arg mu +/- pi), a distance decay_rate from the
+    real axis, so the node density scales with 1/decay_rate, and it
+    oscillates at frequency |t|, which raises the density further.
 
     The density _panel_density(tol, |t|) grows with |t|, so the points are
     grouped by density.  The points of one group share their window and its

@@ -8,11 +8,12 @@ for a norm-bounded vector integrand f and a scalar density with an
 exponential tail bound supplied by the caller; both take the whole array
 of nodes.  A line R + i*s is integrated by closures that evaluate at
 t + i*s.  The rule is composite 16-point Gauss-Legendre on one window,
-one margin step past the caller's truncation estimate and clamped to
-[1, TRUNCATION_CAP], at least as dense as the tolerance needs
-(_panel_density).  Callers size both in advance, so that the analytic tail
-estimate read off the outer panels meets the requested relative
-tolerance; a window that misses it raises instead of being widened.
+one margin step past the caller's truncation estimate, clamped to
+[1, TRUNCATION_CAP] and rounded up to whole panels, at least as dense as
+the tolerance needs (_panel_density).  Callers size both in advance, so
+that the analytic tail estimate read off the outer panels meets the
+requested relative tolerance; a window that misses it raises instead of
+being widened.
 The weighted sum is one BLAS product, and the samples are scanned for
 non-finite values only when that sum is not finite or a weight is 0.
 
@@ -21,17 +22,26 @@ density rows against one f in one product, each row gated on its own by
 the one tail gate (_require_tail); the one-row quadrature of compute_Qmu
 and the mollifier keeps its own path, its bits and its numpy calls.
 
-The last 16 windows [-T, T] are cached (_nodes), and a cached window
-keeps what its nodes' integrands share: the panel centres c_j and the
-scaled Gauss offsets d_m, whose sums are the nodes, slots for the
-mu-independent row of the kernel and for the kernel values of the last
-mu.  _panel_window_of recognises a cached node array by identity, so
+Every window is cut from one lattice per nodes_per_unit (_Lattice): panels
+of exactly w = 16/nodes_per_unit, centred at c_j = (j + 1/2) w, with an edge
+at t = 0, their nodes the sums c_j + d_m of the centres and the scaled Gauss
+offsets d_m.  A half-width T takes ceil(T nodes_per_unit / 16) panels on
+each side of 0, so a node has the same bits in every window it belongs to,
+a window is symmetric about 0 (ts[::-1] == -ts), and all windows of one
+density nest.  The windows of the last 16 panel counts are cached (_nodes)
+as read-only contiguous views of the lattice, which is rebuilt larger only
+when a wider window is asked for; an evicted window comes back as a slice.
+A cached window keeps what its nodes' integrands share: the centres and
+offsets, its slice of the kernel's mu-independent row (kept once per
+lattice) and the kernel values of the last mu.
+_panel_window_of recognises a cached node array by identity, so
 group_models._phase_matrix, the one source of the orbit phases of every
 quadrature, can take the phases exp(i t h) as exp(i c_j h) * exp(i d_m h),
 and eval_kernel_array its oscillation exp(i t log|mu|) the same way,
 reusing the row and the values; every other array takes the per-node
-paths.  compute_Qmu rounds its windows up to whole panels, so that
-neighbouring mu share one.
+paths.  Neighbouring mu of a scan, whose truncation estimates differ by
+less than a panel, share one window, and the phase matrix of the widest
+window serves the nested ones as row slices (resolvent._PhaseMemo).
 """
 
 from __future__ import annotations
@@ -47,7 +57,8 @@ from .errors import NonFiniteSample, QuadratureNonConvergence
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-# hard ceiling on the half-width of the integration window
+# hard ceiling on the half-width a window is planned for (its whole panels
+# reach past it by less than one panel)
 TRUNCATION_CAP = 200.0
 # the accepted range of QuadratureSpec.rel_tolerance
 REL_TOLERANCE_MIN, REL_TOLERANCE_MAX = 1e-14, 1e-2
@@ -82,46 +93,71 @@ def _panel_density(rel_tolerance: float, frequency: float) -> int:
     return max(8, math.ceil(4.0 * (rho - 1.0 / rho)), math.ceil(0.8 * frequency) + 4)
 
 
-def _panel_rule(lo: float, hi: float, panels: int):
-    """Centres, scaled Gauss offsets, nodes and weights of equal panels on [lo, hi]."""
-    edges = np.linspace(lo, hi, panels + 1)
-    centres = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    offsets = half * GAUSS_NODES
-    ts = (centres[:, None] + offsets[None, :]).ravel()
-    return centres, offsets, ts, np.tile(half * GAUSS_WEIGHTS, panels)
-
-
 def gauss_panels(lo: float, hi: float, panels: int):
     """Composite 16-point Gauss-Legendre nodes and weights on [lo, hi].
 
     The interval is cut into the given number of equal panels.  Nodes are
     returned in ascending order.
     """
-    return _panel_rule(lo, hi, panels)[2:]
+    edges = np.linspace(lo, hi, panels + 1)
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    ts = (centres[:, None] + half * GAUSS_NODES[None, :]).ravel()
+    return ts, np.tile(half * GAUSS_WEIGHTS, panels)
+
+
+class _Lattice:
+    """The panels of width w = 16/nodes_per_unit on [-panels w, panels w].
+
+    Panel j (-panels <= j < panels) is centred at c_j = (j + 1/2) w, computed
+    from j alone, and holds the nodes c_j + d_m of the 16 scaled Gauss
+    offsets d_m, with the weights (w/2) gauss_m (complex, so that weighting
+    complex samples casts nothing: w and w + 0j give the same products).
+    A node therefore has the same bits in a lattice of any extent, and the
+    nodes are symmetric about 0, where a panel edge lies.  kernel_row is a
+    slot for the kernel's mu-independent row on ts, which the kernel fills.
+    """
+
+    __slots__ = ("nodes_per_unit", "panels", "centres", "offsets", "ts", "ws", "kernel_row",
+                 "__weakref__")
+
+    def __init__(self, nodes_per_unit: int, panels: int):
+        width = 16.0 / nodes_per_unit
+        self.nodes_per_unit, self.panels = nodes_per_unit, panels
+        self.centres = (np.arange(-panels, panels) + 0.5) * width
+        self.offsets = (0.5 * width) * GAUSS_NODES
+        self.ts = (self.centres[:, None] + self.offsets[None, :]).ravel()
+        self.ws = np.tile((0.5 * width) * GAUSS_WEIGHTS, 2 * panels).astype(complex)
+        for arr in (self.ts, self.ws, self.centres, self.offsets):
+            arr.flags.writeable = False
+        self.kernel_row = None
 
 
 class _PanelWindow:
-    """One cached window [-T, T]: read-only nodes ts and (complex) weights ws, node
-    ts[16 j + m] being the sum centres[j] + offsets[m] as computed, and two
-    slots that the kernel fills: kernel_row, the mu-independent part of the
-    kernel on ts (with the centres and offsets its phase factors take),
-    filled by the first evaluation on the window, and kernel_last, the pair
-    (bits of mu, read-only kernel values on ts) of the last mu that
-    eval_kernel_array was asked for."""
+    """One cached window: the middle panels of a lattice, the given number
+    on each side of 0, as read-only contiguous views of the lattice's nodes
+    ts, weights ws and centres (node ts[16 j + m] is centres[j] + offsets[m]).
+    kernel_row and kernel_last are slots that the kernel fills: the window's
+    slice of the lattice's kernel row (with the centres and offsets its
+    phase factors take), and the pair (bits of mu, read-only kernel values
+    on ts) of the last mu that eval_kernel_array was asked for."""
 
-    __slots__ = ("ts", "ws", "centres", "offsets", "kernel_row", "kernel_last", "__weakref__")
+    __slots__ = ("lattice", "panels", "nodes", "ts", "ws", "centres", "offsets", "kernel_row",
+                 "kernel_last", "__weakref__")
 
-    def __init__(self, T: float, panels: int):
-        self.centres, self.offsets, self.ts, ws = _panel_rule(-T, T, panels)
-        # complex, so that weighting complex samples casts nothing: w and
-        # w + 0j give the same products, as numpy casts w to w + 0j anyway
-        self.ws = ws.astype(complex)
-        for arr in (self.ts, self.ws, self.centres, self.offsets):
-            arr.flags.writeable = False
+    def __init__(self, lattice: _Lattice, panels: int):
+        skip = lattice.panels - panels
+        self.lattice, self.panels = lattice, panels
+        # the window's node range in the lattice
+        self.nodes = slice(16 * skip, 16 * (skip + 2 * panels))
+        self.ts, self.ws = lattice.ts[self.nodes], lattice.ws[self.nodes]
+        self.centres, self.offsets = lattice.centres[skip : skip + 2 * panels], lattice.offsets
         self.kernel_row = self.kernel_last = None
 
 
+# The lattices by nodes_per_unit, each held by the cached windows cut from it
+# and freed with the last of them.
+_LATTICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 # The windows the cache holds, by the identity of their node arrays.  The
 # cache holds the only reference to a window, so a window it evicts leaves
 # this index too, and its node array is an ordinary array from then on.
@@ -129,15 +165,17 @@ _CACHED_WINDOWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_window(T: float, nodes_per_unit: int) -> _PanelWindow:
-    width = 16.0 / float(nodes_per_unit)
-    panels = max(1, int(math.ceil(2.0 * T / width)))
-    # An odd count centres a panel at t = 0, right under the kernel's poles
-    # at t = +-i, and that panel's error dominates (compute_Qmu on a 4-mode
-    # diagonal model at mu = 0.5: 6.9e-12 relative error).  An even count
-    # puts a panel edge there, where the pole lies on a larger Bernstein
-    # ellipse of both neighbouring panels (4.9e-15).
-    window = _PanelWindow(T, panels + panels % 2)
+def _cached_window(panels: int, nodes_per_unit: int) -> _PanelWindow:
+    """The window of the given number of panels on each side of 0.
+
+    It is cut from the lattice of nodes_per_unit, which is rebuilt larger
+    only when it holds fewer panels, so a window the cache evicted comes
+    back as a slice.
+    """
+    lattice = _LATTICES.get(nodes_per_unit)
+    if lattice is None or lattice.panels < panels:
+        lattice = _LATTICES[nodes_per_unit] = _Lattice(nodes_per_unit, panels)
+    window = _PanelWindow(lattice, panels)
     _CACHED_WINDOWS[id(window.ts)] = window
     return window
 
@@ -154,9 +192,11 @@ def _panel_window_of(ts) -> _PanelWindow | None:
 
 def _nodes(T: float, nodes_per_unit: int):
     """The cached, read-only nodes and weights (complex, with zero imaginary
-    parts) of an even count of Gauss panels on [-T, T], each at most
-    16/nodes_per_unit wide (see _PanelWindow)."""
-    window = _cached_window(T, nodes_per_unit)
+    parts) of the ceil(T nodes_per_unit / 16) lattice panels, each exactly
+    16/nodes_per_unit wide, on each side of 0: [-T, T] rounded up to whole
+    panels (see _Lattice and _PanelWindow).  The cache is keyed by the
+    panel count, so every T of one count shares one window."""
+    window = _cached_window(max(1, math.ceil(T * nodes_per_unit / 16.0)), nodes_per_unit)
     return window.ts, window.ws
 
 
@@ -165,7 +205,7 @@ def _window(truncation: float) -> float:
 
     It is one margin step past the estimate, for the polynomial factors
     of an envelope and the outer panel that the tail gate reads, clamped
-    to [1, TRUNCATION_CAP].
+    to [1, TRUNCATION_CAP]; _nodes rounds it up to whole panels.
     """
     return max(1.0, min(TRUNCATION_CAP, max(truncation + 2.0, 1.3 * truncation)))
 
@@ -174,8 +214,10 @@ def _truncation_for_edge(edge: float, nodes_per_unit: int) -> float:
     """A truncation estimate whose window puts the inner edge of its outer
     panels at |t| >= edge (below the cap).
 
-    A panel is at most 16/nodes_per_unit wide, so the window must reach
-    edge plus that width; the margin of _window is then inverted.
+    A panel is 16/nodes_per_unit wide and the window is rounded up to
+    whole panels, so a window that reaches edge plus that width has its
+    outer panels' inner edges past edge; the margin of _window is then
+    inverted.
     """
     reach = edge + 16.0 / nodes_per_unit
     return min(reach - 2.0, reach / 1.3)
@@ -241,8 +283,8 @@ def integrate_vector(
     beyond the truncation window.  truncation is the caller's estimate,
     sized in advance so that the decay bound has fallen to the tolerance
     at the inner edge of the window's outer panels; the one window sampled
-    is one margin step past it (see _window), at the caller's planned
-    panel density nodes_per_unit.  The tail gate reads the
+    is one margin step past it (see _window), rounded up to whole panels
+    of the caller's planned density nodes_per_unit.  The tail gate reads the
     outer panel on each side: if its estimate exceeds q.rel_tolerance
     relative to max(result norm, scale_hint), the window was planned too
     short and the computation raises QuadratureNonConvergence.  The

@@ -110,12 +110,14 @@ def test_kernel_on_a_cached_window_is_the_per_node_value(mu):
     # and takes the oscillation exp(i t log|mu|) from panel-centre and
     # Gauss-offset factors; a writable copy of its nodes takes one complex
     # exponential per node, and off the disc that is the one-exponent form
+    # at ts + 0j (numpy's real and complex expm1 differ in the last bit at
+    # some nodes near 0)
     ts, _ = _nodes(25.0, 20)
     assert np.any(np.abs(ts) < SERIES_SWITCH_RADIUS)
     p = KernelParam(mu)
     bound = _window_bound(ts, mu)
     far = np.abs(ts) >= SERIES_SWITCH_RADIUS
-    t, log_mu = ts[far], cmath.log(mu)
+    t, log_mu = ts[far] + 0j, cmath.log(mu)
     one_exponent = _over_double_sinh(t, t, t * (1j * log_mu) - log_mu)
     for _ in range(2):
         got, want = eval_kernel_array(p, ts), eval_kernel_array(p, np.array(ts))
@@ -452,3 +454,33 @@ def test_kernel_rows_are_the_one_mu_values(window):
                 assert rows.shape == (len(log_mu[start : start + size]), points.size)
                 for mu, row in zip(mus[start : start + size], rows):
                     assert np.array_equal(row, eval_kernel_array(KernelParam(mu), points))
+
+
+# |mu| from 0.1 to 10 on both sides of the real axis, up to the guard sector
+SYMMETRY_MUS = [
+    cmath.rect(r, a)
+    for r in (0.1, 0.37, 1.0, 2.9, 10.0)
+    for a in (0.0, 0.3, -1.0, 2.5, -(math.pi - DELTA_MIN))
+]
+
+
+@pytest.mark.parametrize("window", [(25.0, 20), (40.0, 8)])
+def test_kernel_reflection_and_adjoint_on_a_lattice_window(window):
+    # a lattice window is symmetric about 0, so ts[::-1] is -ts node for
+    # node, and the window's values keep F(1/mu, -t) = mu^2 F(mu, t) and
+    # F(conj mu, -t) = conj F(mu, t) to 8 eps (1 + reach (pi + |Log mu|)):
+    # the two sides round the exponent -t arg mu - log|mu| - pi |t| and the
+    # phase arguments as different sums (reach = |c_j| + |d_m|, as in
+    # _window_bound)
+    ts, _ = _nodes(*window)
+    assert np.array_equal(ts[::-1], -ts)
+    w = _panel_window_of(ts)
+    reach = (np.abs(w.centres)[:, None] + np.abs(w.offsets)[None, :]).ravel()
+    for mu in SYMMETRY_MUS:
+        f = eval_kernel_array(KernelParam(mu), ts)
+        bound = 8.0 * np.finfo(float).eps * (1.0 + reach * (math.pi + abs(cmath.log(mu))))
+        bound *= np.abs(f)
+        reflected = eval_kernel_array(KernelParam(1.0 / mu), ts)[::-1]
+        assert np.all(np.abs(reflected - mu**2 * f) <= bound * abs(mu) ** 2)
+        adjoint = eval_kernel_array(KernelParam(mu.conjugate()), ts)[::-1]
+        assert np.all(np.abs(adjoint - np.conj(f)) <= bound)

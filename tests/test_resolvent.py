@@ -24,7 +24,7 @@ from angen import (
     verify_resolvent_identities,
 )
 from angen import resolvent, vecint
-from angen.group_models import _spectral_matrix, apply_Uz_batch
+from angen.group_models import _phase_matrix, _spectral_matrix, apply_Uz_batch
 from angen.kernel import DELTA_MIN, eval_kernel_array, l1_norm
 from angen.resolvent import (
     MIN_ABS_MU,
@@ -238,17 +238,31 @@ def test_scan_row_shares_whole_panel_windows(diag4, quad, monkeypatch):
     assert vecint._cached_window.cache_info().misses <= len(row) // 8
 
 
-def test_scan_builds_one_phase_matrix_per_window(diag4, quad, monkeypatch):
-    # the scan visits its mu in window order and shares one phase memo, so
-    # a 41-point row (Re mu = 2.5) builds one phase matrix per distinct
-    # planned window, where one build per mu made 41; the order of the
-    # grid does not change a bit of the norms
-    row = [complex(2.5, -y) for y in np.linspace(-5.0, 5.0, 41)]
-    planned = {_qmu_plan(diag4, KernelParam(mu), quad) for mu in row}
+# a row of one density (Re mu = 2.5) and a ray across six
+SCAN_ROWS = [
+    [complex(2.5, -y) for y in np.linspace(-5.0, 5.0, 41)],
+    [complex(x, 3.0) for x in np.geomspace(1e-3, 1e4, 41)],
+]
+
+
+@pytest.mark.parametrize("row", SCAN_ROWS, ids=["one-density", "six-densities"])
+def test_scan_builds_one_phase_matrix_per_density(diag4, quad, monkeypatch, row):
+    # the scan visits its mu by density, the widest window of each first,
+    # and shares one phase memo, which serves the nested windows of that
+    # density slices of the widest one's matrix: one build per distinct
+    # density of the row, on its widest window, where one build per
+    # distinct window made 3 and 10; the order of the grid does not change
+    # a bit of the norms
+    plans = [_qmu_plan(diag4, KernelParam(mu), quad) for mu in row]
     windows, builds = _count_phase_builds(monkeypatch)
     forward = [pt.resolvent_norm for pt in spectrum_scan(diag4, row, quad)]
     assert len(windows) == diag4.dim * len(row)
-    assert len(builds) == len(planned) <= len(row) // 8
+    densities = sorted({npu for _, npu in plans})
+    widest = [
+        max(ts.size for ts in windows if vecint._panel_window_of(ts).lattice.nodes_per_unit == npu)
+        for npu in densities
+    ]
+    assert builds == widest
     backward = [pt.resolvent_norm for pt in spectrum_scan(diag4, row[::-1], quad)]
     assert np.array_equal(forward, backward[::-1])
 
@@ -299,19 +313,76 @@ def test_qmu_rejects_a_phase_memo_of_another_model(diag4, herm4, quad):
     assert np.array_equal(shared, compute_Qmu(herm4, p, quad))
 
 
-def test_phase_memo_keeps_one_matrix_by_identity(herm4, monkeypatch):
-    # the memo serves its matrix again only for the same node array: an
-    # equal copy builds afresh, and two arrays in turn build on every call
+def test_phase_memo_slices_nested_windows(herm4, monkeypatch):
+    # the memo keeps the matrix of one window and serves every nested
+    # window of its lattice the middle rows, a view with the bits of a
+    # fresh build; a wider window or one of another density builds and
+    # replaces it, and any other array, an equal copy included, builds
+    # and is not kept
     _, builds = _count_phase_builds(monkeypatch)
-    memo = resolvent._PhaseMemo(GroupModel.diagonal(herm4.exponents))
-    a, _ = vecint._nodes(7.0, 8)
-    b, _ = vecint._nodes(9.0, 8)
+    g = GroupModel.diagonal(herm4.exponents)
+    memo = resolvent._PhaseMemo(g)
+    a, _ = vecint._nodes(9.0, 8)
+    b, _ = vecint._nodes(7.0, 8)
+    wide, _ = vecint._nodes(13.0, 8)
+    other, _ = vecint._nodes(7.0, 9)
     P = memo(a)
     assert memo(a) is P and len(builds) == 1
-    assert memo(np.array(a)) is not P and len(builds) == 2
-    for k, ts in enumerate((a, b, a, b), start=3):
-        memo(ts)
-        assert len(builds) == k
+    nested = memo(b)
+    assert len(builds) == 1 and np.shares_memory(nested, P)
+    assert np.array_equal(nested, _phase_matrix(g, b))
+    assert not np.shares_memory(memo(np.array(b)), P) and len(builds) == 2
+    assert np.shares_memory(memo(b), P) and len(builds) == 2
+    for ts, count in ((wide, 3), (a, 3), (b, 3), (other, 4), (b, 5), (a, 6)):
+        got = memo(ts)
+        assert len(builds) == count
+        assert np.array_equal(got, _phase_matrix(g, ts))
+
+
+def _per_mode_factors(g, p, q):
+    """One scalar quadrature per mode k of the phase exp(i t h_k), each on its own."""
+    T, npu = _qmu_plan(g, p, q)
+    twin, ones = GroupModel.diagonal(g.exponents), np.ones(g.dim)
+    return np.concatenate(
+        [
+            vecint.integrate_vector(
+                lambda ts, k=k: apply_Uz_batch(twin, ts, ones)[:, k],
+                lambda ts: eval_kernel_array(p, ts),
+                q,
+                tail_rate=p.decay_rate,
+                truncation=T,
+                nodes_per_unit=npu,
+                scale_hint=1.0,
+            )
+            for k in range(g.dim)
+        ]
+    )
+
+
+def test_exponent_classes_name_the_first_mode_of_each_exponent(diag4, identity3):
+    # read-only (modes, index), modes in mode order; a distinct spectrum
+    # maps every mode to itself
+    for g, modes, index in (
+        (diag4, [0, 1, 2, 3], [0, 1, 2, 3]),
+        (identity3, [0], [0, 0, 0]),
+        (GroupModel.diagonal([0.4, -1.5, 0.4, 1.2, -1.5]), [0, 1, 3], [0, 1, 0, 2, 1]),
+    ):
+        got = g._exponent_classes
+        assert [a.tolist() for a in got] == [modes, index]
+        assert not any(a.flags.writeable for a in got)
+
+
+@pytest.mark.parametrize("mu", MU_POOL + [0.5])
+def test_qmu_takes_one_quadrature_per_distinct_exponent(identity3, quad, monkeypatch, mu):
+    # modes of one exponent share one factor: Q_mu takes one window per
+    # distinct exponent and has the bits of one quadrature per mode
+    p = KernelParam(mu)
+    windows, _ = _count_phase_builds(monkeypatch)
+    for g, distinct in ((identity3, 1), (GroupModel.diagonal([-1.5, 0.4, -1.5, 1.2]), 3)):
+        windows.clear()
+        Q = compute_Qmu(g, p, quad)
+        assert len(windows) == distinct
+        assert np.array_equal(Q, _spectral_matrix(g, _per_mode_factors(g, p, quad)))
 
 
 @pytest.mark.parametrize("mu", MU_POOL + [0.5])
@@ -321,21 +392,8 @@ def test_qmu_is_mode_quadrature_bitwise(diag4, herm4, quad, mu):
     # bit for bit
     p = KernelParam(mu)
     for g in (diag4, herm4):
-        T, npu = _qmu_plan(g, p, quad)
-        twin, ones = GroupModel.diagonal(g.exponents), np.ones(g.dim)
-        modes = [
-            vecint.integrate_vector(
-                lambda ts, k=k: apply_Uz_batch(twin, ts, ones)[:, k],
-                lambda ts: eval_kernel_array(p, ts),
-                quad,
-                tail_rate=p.decay_rate,
-                truncation=T,
-                nodes_per_unit=npu,
-                scale_hint=1.0,
-            )
-            for k in range(g.dim)
-        ]
-        assert np.array_equal(compute_Qmu(g, p, quad), _spectral_matrix(g, np.concatenate(modes)))
+        want = _spectral_matrix(g, _per_mode_factors(g, p, quad))
+        assert np.array_equal(compute_Qmu(g, p, quad), want)
 
 
 @pytest.mark.parametrize("mu", MU_POOL)

@@ -93,9 +93,12 @@ def test_bad_panel_density_rejected():
 
 
 def test_panel_nodes_are_ascending_and_weights_sum():
+    # [-7, 7] at 8 nodes per unit rounds up to k = 4 panels of width w = 2
+    # on each side of 0: the weights sum to the window's own 2 k w
     ts, ws = _nodes(7.0, 8)
     assert np.all(np.diff(ts) > 0)
-    assert np.sum(ws) == pytest.approx(14.0, rel=1e-13)
+    assert ts.size == 2 * 4 * 16
+    assert np.sum(ws) == pytest.approx(16.0, rel=1e-13)
 
 
 def test_panel_nodes_are_cached_and_read_only():
@@ -111,14 +114,15 @@ def test_arrays_that_are_not_cached_windows_take_the_per_node_paths(rng):
     # only a node array the window cache holds is a window: a slice, a
     # shifted complex line and a window evicted by 16 newer ones are plain
     # arrays, on which apply_Uz_batch and eval_kernel_array give the bits
-    # of a writable copy, and the exact values
+    # of a writable copy, and the exact values (the cache is keyed by panel
+    # count: 9 takes 5 panels of width 2 a side, the newer ones 6 to 21)
     ts, _ = _nodes(9.0, 8)
     assert _panel_window_of(ts).ts is ts
     g, p = GroupModel.diagonal([-1.4, 0.3, 2.2]), KernelParam(0.7 - 0.4j)
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     piece, line = ts[40:72], ts[::7] + 0.3j
     for k in range(16):
-        _nodes(10.0 + k, 8)
+        _nodes(11.0 + 2.0 * k, 8)
     for zs in (piece, line, ts):
         assert _panel_window_of(zs) is None
         copy = np.array(zs)
@@ -130,6 +134,75 @@ def test_arrays_that_are_not_cached_windows_take_the_per_node_paths(rng):
             assert np.linalg.norm(row - apply_Uz(g, z, x)) <= 1e-12 * np.linalg.norm(x)
             want = eval_kernel(p, z)
             assert abs(value - want) <= 1e-13 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("npu", [8, 9, 13])
+def test_every_window_is_a_slice_of_one_lattice(npu):
+    # every window of a density is ceil(T npu / 16) panels of exactly
+    # 16/npu on each side of 0, symmetric about it, and a contiguous
+    # read-only view of the one lattice of its density, once the widest
+    # window has been asked for (a window cached before keeps the bits of
+    # a slice of the smaller lattice it was cut from)
+    vecint._cached_window.cache_clear()
+    width = 16.0 / npu
+    widest = _panel_window_of(_nodes(199.0, npu)[0])
+    for T in (1.0, 3.5, 7.0, 30.0, 199.0, 16.0 * 5 / npu):
+        ts, ws = _nodes(T, npu)
+        window = _panel_window_of(ts)
+        k = math.ceil(T * npu / 16.0)
+        assert window.lattice is widest.lattice and window.panels == k
+        assert ts.size == ws.size == 32 * k and k * width >= T
+        assert np.array_equal(window.centres, (np.arange(-k, k) + 0.5) * width)
+        assert np.array_equal(ts.reshape(-1, 16), window.centres[:, None] + window.offsets)
+        assert np.array_equal(ts[::-1], -ts)
+        assert np.array_equal(ws, np.tile(0.5 * width * vecint.GAUSS_WEIGHTS, 2 * k))
+        for arr, whole in ((ts, window.lattice.ts), (ws, window.lattice.ws)):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+            assert np.shares_memory(arr, whole) and np.array_equal(arr, whole[window.nodes])
+
+
+def test_half_widths_of_one_panel_count_share_one_window():
+    # the cache is keyed by panel count: at 8 nodes per unit (w = 2) every
+    # T in (4, 6] takes 3 panels a side and the same node array, and T just
+    # past 6 takes 4
+    vecint._cached_window.cache_clear()
+    ts, ws = _nodes(4.1, 8)
+    for T in (5.0, 5.99, 6.0):
+        again, again_ws = _nodes(T, 8)
+        assert again is ts and again_ws is ws
+    assert _nodes(6.01, 8)[0].size == 2 * 4 * 16
+    assert vecint._cached_window.cache_info().misses == 2
+
+
+def test_window_bits_do_not_depend_on_what_was_asked_before(diag4, quad):
+    # the nodes, weights, kernel row, phase slice and Q_mu of _nodes(7, 8),
+    # first cut from a lattice of 4 panels per side, keep their bits once
+    # _nodes(199, 8) has grown the lattice to 100 and 7 comes back as a
+    # slice of it
+    from angen import compute_Qmu, resolvent
+
+    vecint._cached_window.cache_clear()
+    vecint._LATTICES.pop(8, None)
+    p = KernelParam(0.7 - 0.4j)
+    ts, ws = _nodes(7.0, 8)
+    eval_kernel_array(p, ts)
+    row = [np.array(a) for a in _panel_window_of(ts).kernel_row[:2]]
+    phases = _phase_matrix(diag4, ts)
+    Q = compute_Qmu(diag4, KernelParam(2.0 + 1.0j), quad)
+    assert _panel_window_of(ts).lattice.panels == 4
+    wide = _panel_window_of(_nodes(199.0, 8)[0])
+    assert wide.lattice.panels == 100
+    vecint._cached_window.cache_clear()
+    memo = resolvent._PhaseMemo(diag4)
+    memo(wide.ts)
+    again, again_ws = _nodes(7.0, 8)
+    window = _panel_window_of(again)
+    assert again is not ts and window.lattice is wide.lattice
+    assert np.array_equal(again, ts) and np.array_equal(again_ws, ws)
+    eval_kernel_array(p, again)
+    assert all(np.array_equal(a, b) for a, b in zip(window.kernel_row[:2], row))
+    assert np.array_equal(memo(again), phases)
+    assert np.array_equal(compute_Qmu(diag4, KernelParam(2.0 + 1.0j), quad), Q)
 
 
 def test_gaussian_moments():
